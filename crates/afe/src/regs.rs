@@ -146,15 +146,7 @@ impl AfeRegisterFile {
         if !reg.is_writable() {
             return Err(WriteRegError::ReadOnly(reg.addr()));
         }
-        let ok = match reg {
-            AfeReg::PgaPrimaryGain | AfeReg::PgaSecondaryGain => value <= 9,
-            AfeReg::AdcBits => (8..=16).contains(&value),
-            AfeReg::AafCorner => (1..=5000).contains(&value),
-            AfeReg::DacEnable => value <= 0b11,
-            AfeReg::Excitation => value <= 5000,
-            AfeReg::TempSensor | AfeReg::Status => false,
-        };
-        if !ok {
+        if !Self::in_range(reg, value) {
             return Err(WriteRegError::ValueOutOfRange {
                 addr: reg.addr(),
                 value,
@@ -163,6 +155,18 @@ impl AfeRegisterFile {
         self.values[reg.addr() as usize] = value;
         self.writes += 1;
         Ok(())
+    }
+
+    /// `true` if `value` is legal for the writable field `reg`.
+    fn in_range(reg: AfeReg, value: u16) -> bool {
+        match reg {
+            AfeReg::PgaPrimaryGain | AfeReg::PgaSecondaryGain => value <= 9,
+            AfeReg::AdcBits => (8..=16).contains(&value),
+            AfeReg::AafCorner => (1..=5000).contains(&value),
+            AfeReg::DacEnable => value <= 0b11,
+            AfeReg::Excitation => value <= 5000,
+            AfeReg::TempSensor | AfeReg::Status => false,
+        }
     }
 
     /// Writes by raw address (the JTAG path).
@@ -220,8 +224,9 @@ impl AfeRegisterFile {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Corrupt`] if the register count does not
-    /// match the bank; propagates other [`SnapshotError`]s on malformed
-    /// input.
+    /// match the bank or a writable register holds a value
+    /// [`AfeRegisterFile::write`] would reject; propagates other
+    /// [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let values = r.take_u16_vec()?;
         if values.len() != self.values.len() {
@@ -232,6 +237,14 @@ impl AfeRegisterFile {
                     self.values.len()
                 ),
             });
+        }
+        for reg in AfeReg::ALL.into_iter().filter(|r| r.is_writable()) {
+            let value = values[reg.addr() as usize];
+            if !Self::in_range(reg, value) {
+                return Err(SnapshotError::Corrupt {
+                    context: format!("AFE register {:#04x} holds {value}", reg.addr()),
+                });
+            }
         }
         self.values.copy_from_slice(&values);
         self.writes = r.take_u64()?;

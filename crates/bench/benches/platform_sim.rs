@@ -21,33 +21,6 @@ use ascp_mems::gyro::{GyroParams, RingGyro};
 use ascp_mems::resonator::Resonator;
 use ascp_sim::telemetry::TelemetryConfig;
 
-/// Benchmarks the batched translation-cache replay on `cpu`, reporting
-/// nanoseconds **per retired instruction** (the raw harness numbers are
-/// per `run_cycles` call). The firmware loops are periodic, so the
-/// instructions retired per fixed-cycle chunk are constant once the
-/// warm-up chunk has reached steady state — measured once, then used to
-/// scale the per-call stats.
-fn bench_replay(name: &str, cpu: &mut Cpu, bus: &mut NullBus) -> BenchStats {
-    const CHUNK_CYCLES: u64 = 50_000;
-    cpu.run_cycles(CHUNK_CYCLES, bus); // warm the cache, reach steady state
-    let warm = cpu.instructions();
-    cpu.run_cycles(CHUNK_CYCLES, bus);
-    let per_chunk = (cpu.instructions() - warm).max(1);
-    let raw = bench(&format!("{name}/chunk_50k"), || {
-        cpu.run_cycles(CHUNK_CYCLES, bus)
-    });
-    #[allow(clippy::cast_precision_loss)]
-    let n = per_chunk as f64;
-    let stats = BenchStats {
-        name: name.to_owned(),
-        iters_per_sample: raw.iters_per_sample.saturating_mul(per_chunk),
-        ns_per_iter: raw.ns_per_iter / n,
-        min_ns_per_iter: raw.min_ns_per_iter / n,
-    };
-    println!("{stats}");
-    stats
-}
-
 fn main() {
     println!("== platform_sim ==");
     let mut all: Vec<BenchStats> = Vec::new();
@@ -223,66 +196,17 @@ fn main() {
     all.push(scalar_x16);
     all.push(fleet_x16);
 
-    // ISS throughput. The headline `mcu8051/instruction_step` number is
-    // the batched translation-cache replay (`Cpu::run_cycles` over hot
-    // cached blocks), normalised per retired instruction; the uncached
-    // comparator runs the same firmware through the per-step fetch/decode
-    // interpreter. The acceptance bar (DESIGN.md §15) is >= 2x per
-    // instruction. `block_replay` is the same path over a denser
-    // compensation-style loop (MOVC table lookup, MUL scaling, nested
-    // DJNZ) — closer to the monitor firmware's arithmetic mix.
+    // ISS throughput: one fetch/decode/execute `Cpu::step` per iteration
+    // over a short arithmetic loop. The entry keeps its `_uncached` name
+    // so the committed trajectory stays comparable across versions.
     let rom = assemble("start: mov a, #1\nadd a, #2\nmov r0, a\ndjnz r0, start\nsjmp start\n")
         .expect("assembles");
     let mut bus = NullBus;
-    let mut cached = Cpu::new();
-    cached.load_code(&rom);
-    let step_cached = bench_replay("mcu8051/instruction_step", &mut cached, &mut bus);
-    let mut uncached = Cpu::new();
-    uncached.load_code(&rom);
-    uncached.set_xlate_enabled(false);
-    let step_uncached = bench("mcu8051/instruction_step_uncached", || {
-        uncached.step(&mut bus)
-    });
-    let iss_speedup = step_uncached.min_ns_per_iter / step_cached.min_ns_per_iter;
-    println!(
-        "translation-cache speedup: {iss_speedup:.2}x per instruction ({} >= 2x bar)",
-        if iss_speedup >= 2.0 {
-            "meets"
-        } else {
-            "MISSES"
-        }
-    );
-    let dense = assemble(concat!(
-        "start:\n",
-        "    mov dptr, #table\n",
-        "    mov a, r3\n",
-        "    anl a, #0x0f\n",
-        "    movc a, @a+dptr\n",
-        "    mov r2, a\n",
-        "    mov a, r4\n",
-        "    mov b, #37\n",
-        "    mul ab\n",
-        "    add a, r2\n",
-        "    mov r4, a\n",
-        "    inc r3\n",
-        "    mov r0, #8\n",
-        "inner:\n",
-        "    rlc a\n",
-        "    xrl a, r2\n",
-        "    djnz r0, inner\n",
-        "    djnz r5, start\n",
-        "    mov r5, #200\n",
-        "    sjmp start\n",
-        "table:\n",
-        "    db 3, 14, 15, 92, 65, 35, 89, 79, 32, 38, 46, 26, 43, 38, 32, 7\n",
-    ))
-    .expect("assembles");
-    let mut dense_cpu = Cpu::new();
-    dense_cpu.load_code(&dense);
-    let block_replay = bench_replay("mcu8051/block_replay", &mut dense_cpu, &mut bus);
-    all.push(step_cached);
-    all.push(step_uncached);
-    all.push(block_replay);
+    let mut cpu = Cpu::new();
+    cpu.load_code(&rom);
+    all.push(bench("mcu8051/instruction_step_uncached", || {
+        cpu.step(&mut bus)
+    }));
 
     // Perf guard first (against the committed baseline), then rewrite the
     // trajectory file with this run. Short (smoke) runs never rewrite the

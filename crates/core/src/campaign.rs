@@ -1224,36 +1224,6 @@ impl CampaignRunner {
         &self.options
     }
 
-    /// Configured worker-thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.options.threads
-    }
-
-    /// Configured retry budget.
-    #[must_use]
-    pub fn max_retries(&self) -> u32 {
-        self.options.max_retries
-    }
-
-    /// Configured per-scenario deadline, if the watchdog is armed.
-    #[must_use]
-    pub fn deadline_s(&self) -> Option<f64> {
-        self.options.deadline_s
-    }
-
-    /// Whether the warm-start cache is enabled.
-    #[must_use]
-    pub fn warm_start(&self) -> bool {
-        self.options.warm_start
-    }
-
-    /// Whether span tracing is enabled.
-    #[must_use]
-    pub fn tracing(&self) -> bool {
-        self.options.tracing
-    }
-
     /// Runs every scenario (Monte-Carlo specs expanded into their lanes
     /// first) and merges the outcomes.
     ///

@@ -33,12 +33,7 @@
 //!   caller-supplied config, and the stored digest rejects a mismatched
 //!   one with [`CheckpointError::ConfigMismatch`];
 //! - telemetry (metrics, events, stage profiles): observability output,
-//!   deliberately excluded so that restoring never double-counts history;
-//! - the 8051 translation cache ([`ascp_mcu8051::xlate`]): derived
-//!   entirely from code memory, rebuilt lazily after a restore, and
-//!   excluded so checkpoint bytes are identical whether the cache is
-//!   enabled, disabled, hot, or cold (its hit/miss counters are likewise
-//!   telemetry, not state).
+//!   deliberately excluded so that restoring never double-counts history.
 //!
 //! # Example
 //!
@@ -319,6 +314,7 @@ fn indent_tail(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ascp_afe::regs::AfeReg;
 
     fn quiet_config(seed: u64) -> PlatformConfig {
         PlatformConfig::builder()
@@ -343,28 +339,6 @@ mod tests {
             save(&resumed),
             "restored platform must evolve identically"
         );
-    }
-
-    /// The 8051 translation cache is an execution strategy, not state:
-    /// checkpoint bytes must be identical with it hot, cold, or off,
-    /// and a checkpoint taken from a cached run must restore into an
-    /// uncached platform (and vice versa) bit-exactly.
-    #[test]
-    fn checkpoint_bytes_independent_of_translation_cache() {
-        let config = quiet_config(42);
-        let mut cached = Platform::new(config.clone());
-        let mut uncached = Platform::new(config.clone());
-        uncached.cpu_mut().set_xlate_enabled(false);
-        cached.step_block(800);
-        uncached.step_block(800);
-        let ckpt = save(&cached);
-        assert_eq!(ckpt, save(&uncached), "cache state leaked into checkpoint");
-        // Cross-restore: cached checkpoint into an uncached platform.
-        let mut resumed = restore(config, &ckpt).expect("restore");
-        resumed.cpu_mut().set_xlate_enabled(false);
-        cached.step_block(300);
-        resumed.step_block(300);
-        assert_eq!(save(&cached), save(&resumed));
     }
 
     #[test]
@@ -466,6 +440,35 @@ mod tests {
             // Any outcome but a panic is acceptable; a flipped byte deep in
             // some f64 may still decode. Errors must be typed.
             let _ = restore(config.clone(), &bad);
+        }
+    }
+
+    /// Restored writable AFE registers pass the range checks of a
+    /// register write, so an out-of-range gain, resolution or corner is a
+    /// typed error instead of a panic in the analog model it configures.
+    #[test]
+    fn out_of_range_afe_registers_are_rejected() {
+        let config = quiet_config(8);
+        let bytes = save(&Platform::new(config.clone()));
+        // Header, "afer" section header (9 bytes) and register count (4):
+        // the eight u16 registers start at byte 33.
+        let corner_at = 33 + 2 * AfeReg::AafCorner.addr() as usize;
+        assert_eq!(&bytes[corner_at..corner_at + 2], &300u16.to_le_bytes());
+        let mut cases: Vec<Vec<u8>> = (33..=38)
+            .map(|at| {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].fill(0xff);
+                bad
+            })
+            .collect();
+        let mut zero_corner = bytes.clone();
+        zero_corner[corner_at..corner_at + 2].fill(0);
+        cases.push(zero_corner);
+        for bad in cases {
+            assert!(matches!(
+                restore(config.clone(), &bad),
+                Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
+            ));
         }
     }
 

@@ -612,7 +612,7 @@ impl SensorChannel {
             ticks = r.take_u64()?;
             win = (r.take_f64()?, r.take_f64()?, r.take_u32()?);
             codes = (r.take_u8()?, r.take_u8()?, r.take_u32()?);
-            let n = r.take_u32()? as usize;
+            let n = r.take_count(2, "channel transition")?;
             transitions.reserve(n);
             for _ in 0..n {
                 let from = code_label(r.take_u8()?)?;
@@ -984,6 +984,24 @@ mod tests {
         let mut other = map_channel(32); // different seed -> different digest
         let mut r = StateReader::new(&bytes);
         assert!(other.load_state(&mut r).is_err());
+    }
+
+    #[test]
+    fn checkpoint_rejects_impossible_transition_count() {
+        let ch = map_channel(33);
+        let mut w = StateWriter::new();
+        ch.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        // Section header (9 bytes), then digest, t, ticks, the window
+        // (f64, f64, u32) and the status codes (u8, u8, u32): the
+        // transition count sits at byte 59.
+        bytes[59..63].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut twin = map_channel(33);
+        let mut r = StateReader::new(&bytes);
+        assert!(matches!(
+            twin.load_state(&mut r),
+            Err(SnapshotError::Corrupt { .. })
+        ));
     }
 
     #[test]

@@ -405,33 +405,33 @@ fn decode_outcome(payload: &[u8]) -> Result<ScenarioOutcome, SnapshotError> {
                 })
             }
         };
-        let n_metrics = r.take_u32()? as usize;
+        let n_metrics = r.take_count(12, "journal metric")?;
         let mut metrics = Vec::with_capacity(n_metrics);
         for _ in 0..n_metrics {
             let name = take_string(r)?;
             let value = r.take_f64()?;
             metrics.push((name, value));
         }
-        let n_series = r.take_u32()? as usize;
+        let n_series = r.take_count(8, "journal series")?;
         let mut series = Vec::with_capacity(n_series);
         for _ in 0..n_series {
             let name = take_string(r)?;
             let values = r.take_f64_vec()?;
             series.push((name, values));
         }
-        let n_classes = r.take_u32()? as usize;
+        let n_classes = r.take_count(4, "journal fault class")?;
         let mut fault_classes = Vec::with_capacity(n_classes);
         for _ in 0..n_classes {
             fault_classes.push(intern_fault_label(&take_string(r)?));
         }
-        let n_transitions = r.take_u32()? as usize;
+        let n_transitions = r.take_count(8, "journal transition")?;
         let mut transitions = Vec::with_capacity(n_transitions);
         for _ in 0..n_transitions {
             let from = intern_state_label(&take_string(r)?);
             let to = intern_state_label(&take_string(r)?);
             transitions.push((from, to));
         }
-        let n_errors = r.take_u32()? as usize;
+        let n_errors = r.take_count(13, "journal attempt error")?;
         let mut attempt_errors = Vec::with_capacity(n_errors);
         for _ in 0..n_errors {
             let tag = r.take_u8()?;
@@ -514,6 +514,35 @@ mod tests {
         assert_eq!(read_back[0], outcome(0, "a"));
         assert_eq!(read_back[1], outcome(2, "c"));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A checksum-valid record whose element count cannot fit in its
+    /// payload is a typed error, for each of the five counts, instead of
+    /// an allocation the size of the count.
+    #[test]
+    fn impossible_record_counts_are_typed_errors() {
+        for huge_at in 0..5 {
+            let mut w = StateWriter::new();
+            w.leaf("SCNO", |w| {
+                w.put_u64(0);
+                w.put_u8_slice(b"x");
+                w.put_u64(0);
+                w.put_u8(0);
+                for _ in 0..huge_at {
+                    w.put_u32(0);
+                }
+                w.put_u32(u32::MAX);
+            });
+            let payload = w.into_bytes();
+            let mut bytes = header_bytes(7).to_vec();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+            bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+            assert!(
+                matches!(scan(&bytes, 7), Err(JournalError::Record(_))),
+                "count {huge_at}"
+            );
+        }
     }
 
     #[test]

@@ -1064,27 +1064,18 @@ impl Platform {
         // CPU slice: 20 MHz / 12 machine cycles per second.
         if self.config.cpu_enabled {
             self.cpu_cycle_debt += self.cpu_cycles_per_tick;
-            // Batched slice: `run_slice` replays cached blocks and ticks
-            // the watchdog through the bus instruction hook at the same
-            // per-instruction boundaries the old `step()` loop used; it
-            // stops at a watchdog expiry so the reset lands on exactly
-            // the instruction that crossed the deadline.
             while self.cpu_cycle_debt >= 1.0 {
-                let outcome = self.cpu.run_slice(self.cpu_cycle_debt, &mut self.bus);
-                #[allow(clippy::cast_precision_loss)]
-                {
-                    self.cpu_cycle_debt -= outcome.executed as f64;
-                }
-                if !outcome.stopped {
-                    break;
-                }
-                // Safety reset: restart the firmware. A latched-up CPU
-                // (CpuHang fault) re-hangs immediately — the bounded
-                // retry budget in the supervisor decides when to stop.
-                self.cpu.reset();
-                self.watchdog_resets += 1;
-                if self.cpu_hang_active {
-                    self.cpu.set_hung(true);
+                let spent = self.cpu.step(&mut self.bus);
+                self.cpu_cycle_debt -= f64::from(spent);
+                if self.bus.watchdog.tick(spent) && self.bus.watchdog.auto_reset() {
+                    // Safety reset: restart the firmware. A latched-up CPU
+                    // (CpuHang fault) re-hangs immediately — the bounded
+                    // retry budget in the supervisor decides when to stop.
+                    self.cpu.reset();
+                    self.watchdog_resets += 1;
+                    if self.cpu_hang_active {
+                        self.cpu.set_hung(true);
+                    }
                 }
             }
             for (addr, byte) in self.bus.cache.take_writes() {
@@ -1465,12 +1456,6 @@ impl Platform {
             .counter_set("cpu.watchdog_resets", u64::from(self.watchdog_resets));
         self.telemetry
             .counter_set("cpu.uart_tx_bytes", self.cpu.uart_tx_total());
-        self.telemetry
-            .counter_set("cpu.xlate_block_hits", self.cpu.xlate_hits());
-        self.telemetry
-            .counter_set("cpu.xlate_block_misses", self.cpu.xlate_misses());
-        self.telemetry
-            .counter_set("cpu.xlate_invalidations", self.cpu.xlate_invalidations());
         self.telemetry
             .counter_set("spi.transfers", self.bus.spi.transfers());
         self.telemetry

@@ -79,7 +79,7 @@ fn scenario_list() -> Vec<ScenarioSpec> {
 /// reports can be compared whole.
 fn fingerprint(runner: &CampaignRunner, specs: Vec<ScenarioSpec>) -> (String, String) {
     let report = runner.run(specs);
-    assert_eq!(report.threads, runner.threads());
+    assert_eq!(report.threads, runner.options().threads());
     (report.to_csv(), report.to_telemetry().to_json())
 }
 

@@ -11,7 +11,7 @@
 //! controller, XDATA-mapped devices) attaches through the [`ExternalBus`]
 //! trait passed to [`Cpu::step`].
 
-use crate::xlate::{self, XlateCache};
+use crate::decode;
 use ascp_sim::noise::Rng64;
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use std::collections::VecDeque;
@@ -95,34 +95,6 @@ pub trait ExternalBus {
 
     /// MOVX write.
     fn xdata_write(&mut self, addr: u16, value: u8);
-
-    /// `true` if the bus wants [`ExternalBus::after_instructions`] calls
-    /// during batched execution ([`Cpu::run_slice`] / [`Cpu::run_cycles`]).
-    /// Buses that return `false` (the default) pay nothing per
-    /// instruction on the batched replay fast path.
-    fn wants_instruction_hook(&self) -> bool {
-        false
-    }
-
-    /// Called by batched execution after `spent` machine cycles of
-    /// instructions have retired; return `true` to stop the slice at
-    /// this instruction boundary (e.g. a watchdog expiry the platform
-    /// must turn into a CPU reset). Batches never span more than
-    /// [`ExternalBus::instruction_batch_headroom`] cycles, and cycles in
-    /// one batch contain no bus-visible side effects, so accounting here
-    /// is equivalent to a call after every instruction.
-    fn after_instructions(&mut self, spent: u32) -> bool {
-        let _ = spent;
-        false
-    }
-
-    /// Upper bound on machine cycles that may be reported through one
-    /// [`ExternalBus::after_instructions`] call without changing the
-    /// bus's observable behaviour (e.g. a watchdog's cycles-to-expiry
-    /// minus one). `0` forces per-instruction accounting.
-    fn instruction_batch_headroom(&self) -> u64 {
-        u64::MAX
-    }
 }
 
 /// A bus with nothing attached (reads float to 0xFF).
@@ -140,18 +112,6 @@ impl ExternalBus for NullBus {
         0xff
     }
     fn xdata_write(&mut self, _addr: u16, _value: u8) {}
-}
-
-/// Result of one [`Cpu::run_slice`] call: cycles executed and whether
-/// the bus's instruction hook stopped the slice early (the caller
-/// handles the stop — e.g. a watchdog reset — and may call again with
-/// the remaining budget).
-#[derive(Debug, Clone, Copy)]
-pub struct SliceOutcome {
-    /// Machine cycles executed in this slice.
-    pub executed: u64,
-    /// `true` when [`ExternalBus::after_instructions`] requested a stop.
-    pub stopped: bool,
 }
 
 /// Interrupt sources in priority-vector order.
@@ -248,15 +208,6 @@ pub struct Cpu {
     /// (monotonic; models the receiving ECU's line-error counter, so a
     /// CPU reset does not clear it).
     uart_line_errors: u64,
-    /// Basic-block translation cache (decode-once replay). Derived
-    /// entirely from code memory; **never serialized** — see
-    /// [`crate::xlate`] for the invalidation rules.
-    xlate: XlateCache,
-    /// Replay enabled (default). Disabling falls back to the per-step
-    /// fetch/decode interpreter — behaviour is bit-identical; only the
-    /// speed differs. Not serialized: an execution-strategy knob, not
-    /// architectural state.
-    xlate_enabled: bool,
 }
 
 impl Default for Cpu {
@@ -289,8 +240,6 @@ impl Cpu {
             hung: false,
             uart_fault: None,
             uart_line_errors: 0,
-            xlate: XlateCache::default(),
-            xlate_enabled: true,
         };
         cpu.reset();
         cpu
@@ -316,9 +265,6 @@ impl Cpu {
             self.code.resize(idx + 1, 0);
         }
         self.code[idx] = value;
-        // Self-modifying code: drop cached blocks decoded from the
-        // patched span; they re-decode lazily on next execution.
-        self.xlate.code_written(addr);
     }
 
     /// Hardware reset: PC = 0, SP = 7, ports high, everything else zero.
@@ -344,9 +290,6 @@ impl Cpu {
         // re-asserts it while the underlying fault stays active. The UART
         // line fault and error count live on the harness side and survive.
         self.hung = false;
-        // Reset flushes the translation cache (safety net: the reset and
-        // program-download paths interleave on the watchdog/JTAG side).
-        self.xlate.flush();
     }
 
     /// Program counter.
@@ -468,60 +411,10 @@ impl Cpu {
         self.uart_line_errors
     }
 
-    // ---- translation cache (see crate::xlate) ----
-
-    /// Enables or disables the basic-block translation cache. Execution
-    /// is bit-identical either way (pinned by the differential tests);
-    /// only throughput changes. Disabling also drops cached blocks so a
-    /// later re-enable starts cold.
-    pub fn set_xlate_enabled(&mut self, enabled: bool) {
-        self.xlate_enabled = enabled;
-        if !enabled {
-            self.xlate.flush();
-        }
-    }
-
-    /// `true` while the translation cache is enabled (the default).
-    #[must_use]
-    pub fn xlate_enabled(&self) -> bool {
-        self.xlate_enabled
-    }
-
-    /// Basic-block entries replayed from an already-decoded block.
-    #[must_use]
-    pub fn xlate_hits(&self) -> u64 {
-        self.xlate.hits()
-    }
-
-    /// Basic blocks decoded from code memory (cache misses).
-    #[must_use]
-    pub fn xlate_misses(&self) -> u64 {
-        self.xlate.misses()
-    }
-
-    /// Cache flushes (`code_write` into a cached block, `load_code`,
-    /// reset, snapshot restore) that dropped at least one block.
-    #[must_use]
-    pub fn xlate_invalidations(&self) -> u64 {
-        self.xlate.invalidations()
-    }
-
-    /// Number of basic blocks currently cached.
-    #[must_use]
-    pub fn xlate_cached_blocks(&self) -> usize {
-        self.xlate.cached_blocks()
-    }
-
     /// Serializes the complete core state: PC, IRAM, SFRs, code memory
     /// (runtime-mutable through the program-download path), counters, UART
     /// queues and timing, the interrupt in-service stack, pins, and
     /// injected-fault state.
-    ///
-    /// The translation cache and its hit/miss/invalidation counters are
-    /// deliberately **not** serialized: the cache is a pure function of
-    /// the code image saved here, so snapshot bytes are identical whether
-    /// execution ran cached or interpreted, and the PR 5 format (and the
-    /// warm-start cache keys derived from it) is unchanged.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u16(self.pc);
         w.put_u8_slice(&self.iram);
@@ -622,9 +515,6 @@ impl Cpu {
             None
         };
         self.uart_line_errors = r.take_u64()?;
-        // Code memory may have been replaced wholesale; the translation
-        // cache rebuilds lazily from the restored image.
-        self.xlate.flush();
         Ok(())
     }
 
@@ -827,14 +717,12 @@ impl Cpu {
         self.code.get(addr as usize).copied().unwrap_or(0)
     }
 
-    /// Interpreter decode: fetches the opcode and its operand bytes,
-    /// advancing PC past the instruction — the uncached twin of a
-    /// [`crate::xlate::MicroOp`] replay. Both paths feed the same
-    /// [`Cpu::execute_decoded`] core, so they cannot diverge.
+    /// Fetches the opcode and its operand bytes, advancing PC past the
+    /// instruction.
     #[inline]
     fn fetch_decoded(&mut self) -> (u8, u8, u8) {
         let op = self.fetch();
-        let operands = xlate::OPERAND_COUNT[op as usize];
+        let (operands, _) = decode::DECODE[op as usize];
         let a = if operands >= 1 { self.fetch() } else { 0 };
         let b = if operands >= 2 { self.fetch() } else { 0 };
         (op, a, b)
@@ -1082,12 +970,6 @@ impl Cpu {
 
     /// Executes one instruction (servicing pending interrupts first);
     /// returns the machine cycles consumed.
-    ///
-    /// With the translation cache enabled (the default), the instruction
-    /// is replayed from a predecoded basic block ([`crate::xlate`])
-    /// instead of being fetched and decoded from code memory; interrupts
-    /// are still sampled here, at every instruction boundary, so IRQ
-    /// latency, cycle counts and bus traces are bit-identical either way.
     pub fn step(&mut self, bus: &mut dyn ExternalBus) -> u32 {
         if self.hung {
             // Latch-up: the clock runs but nothing fetches, no timers
@@ -1104,41 +986,17 @@ impl Cpu {
         if let Some((src, high)) = self.pending_interrupt() {
             self.service_interrupt(src, high);
         }
-        let mut predicted = 0u8;
-        let (op, a, b) = if self.xlate_enabled {
-            if let Some(uop) = self.xlate.cursor_next(self.pc) {
-                // Straight-line replay: the cursor is mid-block and the
-                // next micro-op is exactly where PC points.
-                self.pc = uop.next_pc;
-                predicted = uop.cycles();
-                (uop.op, uop.a, uop.b)
-            } else {
-                self.enter_block()
-            }
-        } else {
-            self.fetch_decoded()
-        };
+        let (op, a, b) = self.fetch_decoded();
         let cycles = self.execute_decoded(op, a, b, bus);
-        debug_assert!(
-            predicted == 0 || u32::from(predicted) == cycles,
-            "micro-op cycle table disagrees with execution for {op:#04x}"
+        debug_assert_eq!(
+            cycles,
+            u32::from(decode::DECODE[op as usize].1),
+            "decode table disagrees with execution for {op:#04x}"
         );
         self.instructions += 1;
         self.cycles += u64::from(cycles);
         self.tick_peripherals(cycles);
         cycles
-    }
-
-    /// Cold half of the cached step: block-entry lookup (decoding the
-    /// block on a miss) with interpreter fallback for PCs outside code
-    /// memory.
-    fn enter_block(&mut self) -> (u8, u8, u8) {
-        if let Some(uop) = self.xlate.lookup(self.pc, &self.code) {
-            self.pc = uop.next_pc;
-            (uop.op, uop.a, uop.b)
-        } else {
-            self.fetch_decoded()
-        }
     }
 
     /// Per-instruction peripheral tick with cheap idle fast paths. The
@@ -1161,171 +1019,20 @@ impl Cpu {
         }
     }
 
-    /// Runs until `cycles` machine cycles have elapsed.
-    ///
-    /// Batched twin of calling [`Cpu::step`] in a loop — behaviour is
-    /// bit-identical (same instruction boundaries, interrupt latencies,
-    /// peripheral timing and bus traffic), but when the translation
-    /// cache is enabled and the machine is *quiet* — interrupts globally
-    /// disabled, timers stopped, UART idle — cached micro-ops replay in
-    /// a tight loop that skips the per-instruction interrupt poll and
-    /// peripheral tick. Those are provable no-ops while quiet, and only
-    /// a `Direct`/`Xdata`-class instruction (the ones that can write IE,
-    /// TCON, SCON, SBUF, PCON or reach the external bus) can end
-    /// quiescence, so the loop falls back to the careful per-instruction
-    /// path exactly at the first instruction that could tell the
-    /// difference. Buses that want per-instruction accounting (the
-    /// platform watchdog) bound the batches via
-    /// [`ExternalBus::instruction_batch_headroom`].
+    /// Steps until `cycles` machine cycles have elapsed; returns the
+    /// cycles the executed instructions consumed.
     pub fn run_cycles(&mut self, cycles: u64, bus: &mut dyn ExternalBus) -> u64 {
         let target = self.cycles.saturating_add(cycles);
-        let hook = bus.wants_instruction_hook();
         let mut executed = 0u64;
         while self.cycles < target {
-            let (spent, _stopped) = self.run_chunk(target - self.cycles, bus, hook);
-            executed += spent;
+            executed += u64::from(self.step(bus));
         }
         executed
     }
 
-    /// Runs up to `budget` machine cycles (fractional budgets execute
-    /// while at least one whole cycle remains, exactly like the
-    /// platform's historical `while debt >= 1.0 { step() }` loop — the
-    /// last instruction may overshoot), stopping early when the bus's
-    /// [`ExternalBus::after_instructions`] hook requests it (watchdog
-    /// expiry). The caller handles the stop (e.g. resets the CPU) and
-    /// calls again with the remaining budget.
-    pub fn run_slice(&mut self, budget: f64, bus: &mut dyn ExternalBus) -> SliceOutcome {
-        let limit = if budget >= 1.0 { budget as u64 } else { 0 };
-        let hook = bus.wants_instruction_hook();
-        let mut executed = 0u64;
-        while executed < limit {
-            let (spent, stopped) = self.run_chunk(limit - executed, bus, hook);
-            executed += spent;
-            if stopped {
-                return SliceOutcome {
-                    executed,
-                    stopped: true,
-                };
-            }
-        }
-        SliceOutcome {
-            executed,
-            stopped: false,
-        }
-    }
-
-    /// One batched-execution chunk: a quiet replay batch when the
-    /// machine state allows it, otherwise a single careful [`Cpu::step`].
-    /// Returns cycles spent and whether the bus hook asked to stop.
-    fn run_chunk(&mut self, remaining: u64, bus: &mut dyn ExternalBus, hook: bool) -> (u64, bool) {
-        if self.xlate_enabled && !self.hung && !self.halted && self.peripherals_quiet() {
-            let headroom = if hook {
-                bus.instruction_batch_headroom()
-            } else {
-                u64::MAX
-            };
-            if headroom > 0 {
-                let limit = remaining.min(headroom).min(u64::from(u32::MAX));
-                let done = self.replay_quiet(limit, bus);
-                if done > 0 {
-                    // `done` fits u32: limit was clamped above.
-                    #[allow(clippy::cast_possible_truncation)]
-                    let stop = hook && bus.after_instructions(done as u32);
-                    return (done, stop);
-                }
-            }
-        }
-        let spent = self.step(bus);
-        let stop = hook && bus.after_instructions(spent);
-        (u64::from(spent), stop)
-    }
-
-    /// `true` when no per-instruction sampling can observe anything:
-    /// interrupts are globally disabled (IE.EA clear), both timers are
-    /// stopped (TCON.TR0/TR1 clear) and the UART is idle (no
-    /// transmission in flight, both interrupt pins low, no deliverable
-    /// RX byte). Under these conditions [`Cpu::pending_interrupt`] and
-    /// [`Cpu::tick_peripherals`] are no-ops, and only a `Direct`-class
-    /// instruction can change that.
-    fn peripherals_quiet(&self) -> bool {
-        if self.sfr_load(sfr::IE) & 0x80 != 0 || self.sfr_load(sfr::TCON) & 0x50 != 0 {
-            return false;
-        }
-        if self.uart_tx_countdown.is_some() || self.int0_pin || self.int1_pin {
-            return false;
-        }
-        let scon = self.sfr_load(sfr::SCON);
-        !(scon & 0x10 != 0 && scon & 0x01 == 0 && !self.uart_rx.is_empty())
-    }
-
-    /// The quiet-replay hot loop: executes cached micro-ops until the
-    /// cycle `limit` is reached, a non-quiet-safe op (or uncached /
-    /// out-of-code PC) needs the careful path, whichever comes first.
-    /// Returns the machine cycles executed.
-    fn replay_quiet(&mut self, limit: u64, bus: &mut dyn ExternalBus) -> u64 {
-        // Counters accumulate in locals and flush once at loop exit: no
-        // execution arm reads them, and the save/accessor paths only run
-        // between slices.
-        let mut executed = 0u64;
-        let mut retired = 0u64;
-        // The arena moves out of the cache for the duration of the loop
-        // so it can be indexed as a local slice (pointer and cursor in
-        // registers) while `execute_decoded` mutably borrows `self`.
-        // Sound because nothing the loop executes can touch the cache:
-        // no 8051 instruction writes code memory, and every flush path
-        // (`code_write`, `load_code`, `load_state`, `reset`,
-        // `set_xlate_enabled`) is an external API, not an instruction.
-        // Block decodes (cold path) hand the arena back first.
-        let mut ops = std::mem::take(&mut self.xlate.ops);
-        let mut cur = self.xlate.cur as usize;
-        let mut end = self.xlate.cur_end as usize;
-        while executed < limit {
-            if cur >= end || ops[cur].pc != self.pc {
-                // Block boundary or divergence: rewind for a same-block
-                // re-entry (hot-loop backward jump), else do the full
-                // lookup — which may decode a new block into the arena,
-                // so it borrows the real cache. PCs outside code memory
-                // leave the quiet loop for the interpreter.
-                if !self.xlate.reenter(self.pc) {
-                    self.xlate.ops = ops;
-                    let ok = self.xlate.position(self.pc, &self.code);
-                    ops = std::mem::take(&mut self.xlate.ops);
-                    if !ok {
-                        break;
-                    }
-                    end = self.xlate.cur_end as usize;
-                }
-                cur = self.xlate.cur as usize;
-                continue;
-            }
-            let uop = ops[cur];
-            if !uop.quiet_safe() {
-                break;
-            }
-            cur += 1;
-            self.pc = uop.next_pc;
-            let spent = self.execute_decoded(uop.op, uop.a, uop.b, bus);
-            debug_assert!(
-                u32::from(uop.cycles()) == spent,
-                "micro-op cycle table disagrees with execution for {:#04x}",
-                uop.op
-            );
-            retired += 1;
-            executed += u64::from(spent);
-        }
-        self.xlate.ops = ops;
-        self.xlate.cur = u32::try_from(cur).unwrap_or(xlate::NONE_IDX);
-        self.instructions += retired;
-        self.cycles += executed;
-        executed
-    }
-
-    /// The single execution core: one instruction's semantics, with the
-    /// opcode and operand bytes already fetched (PC points past the
-    /// instruction). Both the interpreter ([`Cpu::fetch_decoded`]) and
-    /// the translation-cache replay feed this function, so cached and
-    /// uncached execution share every side effect by construction.
+    /// One instruction's semantics, with the opcode and operand bytes
+    /// already fetched by [`Cpu::fetch_decoded`] (PC points past the
+    /// instruction).
     #[allow(clippy::too_many_lines)]
     #[inline(always)]
     fn execute_decoded(&mut self, op: u8, a: u8, b: u8, bus: &mut dyn ExternalBus) -> u32 {

@@ -10,10 +10,6 @@
 //! - [`cpu`] — full 8051 interpreter (all opcodes, flags, banks, stack,
 //!   timers, serial port, five-source two-priority interrupts, machine-cycle
 //!   accounting);
-//! - [`xlate`] — basic-block predecode / translation cache: each block is
-//!   decoded once into micro-ops and replayed by [`cpu::Cpu::step`] with
-//!   bit-identical semantics (interrupt sampling stays at instruction
-//!   boundaries) at roughly twice the instruction throughput;
 //! - [`asm`] — two-pass assembler so firmware lives as readable source;
 //! - [`disasm`] — the matching disassembler (debug views, round-trip tests);
 //! - [`periph`] — bridge, SPI master + EEPROM, watchdog, capture SRAM,
@@ -38,9 +34,9 @@
 
 pub mod asm;
 pub mod cpu;
+mod decode;
 pub mod disasm;
 pub mod periph;
-pub mod xlate;
 
 #[cfg(test)]
 mod cpu_tests;

@@ -553,19 +553,6 @@ impl Watchdog {
         self.auto_reset
     }
 
-    /// Machine cycles that may elapse in one batched [`Watchdog::tick`]
-    /// without its observable behaviour diverging from per-cycle
-    /// ticking: one less than the cycles to expiry (the countdown is
-    /// linear until it crosses zero), or `u64::MAX` when disabled.
-    #[must_use]
-    pub fn batch_headroom(&self) -> u64 {
-        if self.enabled {
-            u64::from(self.counter).saturating_sub(1)
-        } else {
-            u64::MAX
-        }
-    }
-
     /// Configured reload value (machine cycles per timeout).
     #[must_use]
     pub fn reload(&self) -> u16 {
@@ -842,17 +829,8 @@ impl CacheController {
     /// Propagates [`SnapshotError`] on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.addr = r.take_u16()?;
-        let n = r.take_u32()? as usize;
-        // Each queued write is 3 bytes; reject impossible counts before
-        // allocating.
-        if n.saturating_mul(3) > r.remaining() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "cache-controller queue count {n} exceeds remaining {} bytes",
-                    r.remaining()
-                ),
-            });
-        }
+        // Each queued write is 3 bytes.
+        let n = r.take_count(3, "cache-controller queue")?;
         let mut pending = VecDeque::with_capacity(n);
         for _ in 0..n {
             let addr = r.take_u16()?;
@@ -1052,22 +1030,6 @@ impl ExternalBus for SystemBus {
 
     fn xdata_write(&mut self, addr: u16, value: u8) {
         self.sram.write_byte(addr, value);
-    }
-
-    // The platform ticks the watchdog at every instruction boundary.
-    // Batched execution keeps that exact: batches are bounded by the
-    // cycles-to-expiry headroom and contain no bus writes (so no kicks),
-    // making one `tick(batch)` equal to per-instruction ticks.
-    fn wants_instruction_hook(&self) -> bool {
-        true
-    }
-
-    fn after_instructions(&mut self, spent: u32) -> bool {
-        self.watchdog.tick(spent) && self.watchdog.auto_reset()
-    }
-
-    fn instruction_batch_headroom(&self) -> u64 {
-        self.watchdog.batch_headroom()
     }
 }
 

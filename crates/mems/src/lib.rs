@@ -10,8 +10,8 @@
 //! - [`gyro`] — the case study's vibrating-ring yaw-rate gyro: two coupled
 //!   modes, Coriolis transfer, quadrature error, Brownian noise and
 //!   temperature drift;
-//! - [`generic`] — capacitive/resistive/inductive behavioural sensors for
-//!   the "generic platform" demonstrations;
+//! - [`generic`] — capacitive/inductive behavioural sensors for the
+//!   "generic platform" demonstrations;
 //! - [`frontend`] — the [`frontend::SensorFrontEnd`] trait: the contract a
 //!   sensor family implements to be conditioned by the generic platform
 //!   channel (excitation needs, conditioning recipe, plausibility bands,

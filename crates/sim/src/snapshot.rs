@@ -453,10 +453,18 @@ impl<'a> StateReader<'a> {
         Ok(present.then_some(v))
     }
 
-    fn take_count(&mut self, elem_size: usize, context: &str) -> Result<usize, SnapshotError> {
+    /// Reads a `u32` element count and bounds it by the payload left:
+    /// `count` elements of at least `elem_size` encoded bytes each must
+    /// fit in the remaining bytes. Call it before allocating for a count
+    /// read from input.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::Truncated`] if fewer than 4 bytes remain,
+    /// [`SnapshotError::Corrupt`] (naming `context`) if the count cannot
+    /// fit.
+    pub fn take_count(&mut self, elem_size: usize, context: &str) -> Result<usize, SnapshotError> {
         let n = self.take_u32()? as usize;
-        // An element count larger than the remaining payload can never be
-        // valid; reject it before any allocation.
         if n.saturating_mul(elem_size) > self.remaining() {
             return Err(SnapshotError::Corrupt {
                 context: format!(

@@ -1,11 +1,12 @@
 #!/usr/bin/env sh
-# Repository gate: formatting, lints, build, tests. Everything runs offline
-# (no registry access — the only external crate, proptest, is vendored as a
-# shim under vendor/ behind an off-by-default feature).
+# Repository gate: formatting, lints, build, tests, campaign smokes and perf
+# smoke. CI runs exactly this script. Everything runs offline (no registry
+# access — the only external crate, proptest, is vendored as a shim under
+# vendor/ behind an off-by-default feature).
 #
 # Usage: scripts/check.sh [--docs]
 #   --docs   additionally build the API docs with rustdoc warnings denied
-#            (the same gate CI runs; catches broken intra-doc links).
+#            (CI passes it; catches broken intra-doc links).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,8 +31,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
-echo "== cargo test =="
-cargo test -q --workspace
+echo "== cargo test (with the property-test suites) =="
+cargo test -q --workspace --features proptest
 
 echo "== fault campaign (smoke: detection + coverage vs committed baseline) =="
 # Emits the Chrome trace, flight-recorder captures and the coverage matrix
@@ -89,9 +90,8 @@ echo "== kernel benches (short mode: build + run smoke, perf guard) =="
 # --short shrinks the measurement protocol ~10x; --check compares the
 # committed baseline and fails only on a >50% min-ns regression (the
 # guard is deliberately noise-tolerant — see ascp_bench::harness).
-# platform_sim covers the 8051 ISS translation-cache entries
-# (mcu8051/instruction_step, _uncached, block_replay) so an ISS perf
-# regression fails this gate.
+# platform_sim covers the 8051 ISS entry (mcu8051/instruction_step_uncached)
+# so an ISS perf regression fails this gate.
 cargo bench -p ascp-bench --bench platform_sim -- --short --check BENCH_platform_sim.json
 cargo bench -p ascp-bench --bench dsp_blocks -- --short
 cargo bench -p ascp-bench --bench campaign_warmstart -- --short
