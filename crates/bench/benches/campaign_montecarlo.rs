@@ -5,9 +5,11 @@
 //! customer of the structure-of-arrays [`PlatformFleet`] path: the runner
 //! groups eligible lanes and steps them in lockstep instead of running N
 //! independent platforms. This bench measures the end-to-end campaign
-//! wall-clock win of that batching (`fleet(true)` vs `fleet(false)` on an
-//! otherwise identical runner) and asserts the byte-identity contract —
-//! batching must change wall clock and nothing else.
+//! wall-clock win of that batching — the population as written vs the
+//! same population pre-expanded with [`expand_monte_carlo`], whose lanes
+//! run as plain scenarios on the same runner — and asserts the
+//! byte-identity contract: batching must change wall clock and nothing
+//! else.
 //!
 //! Flags: `--short` shrinks the protocol (gate/CI smoke; never rewrites
 //! the committed baseline), `--threads N` pins the worker count. Full runs
@@ -15,7 +17,9 @@
 //! root, preserving the other benches' entries.
 
 use ascp_bench::harness::{merge_into_baseline, short_mode, threads_from_args, BenchStats};
-use ascp_core::campaign::{CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step};
+use ascp_core::campaign::{
+    expand_monte_carlo, CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step,
+};
 use ascp_core::platform::PlatformConfig;
 
 /// Fleet width exercised by the population; matches `FLEET_GROUP_MAX`.
@@ -45,11 +49,11 @@ fn population(run_s: f64, window_s: f64) -> Vec<ScenarioSpec> {
         .monte_carlo(LANES, dispersion)]
 }
 
-/// Runs the campaign `reps` times and returns the fastest wall clock in
+/// Runs `specs` `reps` times and returns the fastest wall clock in
 /// seconds (the minimum is the least scheduler-polluted sample).
-fn best_wall(runner: &CampaignRunner, run_s: f64, window_s: f64, reps: usize) -> f64 {
+fn best_wall(runner: &CampaignRunner, specs: &[ScenarioSpec], reps: usize) -> f64 {
     (0..reps)
-        .map(|_| runner.run(population(run_s, window_s)).wall_s)
+        .map(|_| runner.run(specs.to_vec()).wall_s)
         .fold(f64::INFINITY, f64::min)
 }
 
@@ -62,22 +66,19 @@ fn main() -> std::io::Result<()> {
         (0.1, 0.02, 2)
     };
 
-    let runner_with = |fleet: bool| {
-        CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(threads)
-                .fleet(fleet)
-                .build()
-                .expect("valid options"),
-        )
-    };
-    let scalar_runner = runner_with(false);
-    let fleet_runner = runner_with(true);
+    let runner = CampaignRunner::with_options(
+        CampaignOptions::builder()
+            .threads(threads)
+            .build()
+            .expect("valid options"),
+    );
+    let batched = population(run_s, window_s);
+    let scalar = expand_monte_carlo(batched.clone());
 
     // Byte-identity first: the fleet path must be invisible in every
     // campaign artifact, whatever the thread count.
-    let scalar_report = scalar_runner.run(population(run_s, window_s));
-    let fleet_report = fleet_runner.run(population(run_s, window_s));
+    let scalar_report = runner.run(scalar.clone());
+    let fleet_report = runner.run(batched.clone());
     assert_eq!(
         scalar_report.to_csv(),
         fleet_report.to_csv(),
@@ -89,8 +90,8 @@ fn main() -> std::io::Result<()> {
         "population must expand to one outcome per lane"
     );
 
-    let scalar_s = best_wall(&scalar_runner, run_s, window_s, reps).min(scalar_report.wall_s);
-    let fleet_s = best_wall(&fleet_runner, run_s, window_s, reps).min(fleet_report.wall_s);
+    let scalar_s = best_wall(&runner, &scalar, reps).min(scalar_report.wall_s);
+    let fleet_s = best_wall(&runner, &batched, reps).min(fleet_report.wall_s);
     let speedup = scalar_s / fleet_s;
     println!("  threads            : {threads}");
     println!("  scalar campaign    : {scalar_s:.3} s ({LANES} independent lanes)");

@@ -67,7 +67,7 @@ fn main() -> std::io::Result<()> {
             .expect("valid options"),
     );
     // Fully armed: watchdog thread scanning every slot against a (never
-    // hit) deadline, retry budget, heartbeats from every step hook.
+    // hit) deadline, retry budget, cancellation checks at every step hook.
     let supervised = CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)

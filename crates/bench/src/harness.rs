@@ -83,14 +83,6 @@ pub fn threads_from_args() -> usize {
     ascp_sim::campaign::available_parallelism()
 }
 
-/// Returns `true` when the bare flag `--<name>` appears in the process
-/// arguments (`--chaos`, `--smoke`, …).
-#[must_use]
-pub fn flag_present(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
-}
-
 /// Exit code for scenario-level failures: undetected faults, poisoned
 /// (retry-exhausted) scenarios, coverage regressions. The campaign ran;
 /// its *results* are bad.
@@ -113,25 +105,6 @@ pub fn run_to_exit(name: &str, run: impl FnOnce() -> Result<i32, Box<dyn Error>>
             std::process::exit(EXIT_INFRA_ERROR);
         }
     }
-}
-
-/// Parses `--<name> <value>` (or `--<name>=<value>`) from the process
-/// arguments. Shared by every bench bin that takes flag-style options
-/// (`--checkpoint`, `--resume`, `--serve-metrics`, `--check-coverage`, …).
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let prefix = format!("--{name}=");
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&prefix) {
-            return Some(v.to_owned());
-        }
-    }
-    None
 }
 
 /// Usage text answered to `--help` (and appended to flag errors) by
@@ -442,24 +415,6 @@ impl CampaignObserver for MetricsServer {
             .store(progress.completed as u64, Ordering::Relaxed);
         if progress.triggered {
             self.triggered.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Builds a [`MetricsServer`] when the process was started with
-/// `--serve-metrics <addr>`. A bind failure is reported on stderr and
-/// ignored (observability must never kill the run it observes).
-#[must_use]
-pub fn metrics_server_from_args() -> Option<MetricsServer> {
-    let addr = arg_value("serve-metrics")?;
-    match MetricsServer::bind(&addr) {
-        Ok(server) => {
-            println!("serving live metrics on http://{}/metrics", server.addr());
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("warning: --serve-metrics {addr}: bind failed ({e}); continuing without");
-            None
         }
     }
 }

@@ -40,8 +40,10 @@
 //! `SetTemperature`, `MeasureMeanRate`) additionally execute *batched*
 //! on a [`PlatformFleet`] — structure-of-arrays, up to 16 lanes per
 //! fleet — with **byte-identical** results to scalar execution (fleet
-//! batching is a wall-clock optimisation, never an arithmetic change;
-//! disable it with `CampaignOptions::builder().fleet(false)`).
+//! batching is a wall-clock optimisation, never an arithmetic change).
+//! The scalar reference is the same population pre-expanded with
+//! [`expand_monte_carlo`]: its lanes run as plain scenarios, one
+//! platform each.
 //!
 //! # Supervision
 //!
@@ -635,8 +637,9 @@ impl ChaosPlan {
     }
 }
 
-/// Measured result of one scenario.
-#[derive(Debug, Clone, PartialEq)]
+/// Measured result of one scenario. The default is an unnamed,
+/// measurement-free `Done` outcome.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ScenarioOutcome {
     /// Scenario name (copied from the spec).
     pub name: String,
@@ -924,10 +927,8 @@ pub struct CampaignOptions {
     progress: bool,
     observer: Option<Arc<dyn CampaignObserver>>,
     max_retries: u32,
-    backoff_ms: u64,
     deadline_s: Option<f64>,
     chaos: Option<ChaosPlan>,
-    fleet: bool,
 }
 
 impl std::fmt::Debug for CampaignOptions {
@@ -939,18 +940,15 @@ impl std::fmt::Debug for CampaignOptions {
             .field("progress", &self.progress)
             .field("observer", &self.observer.is_some())
             .field("max_retries", &self.max_retries)
-            .field("backoff_ms", &self.backoff_ms)
             .field("deadline_s", &self.deadline_s)
             .field("chaos", &self.chaos.is_some())
-            .field("fleet", &self.fleet)
             .finish()
     }
 }
 
 impl Default for CampaignOptions {
     /// One worker per available hardware thread; warm-start, tracing and
-    /// progress off; one retry with 10 ms base backoff; no watchdog, no
-    /// chaos; fleet batching on.
+    /// progress off; one immediate retry; no watchdog, no chaos.
     fn default() -> Self {
         Self {
             threads: available_parallelism(),
@@ -959,10 +957,8 @@ impl Default for CampaignOptions {
             progress: false,
             observer: None,
             max_retries: 1,
-            backoff_ms: 10,
             deadline_s: None,
             chaos: None,
-            fleet: true,
         }
     }
 }
@@ -1006,12 +1002,6 @@ impl CampaignOptions {
         self.max_retries
     }
 
-    /// Base backoff between attempts, milliseconds.
-    #[must_use]
-    pub fn backoff_ms(&self) -> u64 {
-        self.backoff_ms
-    }
-
     /// Configured per-scenario deadline, if the watchdog is armed.
     #[must_use]
     pub fn deadline_s(&self) -> Option<f64> {
@@ -1022,13 +1012,6 @@ impl CampaignOptions {
     #[must_use]
     pub fn chaos(&self) -> Option<&ChaosPlan> {
         self.chaos.as_ref()
-    }
-
-    /// Whether eligible Monte-Carlo lanes run batched on a
-    /// [`PlatformFleet`].
-    #[must_use]
-    pub fn fleet(&self) -> bool {
-        self.fleet
     }
 }
 
@@ -1083,20 +1066,12 @@ impl CampaignOptionsBuilder {
     }
 
     /// Retry budget for failed scenarios (attempts beyond the first;
-    /// default 1). Retries keep the derived seed unchanged, so a retried
-    /// success is byte-identical to a first-try one.
+    /// default 1). Retries run immediately and keep the derived seed
+    /// unchanged, so a retried success is byte-identical to a first-try
+    /// one.
     #[must_use]
     pub fn retries(mut self, max_retries: u32) -> Self {
         self.options.max_retries = max_retries;
-        self
-    }
-
-    /// Base backoff between attempts, milliseconds (doubles per retry,
-    /// capped at 64× base; default 10, must be ≤ 60 000). Wall-clock
-    /// only — never part of the deterministic artifacts.
-    #[must_use]
-    pub fn backoff_ms(mut self, backoff_ms: u64) -> Self {
-        self.options.backoff_ms = backoff_ms;
         self
     }
 
@@ -1118,23 +1093,13 @@ impl CampaignOptionsBuilder {
         self
     }
 
-    /// Enables (or disables, e.g. to force the scalar reference path in
-    /// an equivalence test) batched [`PlatformFleet`] execution of
-    /// eligible Monte-Carlo lanes. Default on; never changes results,
-    /// only wall-clock time.
-    #[must_use]
-    pub fn fleet(mut self, enabled: bool) -> Self {
-        self.options.fleet = enabled;
-        self
-    }
-
     /// Validates and returns the options.
     ///
     /// # Errors
     ///
     /// [`ConfigError`] naming the offending field: zero threads, a
-    /// non-finite or non-positive deadline, a backoff base above 60 s, or
-    /// a chaos plan with a negative / non-finite stall cap.
+    /// non-finite or non-positive deadline, or a chaos plan with a
+    /// negative / non-finite stall cap.
     pub fn build(self) -> Result<CampaignOptions, ConfigError> {
         let o = &self.options;
         if o.threads == 0 {
@@ -1146,12 +1111,6 @@ impl CampaignOptionsBuilder {
                     "deadline_s: must be finite and > 0 (got {d})"
                 )));
             }
-        }
-        if o.backoff_ms > 60_000 {
-            return Err(ConfigError::new(format!(
-                "backoff_ms: must be ≤ 60000 (got {})",
-                o.backoff_ms
-            )));
         }
         if let Some(plan) = &o.chaos {
             if !plan.stall_cap_s.is_finite() || plan.stall_cap_s < 0.0 {
@@ -1237,7 +1196,7 @@ impl CampaignRunner {
     /// reports a journal error, which it cannot.
     #[must_use]
     pub fn run(&self, scenarios: Vec<ScenarioSpec>) -> CampaignReport {
-        let (scenarios, parents) = expand_monte_carlo(scenarios);
+        let (scenarios, parents) = expand_with_parents(scenarios);
         self.run_campaign(scenarios, &parents, Vec::new(), None)
             .expect("campaign without a journal cannot fail")
     }
@@ -1258,7 +1217,7 @@ impl CampaignRunner {
         scenarios: Vec<ScenarioSpec>,
         path: impl AsRef<Path>,
     ) -> Result<CampaignReport, JournalError> {
-        let (scenarios, parents) = expand_monte_carlo(scenarios);
+        let (scenarios, parents) = expand_with_parents(scenarios);
         let digest = journal::campaign_digest(&scenarios);
         let writer = JournalWriter::create(path, digest)?;
         self.run_campaign(scenarios, &parents, Vec::new(), Some(&writer))
@@ -1282,7 +1241,7 @@ impl CampaignRunner {
         path: impl AsRef<Path>,
     ) -> Result<CampaignReport, JournalError> {
         let path = path.as_ref();
-        let (scenarios, parents) = expand_monte_carlo(scenarios);
+        let (scenarios, parents) = expand_with_parents(scenarios);
         let digest = journal::campaign_digest(&scenarios);
         if !path.exists() {
             let writer = JournalWriter::create(path, digest)?;
@@ -1296,44 +1255,34 @@ impl CampaignRunner {
         self.run_campaign(scenarios, &parents, preloaded, Some(&writer))
     }
 
-    /// Partitions the remaining work into pool units: runs of consecutive
-    /// fleet-eligible Monte-Carlo sibling lanes become
-    /// [`WorkUnit::Fleet`] groups of at most [`FLEET_GROUP_MAX`] lanes;
-    /// everything else runs scalar. Grouping is disabled wholesale when a
-    /// runner feature the fleet cannot express is on (warm-start cache,
-    /// span tracing, chaos injection) — those campaigns run every lane
-    /// scalar, with byte-identical results.
+    /// Partitions the remaining work into pool units, each a list of
+    /// lanes in input order: runs of consecutive fleet-eligible
+    /// Monte-Carlo sibling lanes group into units of at most
+    /// [`FLEET_GROUP_MAX`] lanes; every other scenario is a one-lane
+    /// unit. Grouping is disabled wholesale when a runner feature the
+    /// fleet cannot express is on (warm-start cache, span tracing, chaos
+    /// injection) — those campaigns run every lane alone, with
+    /// byte-identical results.
     fn plan_units(
         &self,
         work: Vec<(usize, ScenarioSpec)>,
         parents: &[Option<usize>],
-    ) -> Vec<WorkUnit> {
-        let fleet_allowed = self.options.fleet
-            && !self.options.warm_start
-            && !self.options.tracing
-            && self.options.chaos.is_none();
-        let mut units: Vec<WorkUnit> = Vec::new();
+    ) -> Vec<Vec<(usize, ScenarioSpec)>> {
+        let grouping =
+            !self.options.warm_start && !self.options.tracing && self.options.chaos.is_none();
+        let mut units: Vec<Vec<(usize, ScenarioSpec)>> = Vec::new();
+        // Parent of the group the last unit still accepts lanes for.
+        let mut open: Option<usize> = None;
         for (index, spec) in work {
-            let parent = parents.get(index).copied().flatten();
-            if fleet_allowed && parent.is_some() && fleet_eligible(&spec) {
-                if let Some(WorkUnit::Fleet(group)) = units.last_mut() {
-                    if parents[group[0].0] == parent && group.len() < FLEET_GROUP_MAX {
-                        group.push((index, spec));
-                        continue;
-                    }
+            let parent = parents[index];
+            let groupable = grouping && parent.is_some() && fleet_eligible(&spec);
+            match units.last_mut() {
+                Some(unit) if groupable && open == parent && unit.len() < FLEET_GROUP_MAX => {
+                    unit.push((index, spec));
                 }
-                units.push(WorkUnit::Fleet(vec![(index, spec)]));
-            } else {
-                units.push(WorkUnit::Single(Box::new((index, spec))));
+                _ => units.push(vec![(index, spec)]),
             }
-        }
-        // A one-lane fleet is scalar execution plus sync overhead: demote.
-        for unit in &mut units {
-            if let WorkUnit::Fleet(group) = unit {
-                if group.len() == 1 {
-                    *unit = WorkUnit::Single(Box::new(group.pop().expect("length checked")));
-                }
-            }
+            open = if groupable { parent } else { None };
         }
         units
     }
@@ -1365,15 +1314,10 @@ impl CampaignRunner {
         // scenario whose slot comes back empty gets a typed placeholder.
         let meta: Vec<Vec<(usize, String, u64)>> = units
             .iter()
-            .map(|unit| {
-                unit.lanes()
+            .map(|lanes| {
+                lanes
                     .iter()
-                    .map(|(index, spec)| {
-                        let seed = spec
-                            .seed
-                            .unwrap_or_else(|| derive_seed(spec.config.seed, *index as u64));
-                        (*index, spec.name.clone(), seed)
-                    })
+                    .map(|(index, spec)| (*index, spec.name.clone(), lane_seed(*index, spec)))
                     .collect()
             })
             .collect();
@@ -1394,8 +1338,7 @@ impl CampaignRunner {
             .map(|d| Watchdog::spawn(units.len(), d));
         let journal_failure: Mutex<Option<JournalError>> = Mutex::new(None);
 
-        // Journals one finished outcome and emits its progress line
-        // (shared by the scalar and fleet arms below).
+        // Journals one finished outcome and emits its progress line.
         let finish = |out: &ScenarioOutcome, wall_ms: f64, warm: Option<bool>| {
             if let Some(writer) = writer {
                 if let Err(e) = writer.append(out) {
@@ -1427,127 +1370,67 @@ impl CampaignRunner {
             }
         };
 
-        let slots = try_parallel_map(units, self.options.threads, |slot, unit| {
+        let slots = try_parallel_map(units, self.options.threads, |slot, lanes| {
             let t0 = Instant::now();
             let ctx = AttemptCtx {
                 watchdog: watchdog.as_ref(),
                 slot,
             };
-            match unit {
-                WorkUnit::Single(lane) => {
-                    let (index, spec) = *lane;
-                    let mut errors: Vec<ScenarioError> = Vec::new();
-                    let (out, warm_hit) = loop {
-                        let attempt = errors.len() as u32;
-                        if attempt > 0 {
-                            let factor = 1u64 << u64::from((attempt - 1).min(6));
-                            std::thread::sleep(Duration::from_millis(
-                                self.options.backoff_ms * factor,
-                            ));
+            let mut errors: Vec<ScenarioError> = Vec::new();
+            let outs: Vec<(ScenarioOutcome, bool)> = loop {
+                let attempt = errors.len() as u32;
+                ctx.arm();
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    run_attempt(
+                        &lanes,
+                        attempt,
+                        cache.as_ref(),
+                        &hits,
+                        collector.as_ref(),
+                        self.options.chaos.as_ref(),
+                        ctx,
+                    )
+                }));
+                ctx.disarm();
+                let attempt_result = caught.unwrap_or_else(|payload| {
+                    Err(ScenarioError::Panicked {
+                        message: panic_message(payload.as_ref()),
+                    })
+                });
+                match attempt_result {
+                    Ok(mut outs) => {
+                        for (out, _) in &mut outs {
+                            out.attempt_errors.clone_from(&errors);
                         }
-                        ctx.arm();
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            run_attempt(
-                                index,
-                                attempt,
-                                &spec,
-                                cache.as_ref(),
-                                &hits,
-                                collector.as_ref(),
-                                ctx,
-                                self.options.chaos.as_ref(),
-                            )
-                        }));
-                        ctx.disarm();
-                        let attempt_result = caught.unwrap_or_else(|payload| {
-                            Err(ScenarioError::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        match attempt_result {
-                            Ok((mut out, warm_hit)) => {
-                                out.attempt_errors.clone_from(&errors);
-                                break (out, warm_hit);
-                            }
-                            Err(err) => {
-                                errors.push(err);
-                                if errors.len() > self.options.max_retries as usize {
-                                    let seed = spec.seed.unwrap_or_else(|| {
-                                        derive_seed(spec.config.seed, index as u64)
-                                    });
-                                    break (
-                                        poisoned_outcome(index, &spec.name, seed, errors),
-                                        false,
-                                    );
-                                }
-                            }
-                        }
-                    };
-                    finish(
-                        &out,
-                        t0.elapsed().as_secs_f64() * 1.0e3,
-                        cache.as_ref().map(|_| warm_hit),
-                    );
-                    vec![out]
-                }
-                WorkUnit::Fleet(lanes) => {
-                    let mut errors: Vec<ScenarioError> = Vec::new();
-                    let outs = loop {
-                        let attempt = errors.len() as u32;
-                        if attempt > 0 {
-                            let factor = 1u64 << u64::from((attempt - 1).min(6));
-                            std::thread::sleep(Duration::from_millis(
-                                self.options.backoff_ms * factor,
-                            ));
-                        }
-                        ctx.arm();
-                        let caught =
-                            catch_unwind(AssertUnwindSafe(|| run_fleet_attempt(&lanes, ctx)));
-                        ctx.disarm();
-                        let attempt_result = caught.unwrap_or_else(|payload| {
-                            Err(ScenarioError::Panicked {
-                                message: panic_message(payload.as_ref()),
-                            })
-                        });
-                        match attempt_result {
-                            Ok(mut outs) => {
-                                for out in &mut outs {
-                                    out.attempt_errors.clone_from(&errors);
-                                }
-                                break outs;
-                            }
-                            Err(err) => {
-                                errors.push(err);
-                                if errors.len() > self.options.max_retries as usize {
-                                    // The group fails whole: every lane is
-                                    // quarantined with the shared history.
-                                    break lanes
-                                        .iter()
-                                        .map(|(index, spec)| {
-                                            let seed = spec.seed.unwrap_or_else(|| {
-                                                derive_seed(spec.config.seed, *index as u64)
-                                            });
-                                            poisoned_outcome(
-                                                *index,
-                                                &spec.name,
-                                                seed,
-                                                errors.clone(),
-                                            )
-                                        })
-                                        .collect();
-                                }
-                            }
-                        }
-                    };
-                    // Wall time amortized over the batch: the lanes ran as
-                    // one lockstep unit.
-                    let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len().max(1) as f64;
-                    for out in &outs {
-                        finish(out, lane_ms, None);
+                        break outs;
                     }
-                    outs
+                    Err(err) => {
+                        errors.push(err);
+                        if errors.len() > self.options.max_retries as usize {
+                            // A unit fails whole: every lane is
+                            // quarantined with the shared history.
+                            break lanes
+                                .iter()
+                                .map(|(index, spec)| {
+                                    let seed = lane_seed(*index, spec);
+                                    let out =
+                                        poisoned_outcome(*index, &spec.name, seed, errors.clone());
+                                    (out, false)
+                                })
+                                .collect();
+                        }
+                    }
                 }
-            }
+            };
+            // Wall time amortized over the unit: a group's lanes ran as one
+            // lockstep batch.
+            let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len() as f64;
+            outs.into_iter()
+                .map(|(out, warm_hit)| {
+                    finish(&out, lane_ms, cache.as_ref().map(|_| warm_hit));
+                    out
+                })
+                .collect::<Vec<_>>()
         });
         drop(watchdog); // stops the scanner thread
 
@@ -1610,29 +1493,12 @@ impl CampaignRunner {
 /// leaving enough units for the worker pool to balance.
 const FLEET_GROUP_MAX: usize = 16;
 
-/// One unit of pool work: a scalar scenario, or consecutive Monte-Carlo
-/// sibling lanes batched onto one [`PlatformFleet`].
-enum WorkUnit {
-    Single(Box<(usize, ScenarioSpec)>),
-    Fleet(Vec<(usize, ScenarioSpec)>),
-}
-
-impl WorkUnit {
-    /// The unit's lanes in input order (a single scenario is one lane).
-    fn lanes(&self) -> &[(usize, ScenarioSpec)] {
-        match self {
-            Self::Single(lane) => std::slice::from_ref(lane),
-            Self::Fleet(lanes) => lanes,
-        }
-    }
-}
-
 /// Whether a lane spec can run on the batched fleet path: only the
 /// lockstep-safe step vocabulary, no monitor CPU, no fault plans, and a
 /// configuration that validates. Anything subtler — armed recorders,
 /// gated paths, non-uniform lane state — is caught by
-/// [`PlatformFleet::new`] at attempt time, which falls back to scalar
-/// execution with identical results.
+/// [`PlatformFleet::new`] at attempt time; refused lanes then step one by
+/// one in the same attempt, with identical results.
 fn fleet_eligible(spec: &ScenarioSpec) -> bool {
     spec.config.validate().is_ok()
         && !spec.config.cpu_enabled
@@ -1670,14 +1536,36 @@ fn disperse_config(config: &mut PlatformConfig, d: &Dispersion, lane_seed: u64) 
 }
 
 /// Expands every Monte-Carlo spec into its dispersed lanes, in input
-/// order. Lane `i` of a spec becomes scenario `{name}/mc{i}` with seed
-/// `derive_seed(base, expanded_index)` — `base` being the spec's seed
-/// override or its config seed — and a configuration perturbed by the
-/// spec's [`Dispersion`] drawn from that same lane seed. Returns the
-/// expanded list plus, per expanded index, the input index of the
-/// Monte-Carlo parent (`None` for plain scenarios): the grouping key for
-/// batched fleet execution.
-fn expand_monte_carlo(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<Option<usize>>) {
+/// order; plain specs pass through unchanged. Lane `i` of a spec becomes
+/// scenario `{name}/mc{i}` with seed `derive_seed(base, expanded_index)`
+/// — `base` being the spec's seed override or its config seed — and a
+/// configuration perturbed by the spec's [`Dispersion`] drawn from that
+/// same lane seed.
+///
+/// The result runs as plain scenarios, one platform per lane: running it
+/// is the scalar reference for batched fleet execution, with outcomes
+/// and CSV byte-identical to running `scenarios` themselves.
+///
+/// ```
+/// use ascp_core::campaign::{expand_monte_carlo, Dispersion, ScenarioSpec};
+/// use ascp_core::platform::PlatformConfig;
+///
+/// let cfg = PlatformConfig::builder().quiet().build().expect("valid");
+/// let population = ScenarioSpec::new("pop", cfg).monte_carlo(3, Dispersion::none());
+/// let lanes = expand_monte_carlo(vec![population]);
+/// assert_eq!(lanes.len(), 3);
+/// assert_eq!(lanes[2].name, "pop/mc2");
+/// assert!(lanes.iter().all(|lane| lane.monte_carlo.is_none()));
+/// ```
+#[must_use]
+pub fn expand_monte_carlo(scenarios: Vec<ScenarioSpec>) -> Vec<ScenarioSpec> {
+    expand_with_parents(scenarios).0
+}
+
+/// [`expand_monte_carlo`], plus, per expanded index, the input index of
+/// the Monte-Carlo parent (`None` for plain scenarios): the grouping key
+/// for batched fleet execution.
+fn expand_with_parents(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<Option<usize>>) {
     let mut expanded = Vec::with_capacity(scenarios.len());
     let mut parents = Vec::with_capacity(scenarios.len());
     for (parent, spec) in scenarios.into_iter().enumerate() {
@@ -1701,89 +1589,21 @@ fn expand_monte_carlo(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<O
     (expanded, parents)
 }
 
-/// Advances a fleet by `seconds` — identical tick rounding to [`run_for`]
-/// — in [`RUN_BLOCK_TICKS`] chunks so a pending watchdog cancellation is
-/// observed between chunks.
-fn fleet_run_for(
+/// Runs a lane group's shared protocol on its fleet. Monte-Carlo
+/// siblings share their parent's steps, duration floor and DSP rate, and
+/// [`fleet_eligible`] admits only the steps a fleet takes in lockstep:
+/// `Run`, the duration floor and `MeasureMeanRate` step the fleet, and
+/// the stimulus setters go through [`PlatformFleet::for_each_platform`].
+fn run_fleet(
     fleet: &mut PlatformFleet,
-    dsp_rate: f64,
-    seconds: f64,
+    spec: &ScenarioSpec,
+    runs: &mut [LaneRun],
     ctx: AttemptCtx<'_>,
 ) -> Result<(), Cancelled> {
-    let mut ticks = (seconds * dsp_rate).round() as u64;
-    while ticks > 0 {
-        ctx.check()?;
-        let block = ticks.min(RUN_BLOCK_TICKS);
-        fleet.step_block(block);
-        ticks -= block;
-    }
-    Ok(())
-}
-
-/// Runs one attempt of a group of Monte-Carlo sibling lanes batched on a
-/// [`PlatformFleet`]: the SoA transcription of [`run_attempt`] restricted
-/// to the fleet-safe step vocabulary ([`fleet_eligible`]). Outcomes are
-/// byte-identical to running each lane through the scalar path — the
-/// fleet's determinism contract. If the built platforms turn out
-/// fleet-ineligible after all (e.g. an armed recorder), the lanes fall
-/// back to scalar execution inside this same attempt, with identical
-/// results.
-fn run_fleet_attempt(
-    lanes: &[(usize, ScenarioSpec)],
-    ctx: AttemptCtx<'_>,
-) -> Result<Vec<ScenarioOutcome>, ScenarioError> {
-    let dummy_hits = AtomicUsize::new(0);
-    let mut outs = Vec::with_capacity(lanes.len());
-    let mut platforms = Vec::with_capacity(lanes.len());
-    for (index, spec) in lanes {
-        let mut config = spec.config.clone();
-        let seed = spec
-            .seed
-            .unwrap_or_else(|| derive_seed(config.seed, *index as u64));
-        config.seed = seed;
-        outs.push(ScenarioOutcome {
-            name: spec.name.clone(),
-            index: *index,
-            seed,
-            metrics: Vec::new(),
-            series: Vec::new(),
-            // Eligibility guarantees empty fault plans, so the scalar
-            // path's class scrape is vacuous here.
-            fault_classes: Vec::new(),
-            transitions: Vec::new(),
-            capture: None,
-            attempt_errors: Vec::new(),
-            status: ScenarioStatus::Done,
-        });
-        platforms.push(Platform::new(config));
-    }
-    let mut fleet = match PlatformFleet::new(platforms) {
-        Ok(fleet) => fleet,
-        // Grouping is an optimistic fast path: anything the fleet's own
-        // eligibility check rejects runs scalar in this same slot.
-        Err(_ineligible) => {
-            return lanes
-                .iter()
-                .map(|(index, spec)| {
-                    run_attempt(*index, 0, spec, None, &dummy_hits, None, ctx, None)
-                        .map(|(out, _)| out)
-                })
-                .collect();
-        }
-    };
-    // Monte-Carlo siblings share their parent's steps, duration, and DSP
-    // rate; only seeds and dispersed physical parameters differ.
-    let spec0 = &lanes[0].1;
-    let dsp_rate = spec0.config.dsp_rate.0;
-    let timed_out = |_: Cancelled| ScenarioError::TimedOut {
-        deadline_s: ctx.deadline_s().unwrap_or(0.0),
-    };
-    let mut acc = vec![0.0; lanes.len()];
-    for step in &spec0.steps {
+    let dsp_rate = spec.config.dsp_rate.0;
+    for step in &spec.steps {
         match step {
-            Step::Run { seconds } => {
-                fleet_run_for(&mut fleet, dsp_rate, *seconds, ctx).map_err(timed_out)?;
-            }
+            Step::Run { seconds } => run_for(*seconds, dsp_rate, ctx, |n| fleet.step_block(n))?,
             Step::SetRate { dps } => fleet.for_each_platform(|p| p.set_rate(DegPerSec(*dps))),
             Step::SetTemperature { celsius } => {
                 fleet.for_each_platform(|p| p.set_temperature(Celsius(*celsius)));
@@ -1792,39 +1612,36 @@ fn run_fleet_attempt(
                 // Mirrors [`mean_rate`] tick-for-tick, accumulating every
                 // lane from the same lockstep sweep.
                 let ticks = ((window_s * dsp_rate).round() as u64).max(1);
-                acc.iter_mut().for_each(|a| *a = 0.0);
+                let mut acc = vec![0.0; runs.len()];
                 for i in 0..ticks {
-                    if i % HEARTBEAT_TICKS == 0 {
-                        ctx.check().map_err(timed_out)?;
+                    if i % CANCEL_CHECK_TICKS == 0 {
+                        ctx.check()?;
                     }
                     fleet.step();
                     for (lane, a) in acc.iter_mut().enumerate() {
                         *a += fleet.rate_output_dps(lane);
                     }
                 }
-                for (lane, out) in outs.iter_mut().enumerate() {
-                    out.metrics.push((label.clone(), acc[lane] / ticks as f64));
+                for (run, a) in runs.iter_mut().zip(acc) {
+                    run.out.metrics.push((label.clone(), a / ticks as f64));
                 }
             }
             other => unreachable!("non-fleet step `{}` grouped onto a fleet", other.label()),
         }
     }
-    if fleet.time() < spec0.duration_s {
-        let remaining = spec0.duration_s - fleet.time();
-        fleet_run_for(&mut fleet, dsp_rate, remaining, ctx).map_err(timed_out)?;
+    if fleet.time() < spec.duration_s {
+        run_for(spec.duration_s - fleet.time(), dsp_rate, ctx, |n| {
+            fleet.step_block(n);
+        })?;
     }
-    let mut members = fleet.into_platforms();
-    for (out, p) in outs.iter_mut().zip(&mut members) {
-        out.transitions.extend(scrape_transitions(p));
-        out.capture = p.take_capture();
-        if p.recorder().is_some() {
-            out.metrics.push((
-                "recorder_triggered".into(),
-                f64::from(u8::from(out.capture.is_some())),
-            ));
-        }
-    }
-    Ok(outs)
+    Ok(())
+}
+
+/// The noise seed a lane runs with: its spec's override, else the config
+/// seed mixed with the lane's campaign index.
+fn lane_seed(index: usize, spec: &ScenarioSpec) -> u64 {
+    spec.seed
+        .unwrap_or_else(|| derive_seed(spec.config.seed, index as u64))
 }
 
 /// The quarantined outcome of a scenario that failed every attempt.
@@ -1838,18 +1655,14 @@ fn poisoned_outcome(
         name: name.to_owned(),
         index,
         seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
-        fault_classes: Vec::new(),
-        transitions: Vec::new(),
-        capture: None,
         attempt_errors: errors,
         status: ScenarioStatus::Poisoned,
+        ..ScenarioOutcome::default()
     }
 }
 
 /// Ticks per cancellation check inside tick-stepped measurement loops.
-const HEARTBEAT_TICKS: u64 = 1024;
+const CANCEL_CHECK_TICKS: u64 = 1024;
 
 /// Ticks per [`Platform::step_block`] chunk inside [`run_for`].
 const RUN_BLOCK_TICKS: u64 = 4096;
@@ -1862,7 +1675,6 @@ struct WatchdogSlot {
     armed: AtomicBool,
     cancelled: AtomicBool,
     armed_at_ms: AtomicU64,
-    heartbeat_ms: AtomicU64,
 }
 
 /// State shared between workers and the scanner thread.
@@ -1880,10 +1692,10 @@ impl WatchdogShared {
 }
 
 /// Deadline enforcement for scenario attempts: workers arm a slot when an
-/// attempt starts and heartbeat from cancellation points; a scanner
-/// thread marks slots whose attempt has outlived the deadline, and the
-/// worker observes the mark cooperatively (at step boundaries and run
-/// chunks) — the pool keeps draining while an overrunner winds down.
+/// attempt starts; a scanner thread marks slots whose attempt has
+/// outlived the deadline, and the worker observes the mark cooperatively
+/// (at step boundaries and run chunks) — the pool keeps draining while an
+/// overrunner winds down.
 struct Watchdog {
     shared: Arc<WatchdogShared>,
     scanner: Option<std::thread::JoinHandle<()>>,
@@ -1897,7 +1709,6 @@ impl Watchdog {
                     armed: AtomicBool::new(false),
                     cancelled: AtomicBool::new(false),
                     armed_at_ms: AtomicU64::new(0),
-                    heartbeat_ms: AtomicU64::new(0),
                 })
                 .collect(),
             epoch: Instant::now(),
@@ -1931,21 +1742,13 @@ impl Watchdog {
 
     fn arm(&self, slot: usize) {
         let s = &self.shared.slots[slot];
-        let now = self.shared.now_ms();
         s.cancelled.store(false, Ordering::SeqCst);
-        s.armed_at_ms.store(now, Ordering::SeqCst);
-        s.heartbeat_ms.store(now, Ordering::SeqCst);
+        s.armed_at_ms.store(self.shared.now_ms(), Ordering::SeqCst);
         s.armed.store(true, Ordering::SeqCst);
     }
 
     fn disarm(&self, slot: usize) {
         self.shared.slots[slot].armed.store(false, Ordering::SeqCst);
-    }
-
-    fn heartbeat(&self, slot: usize) {
-        self.shared.slots[slot]
-            .heartbeat_ms
-            .store(self.shared.now_ms(), Ordering::SeqCst);
     }
 
     fn cancelled(&self, slot: usize) -> bool {
@@ -1989,22 +1792,16 @@ impl AttemptCtx<'_> {
         }
     }
 
-    /// Heartbeats and observes a pending cancellation.
+    /// Observes a pending cancellation.
     fn check(&self) -> Result<(), Cancelled> {
-        match self.watchdog {
-            Some(w) => {
-                w.heartbeat(self.slot);
-                if w.cancelled(self.slot) {
-                    Err(Cancelled)
-                } else {
-                    Ok(())
-                }
-            }
-            None => Ok(()),
+        if self.cancelled() {
+            Err(Cancelled)
+        } else {
+            Ok(())
         }
     }
 
-    /// Whether the slot has been cancelled (no heartbeat side effect).
+    /// Whether the slot has been cancelled.
     fn cancelled(&self) -> bool {
         self.watchdog.is_some_and(|w| w.cancelled(self.slot))
     }
@@ -2102,16 +1899,8 @@ fn warm_key(config: &PlatformConfig, prefix: &[Step]) -> u64 {
 fn warm_prefix(config: &PlatformConfig, prefix: &[Step]) -> WarmEntry {
     let mut p = Platform::new(config.clone());
     let mut out = ScenarioOutcome {
-        name: String::new(),
-        index: 0,
         seed: config.seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
-        fault_classes: Vec::new(),
-        transitions: Vec::new(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
+        ..ScenarioOutcome::default()
     };
     let mut scratch = Scratch::default();
     let mut aborted = false;
@@ -2151,203 +1940,288 @@ struct Scratch {
     sensitivity: Option<f64>,
 }
 
-/// Runs one attempt of one scenario.
+/// One lane of an attempt, between its setup and its finalization.
+struct LaneRun {
+    out: ScenarioOutcome,
+    warm_hit: bool,
+    /// The lane's scenario span ([`SpanId::NULL`] when untraced).
+    span: SpanId,
+    /// `None` when the config failed validation: the outcome is final.
+    platform: Option<Platform>,
+    /// First step still to run: past a restored settle prefix, or past
+    /// every step when that prefix aborted.
+    resume_at: usize,
+}
+
+/// Runs one attempt of a pool unit: one scenario, or a group of
+/// Monte-Carlo sibling lanes (see [`CampaignRunner::plan_units`]).
 ///
-/// `Err` means the attempt was cancelled by the watchdog (a panic
-/// propagates to the caller's `catch_unwind` instead); `Ok` carries the
-/// outcome plus whether the warm cache hit. Chaos injections fire before
-/// the platform is built, so an injected attempt never perturbs
-/// simulation state.
-#[allow(clippy::too_many_arguments)]
+/// Each lane is set up (chaos, seed, config validation, warm start,
+/// trace) and finalized (transitions, capture, recorder flag) here. A
+/// group's lanes step as one lockstep [`PlatformFleet`]; when the fleet
+/// refuses them they step one by one in this same attempt, with
+/// identical results. `Err` fails the whole attempt: a watchdog
+/// cancellation or a chaos stall (a panic propagates to the caller's
+/// `catch_unwind` instead). `Ok` carries each lane's outcome plus
+/// whether its warm cache hit. Chaos injections fire before the platform
+/// is built, so an injected attempt never perturbs simulation state.
+#[allow(clippy::too_many_lines)]
 fn run_attempt(
-    index: usize,
+    lanes: &[(usize, ScenarioSpec)],
     attempt: u32,
-    spec: &ScenarioSpec,
     cache: Option<&WarmCache>,
     hits: &AtomicUsize,
     collector: Option<&TraceCollector>,
-    ctx: AttemptCtx<'_>,
     chaos: Option<&ChaosPlan>,
-) -> Result<(ScenarioOutcome, bool), ScenarioError> {
-    if let Some(plan) = chaos {
-        match plan.decide(index, attempt) {
-            ChaosInjection::Panic => {
-                panic!("chaos: injected worker panic (scenario {index}, attempt {attempt})")
-            }
-            ChaosInjection::Stall => {
-                // A hung worker: sleeps until the watchdog cancels the
-                // slot, capped so unsupervised chaos runs still end. The
-                // recorded deadline is the configured limit (min of
-                // watchdog deadline and cap), never measured time.
-                let cap = plan.stall_cap_s.max(0.0);
-                let limit = ctx.deadline_s().map_or(cap, |d| d.min(cap));
-                let t0 = Instant::now();
-                while !ctx.cancelled() && t0.elapsed().as_secs_f64() < cap {
-                    std::thread::sleep(Duration::from_millis(1));
+    ctx: AttemptCtx<'_>,
+) -> Result<Vec<(ScenarioOutcome, bool)>, ScenarioError> {
+    let timed_out = |_: Cancelled| ScenarioError::TimedOut {
+        deadline_s: ctx.deadline_s().unwrap_or(0.0),
+    };
+    let mut runs: Vec<LaneRun> = Vec::with_capacity(lanes.len());
+    for (index, spec) in lanes {
+        let index = *index;
+        if let Some(plan) = chaos {
+            match plan.decide(index, attempt) {
+                ChaosInjection::Panic => {
+                    panic!("chaos: injected worker panic (scenario {index}, attempt {attempt})")
                 }
-                return Err(ScenarioError::TimedOut { deadline_s: limit });
+                ChaosInjection::Stall => {
+                    // A hung worker: sleeps until the watchdog cancels the
+                    // slot, capped so unsupervised chaos runs still end.
+                    // The recorded deadline is the configured limit (min
+                    // of watchdog deadline and cap), never measured time.
+                    let cap = plan.stall_cap_s.max(0.0);
+                    let limit = ctx.deadline_s().map_or(cap, |d| d.min(cap));
+                    let t0 = Instant::now();
+                    while !ctx.cancelled() && t0.elapsed().as_secs_f64() < cap {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    return Err(ScenarioError::TimedOut { deadline_s: limit });
+                }
+                ChaosInjection::None => {}
             }
-            ChaosInjection::None => {}
         }
-    }
-    let mut config = spec.config.clone();
-    for fault in spec.faults.specs() {
-        config.faults.push(*fault);
-    }
-    let seed = spec
-        .seed
-        .unwrap_or_else(|| derive_seed(config.seed, index as u64));
-    config.seed = seed;
-    let fault_classes = {
-        let mut classes: Vec<&'static str> = Vec::new();
+        let mut config = spec.config.clone();
+        for fault in spec.faults.specs() {
+            config.faults.push(*fault);
+        }
+        let seed = lane_seed(index, spec);
+        config.seed = seed;
+        let mut fault_classes: Vec<&'static str> = Vec::new();
         for fault in config.faults.specs() {
             let label = fault.kind.label();
-            if !classes.contains(&label) {
-                classes.push(label);
+            if !fault_classes.contains(&label) {
+                fault_classes.push(label);
             }
         }
-        classes
-    };
-
-    let mut out = ScenarioOutcome {
-        name: spec.name.clone(),
-        index,
-        seed,
-        metrics: Vec::new(),
-        series: Vec::new(),
-        fault_classes,
-        transitions: Vec::new(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
-    };
-    let mut trace = collector.map(|c| c.recorder(index as u64 + 1));
-    let span = trace.as_mut().map_or(SpanId::NULL, |tr| {
-        tr.begin(format!("scenario:{}", out.name), 0.0)
-    });
-    if attempt > 0 {
-        if let Some(tr) = trace.as_mut() {
-            tr.annotate(span, "attempt", attempt.to_string());
-        }
-    }
-    if let Err(e) = config.validate() {
-        // An invalid spec is a scenario result, not a campaign abort.
-        out.metrics.push(("config_valid".into(), 0.0));
-        out.series.push((format!("error: {e}"), Vec::new()));
-        if let Some(mut tr) = trace.take() {
-            tr.annotate(span, "config_valid", "false");
-            tr.end(span, 0.0);
-            if let Some(c) = collector {
-                c.merge(tr);
+        let mut out = ScenarioOutcome {
+            name: spec.name.clone(),
+            index,
+            seed,
+            fault_classes,
+            ..ScenarioOutcome::default()
+        };
+        let mut trace = collector.map(|c| c.recorder(index as u64 + 1));
+        let span = trace.as_mut().map_or(SpanId::NULL, |tr| {
+            tr.begin(format!("scenario:{}", out.name), 0.0)
+        });
+        if attempt > 0 {
+            if let Some(tr) = trace.as_mut() {
+                tr.annotate(span, "attempt", attempt.to_string());
             }
         }
-        return Ok((out, false));
-    }
-
-    let prefix = cache.map_or(0, |_| settle_prefix_len(&spec.steps));
-    let mut scratch = Scratch::default();
-    let mut warm_hit = false;
-    // Warm-cache waits (blocking on a sibling's settle prefix) are not
-    // this scenario's own work: exclude them from the deadline budget by
-    // disarming around the cache access and re-arming after.
-    if prefix > 0 {
-        ctx.disarm();
-    }
-    let (mut p, aborted, resume_at) = match cache {
-        Some(cache) if prefix > 0 => {
-            let slot = cache.slot(warm_key(&config, &spec.steps[..prefix]));
-            let mut warmed_here = false;
-            let entry = slot.get_or_init(|| {
-                warmed_here = true;
-                warm_prefix(&config, &spec.steps[..prefix])
+        if let Err(e) = config.validate() {
+            // An invalid spec is a scenario result, not a campaign abort.
+            out.metrics.push(("config_valid".into(), 0.0));
+            out.series.push((format!("error: {e}"), Vec::new()));
+            if let Some(mut tr) = trace.take() {
+                tr.annotate(span, "config_valid", "false");
+                tr.end(span, 0.0);
+                if let Some(c) = collector {
+                    c.merge(tr);
+                }
+            }
+            runs.push(LaneRun {
+                out,
+                warm_hit: false,
+                span,
+                platform: None,
+                resume_at: 0,
             });
-            match checkpoint::restore(config.clone(), &entry.checkpoint) {
-                Ok(p) => {
-                    warm_hit = !warmed_here;
-                    if warm_hit {
-                        hits.fetch_add(1, Ordering::Relaxed);
+            continue;
+        }
+
+        let prefix = cache.map_or(0, |_| settle_prefix_len(&spec.steps));
+        let mut warm_hit = false;
+        // Warm-cache waits (blocking on a sibling's settle prefix) are not
+        // this scenario's own work: exclude them from the deadline budget
+        // by disarming around the cache access and re-arming after.
+        if prefix > 0 {
+            ctx.disarm();
+        }
+        let (mut p, resume_at) = match cache {
+            Some(cache) if prefix > 0 => {
+                let slot = cache.slot(warm_key(&config, &spec.steps[..prefix]));
+                let mut warmed_here = false;
+                let entry = slot.get_or_init(|| {
+                    warmed_here = true;
+                    warm_prefix(&config, &spec.steps[..prefix])
+                });
+                match checkpoint::restore(config.clone(), &entry.checkpoint) {
+                    Ok(p) => {
+                        warm_hit = !warmed_here;
+                        if warm_hit {
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        }
+                        out.metrics.extend(entry.metrics.iter().cloned());
+                        // Checkpoints skip telemetry: replay the prefix's
+                        // transitions so warm outcomes match cold ones.
+                        out.transitions.extend(entry.transitions.iter().copied());
+                        let resume_at = if entry.aborted {
+                            spec.steps.len()
+                        } else {
+                            prefix
+                        };
+                        (p, resume_at)
                     }
-                    out.metrics.extend(entry.metrics.iter().cloned());
-                    // Checkpoints skip telemetry: replay the prefix's
-                    // transitions so warm outcomes match cold ones.
-                    out.transitions.extend(entry.transitions.iter().copied());
-                    (p, entry.aborted, prefix)
-                }
-                // A key collision between different configs is caught by
-                // the checkpoint's config digest; fall back to a cold run.
-                Err(_) => (Platform::new(config), false, 0),
-            }
-        }
-        _ => (Platform::new(config), false, 0),
-    };
-    if prefix > 0 {
-        ctx.arm();
-    }
-    if let Some(mut tr) = trace.take() {
-        tr.annotate(span, "warm", if warm_hit { "hit" } else { "miss" });
-        p.attach_trace(tr);
-    }
-    let mut cancelled = false;
-    if !aborted {
-        for step in &spec.steps[resume_at..] {
-            let t_begin = p.time();
-            let step_span = p
-                .trace_mut()
-                .map_or(SpanId::NULL, |tr| tr.begin(step.label(), t_begin));
-            let step_result = apply_step(&mut p, step, &mut out, &mut scratch, ctx);
-            let t_end = p.time();
-            if let Some(tr) = p.trace_mut() {
-                tr.end(step_span, t_end);
-            }
-            match step_result {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(Cancelled) => {
-                    cancelled = true;
-                    break;
+                    // A key collision between different configs is caught
+                    // by the checkpoint's config digest; fall back to a
+                    // cold run.
+                    Err(_) => (Platform::new(config), 0),
                 }
             }
+            _ => (Platform::new(config), 0),
+        };
+        if prefix > 0 {
+            ctx.arm();
         }
-    }
-    if !cancelled && p.time() < spec.duration_s {
-        let remaining = spec.duration_s - p.time();
-        cancelled = run_for(&mut p, remaining, ctx).is_err();
-    }
-    if cancelled {
-        // The attempt's trace recorder dies with the platform: only
-        // completed attempts contribute spans.
-        return Err(ScenarioError::TimedOut {
-            deadline_s: ctx.deadline_s().unwrap_or(0.0),
+        if let Some(mut tr) = trace.take() {
+            tr.annotate(span, "warm", if warm_hit { "hit" } else { "miss" });
+            p.attach_trace(tr);
+        }
+        runs.push(LaneRun {
+            out,
+            warm_hit,
+            span,
+            platform: Some(p),
+            resume_at,
         });
     }
-    // Deterministic observability results: transitions, capture, and (when
-    // a recorder was armed) whether it fired.
-    out.transitions.extend(scrape_transitions(&p));
-    out.capture = p.take_capture();
-    if p.recorder().is_some() {
-        out.metrics.push((
-            "recorder_triggered".into(),
-            f64::from(u8::from(out.capture.is_some())),
-        ));
-    }
-    if let Some(mut tr) = p.take_trace() {
-        tr.end(span, p.time());
-        if let Some(c) = collector {
-            c.merge(tr);
+
+    // A group tries the lockstep fleet; one lane, or lanes the fleet
+    // refuses, step on their own platforms.
+    let fleet = if runs.len() > 1 {
+        let platforms = runs
+            .iter_mut()
+            .map(|r| {
+                r.platform
+                    .take()
+                    .expect("grouped lanes are fleet-eligible, so their configs validate")
+            })
+            .collect();
+        match PlatformFleet::new(platforms) {
+            Ok(fleet) => Some(fleet),
+            Err(refused) => {
+                for (run, p) in runs.iter_mut().zip(refused.platforms) {
+                    run.platform = Some(p);
+                }
+                None
+            }
+        }
+    } else {
+        None
+    };
+    if let Some(mut fleet) = fleet {
+        run_fleet(&mut fleet, &lanes[0].1, &mut runs, ctx).map_err(timed_out)?;
+        for (run, p) in runs.iter_mut().zip(fleet.into_platforms()) {
+            run.platform = Some(p);
+        }
+    } else {
+        for (run, (_, spec)) in runs.iter_mut().zip(lanes) {
+            if let Some(p) = run.platform.as_mut() {
+                let steps = &spec.steps[run.resume_at..];
+                run_steps(p, steps, spec.duration_s, &mut run.out, ctx).map_err(timed_out)?;
+            }
         }
     }
-    Ok((out, warm_hit))
+
+    // Deterministic observability results: transitions, capture, and (when
+    // a recorder was armed) whether it fired. A cancelled attempt returned
+    // above, so its trace recorders died with their platforms: only
+    // completed attempts contribute spans. The outcomes get a buffer of
+    // their own: a collect from `runs` would reuse its platform-sized
+    // allocation, which the campaign then holds until the merge.
+    let mut outs = Vec::with_capacity(runs.len());
+    for mut run in runs {
+        if let Some(mut p) = run.platform {
+            run.out.transitions.extend(scrape_transitions(&p));
+            run.out.capture = p.take_capture();
+            if p.recorder().is_some() {
+                run.out.metrics.push((
+                    "recorder_triggered".into(),
+                    f64::from(u8::from(run.out.capture.is_some())),
+                ));
+            }
+            if let Some(mut tr) = p.take_trace() {
+                tr.end(run.span, p.time());
+                if let Some(c) = collector {
+                    c.merge(tr);
+                }
+            }
+        }
+        outs.push((run.out, run.warm_hit));
+    }
+    Ok(outs)
 }
 
-/// Advances `p` by `seconds` — identical tick rounding to
-/// [`Platform::run`] — in [`RUN_BLOCK_TICKS`] chunks so a pending
-/// watchdog cancellation is observed between chunks.
-fn run_for(p: &mut Platform, seconds: f64, ctx: AttemptCtx<'_>) -> Result<(), Cancelled> {
-    let mut ticks = (seconds * p.config().dsp_rate.0).round() as u64;
+/// Runs one lane's `steps` on its own platform, one trace span per step,
+/// then runs on to the `duration_s` floor. A bring-up failure skips the
+/// remaining steps but not the floor.
+fn run_steps(
+    p: &mut Platform,
+    steps: &[Step],
+    duration_s: f64,
+    out: &mut ScenarioOutcome,
+    ctx: AttemptCtx<'_>,
+) -> Result<(), Cancelled> {
+    let mut scratch = Scratch::default();
+    for step in steps {
+        let t_begin = p.time();
+        let span = p
+            .trace_mut()
+            .map_or(SpanId::NULL, |tr| tr.begin(step.label(), t_begin));
+        let proceed = apply_step(p, step, out, &mut scratch, ctx);
+        let t_end = p.time();
+        if let Some(tr) = p.trace_mut() {
+            tr.end(span, t_end);
+        }
+        if !proceed? {
+            break;
+        }
+    }
+    if p.time() < duration_s {
+        let dsp_rate = p.config().dsp_rate.0;
+        run_for(duration_s - p.time(), dsp_rate, ctx, |n| p.step_block(n))?;
+    }
+    Ok(())
+}
+
+/// Advances `seconds` at `dsp_rate` through `step_block` — one platform's
+/// or a whole fleet's, with identical tick rounding to [`Platform::run`]
+/// — in [`RUN_BLOCK_TICKS`] chunks, so a pending watchdog cancellation is
+/// observed between chunks.
+fn run_for(
+    seconds: f64,
+    dsp_rate: f64,
+    ctx: AttemptCtx<'_>,
+    mut step_block: impl FnMut(u64),
+) -> Result<(), Cancelled> {
+    let mut ticks = (seconds * dsp_rate).round() as u64;
     while ticks > 0 {
         ctx.check()?;
         let block = ticks.min(RUN_BLOCK_TICKS);
-        p.step_block(block);
+        step_block(block);
         ticks -= block;
     }
     Ok(())
@@ -2355,7 +2229,7 @@ fn run_for(p: &mut Platform, seconds: f64, ctx: AttemptCtx<'_>) -> Result<(), Ca
 
 /// Steps `p` until `pred` holds or `timeout_s` elapses; returns the
 /// simulation time at which the predicate first held. Heartbeats (and
-/// observes cancellation) every [`HEARTBEAT_TICKS`] ticks.
+/// observes cancellation) every [`CANCEL_CHECK_TICKS`] ticks.
 fn run_until(
     p: &mut Platform,
     timeout_s: f64,
@@ -2364,7 +2238,7 @@ fn run_until(
 ) -> Result<Option<f64>, Cancelled> {
     let ticks = (timeout_s * p.config().dsp_rate.0).round() as u64;
     for i in 0..ticks {
-        if i % HEARTBEAT_TICKS == 0 {
+        if i % CANCEL_CHECK_TICKS == 0 {
             ctx.check()?;
         }
         p.step();
@@ -2380,7 +2254,7 @@ fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx<'_>) -> Result<f64
     let ticks = ((window_s * p.config().dsp_rate.0).round() as u64).max(1);
     let mut acc = 0.0;
     for i in 0..ticks {
-        if i % HEARTBEAT_TICKS == 0 {
+        if i % CANCEL_CHECK_TICKS == 0 {
             ctx.check()?;
         }
         p.step();
@@ -2393,7 +2267,7 @@ fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx<'_>) -> Result<f64
 /// (bring-up failure), `Err(Cancelled)` that the watchdog cancelled the
 /// attempt. Long uncancellable measurement primitives observe a pending
 /// cancellation at their boundary ([`AttemptCtx::check`]); tick-stepped
-/// loops observe it every [`HEARTBEAT_TICKS`] ticks.
+/// loops observe it every [`CANCEL_CHECK_TICKS`] ticks.
 #[allow(clippy::too_many_lines)]
 fn apply_step(
     p: &mut Platform,
@@ -2405,6 +2279,7 @@ fn apply_step(
     let push = |out: &mut ScenarioOutcome, name: &str, value: f64| {
         out.metrics.push((name.to_owned(), value));
     };
+    let dsp_rate = p.config().dsp_rate.0;
     match step {
         Step::ArmWatchdog { timeout_cycles } => {
             p.bus_mut().watchdog.write16(1, *timeout_cycles);
@@ -2434,7 +2309,7 @@ fn apply_step(
                 }
             }
         }
-        Step::Run { seconds } => run_for(p, *seconds, ctx)?,
+        Step::Run { seconds } => run_for(*seconds, dsp_rate, ctx, |n| p.step_block(n))?,
         Step::SetRate { dps } => p.set_rate(DegPerSec(*dps)),
         Step::SetTemperature { celsius } => p.set_temperature(Celsius(*celsius)),
         Step::FreezeAgcDrive { resettle_s } => {
@@ -2444,7 +2319,7 @@ fn apply_step(
             frozen.agc.kp = 0.0;
             frozen.agc.ki = 1.0e6; // integrator pegs at max_drive = fixed drive
             *p.chain_mut() = ConditioningChain::new(frozen);
-            run_for(p, *resettle_s, ctx)?;
+            run_for(*resettle_s, dsp_rate, ctx, |n| p.step_block(n))?;
         }
         Step::TrimRebalancePhase {
             probe_rate_dps,
@@ -2482,7 +2357,7 @@ fn apply_step(
             let mut outs = Vec::with_capacity(rates.len());
             for &r in rates {
                 p.set_rate(DegPerSec(r));
-                run_for(p, *dwell_s, ctx)?;
+                run_for(*dwell_s, dsp_rate, ctx, |n| p.step_block(n))?;
                 outs.push(stats::mean(&p.sample_rate_output(*settle_s, *samples)));
             }
             p.set_rate(DegPerSec(0.0));
@@ -2575,7 +2450,9 @@ fn apply_step(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::platform::FleetIneligible;
     use ascp_sim::fault::FaultKind;
+    use ascp_sim::telemetry::RecorderConfig;
 
     fn quick_cfg() -> PlatformConfig {
         PlatformConfig::builder().quiet().build().expect("valid")
@@ -2819,7 +2696,6 @@ mod tests {
             CampaignOptions::builder()
                 .threads(2)
                 .retries(1)
-                .backoff_ms(1)
                 .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05))
                 .build()
                 .expect("valid options"),
@@ -2840,7 +2716,6 @@ mod tests {
         assert!(err(CampaignOptions::builder().threads(0)).contains("threads"));
         assert!(err(CampaignOptions::builder().deadline_s(0.0)).contains("deadline_s"));
         assert!(err(CampaignOptions::builder().deadline_s(f64::NAN)).contains("deadline_s"));
-        assert!(err(CampaignOptions::builder().backoff_ms(60_001)).contains("backoff_ms"));
         assert!(
             err(CampaignOptions::builder().chaos(ChaosPlan::new(1).with_stall_cap_s(f64::NAN)))
                 .contains("stall_cap_s")
@@ -2848,20 +2723,12 @@ mod tests {
         let o = CampaignOptions::builder()
             .threads(2)
             .retries(3)
-            .backoff_ms(20)
             .deadline_s(4.0)
-            .fleet(false)
             .build()
             .expect("valid");
         assert_eq!(o.threads(), 2);
         assert_eq!(o.max_retries(), 3);
-        assert_eq!(o.backoff_ms(), 20);
         assert_eq!(o.deadline_s(), Some(4.0));
-        assert!(!o.fleet());
-        assert!(
-            CampaignOptions::default().fleet(),
-            "fleet batching defaults on"
-        );
     }
 
     /// A five-lane Monte-Carlo spec dispersing every supported parameter,
@@ -2906,14 +2773,7 @@ mod tests {
 
     #[test]
     fn fleet_execution_is_byte_identical_to_scalar() {
-        let scalar = CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(1)
-                .fleet(false)
-                .build()
-                .expect("valid"),
-        )
-        .run(vec![mc_spec()]);
+        let scalar = runner(1).run(expand_monte_carlo(vec![mc_spec()]));
         for threads in [1, 4] {
             let fleet = runner(threads).run(vec![mc_spec()]);
             assert_eq!(scalar.outcomes, fleet.outcomes);
@@ -2952,14 +2812,7 @@ mod tests {
         let mut specs = quick_scenarios();
         specs.insert(1, mc_spec());
         let fleet = runner(2).run(specs.clone());
-        let scalar = CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(2)
-                .fleet(false)
-                .build()
-                .expect("valid"),
-        )
-        .run(specs);
+        let scalar = runner(2).run(expand_monte_carlo(specs));
         assert_eq!(fleet.outcomes.len(), 7);
         assert_eq!(fleet.outcomes[0].name, "a");
         assert_eq!(fleet.outcomes[1].name, "mc/mc0");
@@ -2984,50 +2837,124 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn planner_batches_eligible_sibling_lanes() {
-        let (expanded, parents) = expand_monte_carlo(vec![mc_spec()]);
-        let work: Vec<(usize, ScenarioSpec)> = expanded.into_iter().enumerate().collect();
-        let units = runner(1).plan_units(work.clone(), &parents);
-        assert_eq!(units.len(), 1);
-        assert!(matches!(&units[0], WorkUnit::Fleet(lanes) if lanes.len() == 5));
-        // The batched lanes must be genuinely fleet-able, not silently
-        // falling back to scalar at attempt time.
-        let platforms: Vec<Platform> = units[0]
-            .lanes()
+    /// The pool units `runner` plans for `specs` after expansion.
+    fn planned(
+        runner: &CampaignRunner,
+        specs: Vec<ScenarioSpec>,
+    ) -> Vec<Vec<(usize, ScenarioSpec)>> {
+        let (expanded, parents) = expand_with_parents(specs);
+        runner.plan_units(expanded.into_iter().enumerate().collect(), &parents)
+    }
+
+    /// A unit's lanes built as the attempt builds them, handed to
+    /// [`PlatformFleet::new`].
+    fn fleet_of(unit: &[(usize, ScenarioSpec)]) -> Result<PlatformFleet, FleetIneligible> {
+        let platforms = unit
             .iter()
             .map(|(index, spec)| {
                 let mut config = spec.config.clone();
-                config.seed = spec
-                    .seed
-                    .unwrap_or_else(|| derive_seed(config.seed, *index as u64));
+                config.seed = lane_seed(*index, spec);
                 Platform::new(config)
             })
             .collect();
+        PlatformFleet::new(platforms)
+    }
+
+    #[test]
+    fn planner_batches_eligible_sibling_lanes() {
+        let units = planned(&runner(1), vec![mc_spec()]);
+        assert_eq!(units.len(), 1);
+        assert_eq!(units[0].len(), 5);
+        // The batched lanes must be genuinely fleet-able, not silently
+        // stepping one by one at attempt time.
         assert!(
-            PlatformFleet::new(platforms).is_ok(),
+            fleet_of(&units[0]).is_ok(),
             "dispersed mc lanes must be fleet-eligible"
         );
-        // Warm-start and fleet(false) both force every lane scalar.
+        // Warm-start and tracing force every lane into its own unit, and
+        // so does pre-expansion (the scalar reference).
         for options in [
             CampaignOptions::builder().warm_start(true),
-            CampaignOptions::builder().fleet(false),
+            CampaignOptions::builder().tracing(true),
         ] {
             let scalar_runner = CampaignRunner::with_options(options.build().expect("valid"));
-            let units = scalar_runner.plan_units(work.clone(), &parents);
+            let units = planned(&scalar_runner, vec![mc_spec()]);
+            assert!(units.iter().all(|lanes| lanes.len() == 1));
             assert_eq!(units.len(), 5);
-            assert!(units.iter().all(|u| matches!(u, WorkUnit::Single(_))));
         }
+        let units = planned(&runner(1), expand_monte_carlo(vec![mc_spec()]));
+        assert!(units.iter().all(|lanes| lanes.len() == 1));
+        assert_eq!(units.len(), 5);
     }
 
     #[test]
     fn planner_splits_populations_at_the_fleet_width() {
         let spec = mc_spec().monte_carlo(20, Dispersion::none());
-        let (expanded, parents) = expand_monte_carlo(vec![spec]);
-        let work: Vec<(usize, ScenarioSpec)> = expanded.into_iter().enumerate().collect();
-        let units = runner(1).plan_units(work, &parents);
-        let widths: Vec<usize> = units.iter().map(|u| u.lanes().len()).collect();
+        let units = planned(&runner(1), vec![spec]);
+        let widths: Vec<usize> = units.iter().map(Vec::len).collect();
         assert_eq!(widths, vec![FLEET_GROUP_MAX, 4]);
+    }
+
+    /// Lanes the fleet refuses (an armed flight recorder passes
+    /// [`fleet_eligible`] but not [`PlatformFleet::new`]) step one by one
+    /// inside the group's attempt, byte-identical to the scalar reference.
+    #[test]
+    fn fleet_refused_group_steps_lanes_one_by_one() {
+        let mut spec = mc_spec();
+        spec.config = PlatformConfig::builder()
+            .quiet()
+            .recorder(RecorderConfig::fault_triggers(256))
+            .build()
+            .expect("valid");
+        let units = planned(&runner(1), vec![spec.clone()]);
+        assert_eq!(units.len(), 1, "recorder lanes still group");
+        assert!(units[0].iter().all(|(_, lane)| fleet_eligible(lane)));
+        assert!(
+            fleet_of(&units[0]).is_err(),
+            "the fleet must refuse armed recorders"
+        );
+        let scalar = runner(1).run(expand_monte_carlo(vec![spec.clone()]));
+        let grouped = runner(1).run(vec![spec]);
+        assert_eq!(grouped.outcomes.len(), 5);
+        assert!(grouped
+            .outcomes
+            .iter()
+            .all(|o| o.metric("recorder_triggered").is_some()));
+        assert_eq!(scalar.outcomes, grouped.outcomes);
+        assert_eq!(scalar.to_csv(), grouped.to_csv());
+    }
+
+    /// A group that overruns its deadline fails whole: with no retry
+    /// budget every lane is poisoned, in order, with the configured
+    /// deadline as its only attempt error.
+    #[test]
+    fn overrunning_group_poisons_every_lane() {
+        let spec = ScenarioSpec::new("slow", quick_cfg())
+            .with_step(Step::Run { seconds: 0.5 })
+            .monte_carlo(16, Dispersion::none());
+        let slow_runner = CampaignRunner::with_options(
+            CampaignOptions::builder()
+                .threads(1)
+                .retries(0)
+                .deadline_s(0.005)
+                .build()
+                .expect("valid options"),
+        );
+        let units = planned(&slow_runner, vec![spec.clone()]);
+        assert_eq!(units.len(), 1, "one 16-lane group");
+        assert_eq!(units[0].len(), 16);
+        let report = slow_runner.run(vec![spec]);
+        assert_eq!(report.outcomes.len(), 16);
+        assert_eq!(report.poisoned(), 16);
+        for (lane, out) in report.outcomes.iter().enumerate() {
+            assert_eq!(out.name, format!("slow/mc{lane}"));
+            assert_eq!(out.index, lane);
+            assert_eq!(out.status, ScenarioStatus::Poisoned);
+            assert_eq!(
+                out.attempt_errors,
+                vec![ScenarioError::TimedOut { deadline_s: 0.005 }]
+            );
+        }
     }
 
     #[test]

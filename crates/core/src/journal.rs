@@ -368,26 +368,39 @@ fn take_string(r: &mut StateReader<'_>) -> Result<String, SnapshotError> {
     })
 }
 
-/// Re-interns a fault-class label against the static catalog so decoded
-/// outcomes compare equal to freshly-run ones; unknown labels (a newer
-/// catalog) leak one small allocation each.
-fn intern_fault_label(label: &str) -> &'static str {
-    FaultKind::ALL_LABELS
-        .iter()
-        .find(|&&l| l == label)
-        .copied()
-        .unwrap_or_else(|| Box::leak(label.to_owned().into_boxed_str()))
-}
+/// The fault-class catalog decoded labels intern against.
+static FAULT_LABELS: [&str; FaultKind::ALL_LABELS.len()] = FaultKind::ALL_LABELS;
 
-/// Re-interns a supervisor-state label (see
-/// [`crate::supervisor::SupervisorState::label`]).
-fn intern_state_label(label: &str) -> &'static str {
-    const STATES: [&str; 5] = ["init", "normal", "degraded", "safe_state", "recovery"];
-    STATES
+/// Every label a transition can carry: the gyro supervisor's states
+/// ([`crate::supervisor::SupervisorState::label`]), then the sensor
+/// channels' statuses ([`crate::frontend::ChannelStatus::label`]).
+static STATE_LABELS: [&str; 9] = [
+    "init",
+    "normal",
+    "degraded",
+    "safe_state",
+    "recovery",
+    "not_connected",
+    "short_to_ground",
+    "reverse_polarity",
+    "out_of_range",
+];
+
+/// Re-interns a decoded label against its static catalog, so decoded
+/// outcomes compare equal to freshly-run ones. A label outside the
+/// catalog is corrupt input, never a fresh allocation.
+fn intern(
+    catalog: &[&'static str],
+    label: &str,
+    kind: &str,
+) -> Result<&'static str, SnapshotError> {
+    catalog
         .iter()
         .find(|&&l| l == label)
         .copied()
-        .unwrap_or_else(|| Box::leak(label.to_owned().into_boxed_str()))
+        .ok_or_else(|| SnapshotError::Corrupt {
+            context: format!("unknown {kind} label `{label}`"),
+        })
 }
 
 fn decode_outcome(payload: &[u8]) -> Result<ScenarioOutcome, SnapshotError> {
@@ -422,13 +435,14 @@ fn decode_outcome(payload: &[u8]) -> Result<ScenarioOutcome, SnapshotError> {
         let n_classes = r.take_count(4, "journal fault class")?;
         let mut fault_classes = Vec::with_capacity(n_classes);
         for _ in 0..n_classes {
-            fault_classes.push(intern_fault_label(&take_string(r)?));
+            let label = take_string(r)?;
+            fault_classes.push(intern(&FAULT_LABELS, &label, "fault class")?);
         }
         let n_transitions = r.take_count(8, "journal transition")?;
         let mut transitions = Vec::with_capacity(n_transitions);
         for _ in 0..n_transitions {
-            let from = intern_state_label(&take_string(r)?);
-            let to = intern_state_label(&take_string(r)?);
+            let from = intern(&STATE_LABELS, &take_string(r)?, "state")?;
+            let to = intern(&STATE_LABELS, &take_string(r)?, "state")?;
             transitions.push((from, to));
         }
         let n_errors = r.take_count(13, "journal attempt error")?;
@@ -489,16 +503,63 @@ mod tests {
         }
     }
 
+    /// A journal for campaign digest 7 holding one checksum-valid record.
+    fn journal_with(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = header_bytes(7).to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn outcome_round_trips_bit_exactly() {
         let original = outcome(3, "round_trip");
         let decoded = decode_outcome(&encode_outcome(&original)).expect("decodes");
         assert_eq!(original, decoded);
         // Interning must hand back the catalog's static strings.
-        assert!(std::ptr::eq(
-            decoded.fault_classes[0],
-            intern_fault_label("pll_unlock")
-        ));
+        let class = decoded.fault_classes[0];
+        assert!(FAULT_LABELS.iter().any(|&l| std::ptr::eq(l, class)));
+    }
+
+    /// The state catalog covers every label a transition can carry.
+    #[test]
+    fn state_catalog_covers_supervisor_and_channel_labels() {
+        use crate::frontend::ChannelStatus;
+        use crate::supervisor::SupervisorState;
+        let supervisor = (0..)
+            .map_while(SupervisorState::from_tag)
+            .map(SupervisorState::label);
+        let channel = [
+            ChannelStatus::Init,
+            ChannelStatus::Normal,
+            ChannelStatus::NotConnected,
+            ChannelStatus::ShortToGround,
+            ChannelStatus::ReversePolarity,
+            ChannelStatus::OutOfRange,
+        ]
+        .map(ChannelStatus::label);
+        for label in supervisor.chain(channel) {
+            assert!(STATE_LABELS.contains(&label), "{label} not interned");
+        }
+    }
+
+    /// A checksum-valid record whose fault-class or transition label is
+    /// outside the static catalogs is a typed error, not an outcome with
+    /// a freshly allocated label.
+    #[test]
+    fn unknown_labels_are_typed_errors() {
+        let mut made_up_class = outcome(0, "x");
+        made_up_class.fault_classes = vec!["made_up_fault"];
+        let mut made_up_state = outcome(0, "x");
+        made_up_state.transitions = vec![("normal", "made_up_state")];
+        for bad in [made_up_class, made_up_state] {
+            let bytes = journal_with(&encode_outcome(&bad));
+            assert!(
+                matches!(scan(&bytes, 7), Err(JournalError::Record(_))),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
@@ -533,13 +594,11 @@ mod tests {
                 }
                 w.put_u32(u32::MAX);
             });
-            let payload = w.into_bytes();
-            let mut bytes = header_bytes(7).to_vec();
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&payload);
-            bytes.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
             assert!(
-                matches!(scan(&bytes, 7), Err(JournalError::Record(_))),
+                matches!(
+                    scan(&journal_with(&w.into_bytes()), 7),
+                    Err(JournalError::Record(_))
+                ),
                 "count {huge_at}"
             );
         }

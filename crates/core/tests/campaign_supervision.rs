@@ -123,7 +123,6 @@ fn chaos_with_retries_is_byte_identical_to_undisturbed() {
             CampaignOptions::builder()
                 .threads(threads)
                 .retries(1)
-                .backoff_ms(1)
                 .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05)),
         )
         .run(scenario_list());
@@ -184,7 +183,6 @@ fn supervision_counters_reach_prometheus_and_json() {
         CampaignOptions::builder()
             .threads(2)
             .retries(1)
-            .backoff_ms(1)
             .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05)),
     )
     .run(scenario_list());

@@ -1,13 +1,16 @@
 //! Property-based tests of batched fleet execution: for random
 //! Monte-Carlo population sizes, dispersions, and worker-thread counts,
 //! the fleet path must emit a campaign CSV byte-identical to scalar
-//! execution, and fleet-evolved platform state must round-trip through
-//! the scalar checkpoint machinery bit-exactly.
+//! execution (the population pre-expanded with `expand_monte_carlo`, one
+//! platform per lane), and fleet-evolved platform state must round-trip
+//! through the scalar checkpoint machinery bit-exactly.
 //!
 //! Gated behind the `proptest` feature:
 //! `cargo test -p ascp-core --features proptest`.
 
-use ascp_core::campaign::{CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step};
+use ascp_core::campaign::{
+    expand_monte_carlo, CampaignOptions, CampaignRunner, Dispersion, ScenarioSpec, Step,
+};
 use ascp_core::checkpoint;
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
 use proptest::prelude::*;
@@ -41,11 +44,10 @@ fn mc_spec(lanes: usize, dispersion: Dispersion, seed: u64) -> ScenarioSpec {
         .monte_carlo(lanes, dispersion)
 }
 
-fn runner(threads: usize, fleet: bool) -> CampaignRunner {
+fn runner(threads: usize) -> CampaignRunner {
     CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)
-            .fleet(fleet)
             .build()
             .expect("valid options"),
     )
@@ -68,8 +70,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let threads = 1usize << threads_exp; // 1, 2, or 4 workers
-        let scalar = runner(1, false).run(vec![mc_spec(lanes, dispersion, seed)]);
-        let fleet = runner(threads, true).run(vec![mc_spec(lanes, dispersion, seed)]);
+        let scalar = runner(1).run(expand_monte_carlo(vec![mc_spec(lanes, dispersion, seed)]));
+        let fleet = runner(threads).run(vec![mc_spec(lanes, dispersion, seed)]);
         prop_assert_eq!(&scalar.outcomes, &fleet.outcomes);
         prop_assert_eq!(scalar.to_csv(), fleet.to_csv());
     }

@@ -34,6 +34,11 @@ cargo build --release --workspace
 echo "== cargo test (with the property-test suites) =="
 cargo test -q --workspace --features proptest
 
+echo "== perfbench tests (separate package linking the campaign API) =="
+# perfbench/ has its own empty [workspace], so the workspace steps above
+# never build it; its tests catch API changes that break the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== fault campaign (smoke: detection + coverage vs committed baseline) =="
 # Emits the Chrome trace, flight-recorder captures and the coverage matrix
 # under target/experiments/; fails if any fault class goes undetected OR
