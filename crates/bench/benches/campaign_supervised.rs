@@ -1,10 +1,9 @@
-//! Supervision-overhead benchmark: healthy campaign, watchdog on vs off.
+//! Supervision-overhead benchmark: healthy campaign, deadline on vs off.
 //!
-//! The supervision layer (panic isolation, deadline watchdog, retry
-//! bookkeeping — PR 7) must be cheap enough to leave on everywhere: on a
-//! healthy 16-scenario campaign the fully-armed runner (watchdog thread +
-//! per-scenario deadline + retry budget) must stay within **2%** of the
-//! bare runner's wall clock.
+//! The supervision layer (panic isolation, per-attempt deadline, retry
+//! bookkeeping) must be cheap enough to leave on everywhere: on a healthy
+//! 16-scenario campaign the fully-armed runner (deadline + retry budget)
+//! must stay within **2%** of the bare runner's wall clock.
 //!
 //! Flags: `--short` shrinks the protocol (gate/CI smoke; never rewrites
 //! the committed baseline and only warns on overhead), `--threads N` pins
@@ -66,8 +65,8 @@ fn main() -> std::io::Result<()> {
             .build()
             .expect("valid options"),
     );
-    // Fully armed: watchdog thread scanning every slot against a (never
-    // hit) deadline, retry budget, cancellation checks at every step hook.
+    // Fully armed: a (never hit) deadline that every worker checks against
+    // its own attempt clock at every step hook, plus a retry budget.
     let supervised = CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)
@@ -94,7 +93,7 @@ fn main() -> std::io::Result<()> {
     let overhead = supervised_s / bare_s - 1.0;
     println!("  threads            : {threads}");
     println!("  bare campaign      : {bare_s:.3} s (16 healthy scenarios)");
-    println!("  supervised campaign: {supervised_s:.3} s (watchdog + retry budget armed)");
+    println!("  supervised campaign: {supervised_s:.3} s (deadline + retry budget armed)");
     println!(
         "  overhead           : {:+.2}% ({} <= {:.0}% acceptance bar)",
         overhead * 100.0,

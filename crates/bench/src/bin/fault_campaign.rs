@@ -39,9 +39,10 @@
 //!
 //! Exit codes: `0` all scenarios healthy and every fault detected, `1`
 //! scenario-level failures (undetected faults, poisoned scenarios,
-//! coverage regressions), `2` infrastructure errors (journal I/O).
+//! coverage regressions), `2` infrastructure errors (journal I/O, an
+//! unreadable or malformed coverage baseline).
 
-use ascp_bench::harness::{repo_root_path, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{check_coverage, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::prelude::*;
 use ascp_sim::fault::AdcChannel;
@@ -333,19 +334,7 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
     // CI guard: a previously-exercised coverage cell going dark is a
     // regression even when every fault is still detected.
     if let Some(baseline) = args.check_coverage.as_deref() {
-        let path = repo_root_path(baseline);
-        let body = std::fs::read_to_string(&path)?;
-        let lost = coverage.regressions(&body);
-        if lost.is_empty() {
-            println!("  coverage check vs {}: ok", path.display());
-        } else {
-            eprintln!(
-                "fault_campaign: coverage REGRESSION vs {} — cells no longer exercised:",
-                path.display()
-            );
-            for (class, edge) in &lost {
-                eprintln!("  {class} × {edge}");
-            }
+        if !check_coverage("fault_campaign", &coverage, baseline)? {
             scenario_failures = true;
         }
     }

@@ -29,7 +29,9 @@
 //! family fails to characterize, or (`--check-coverage`) a baseline
 //! coverage cell goes dark.
 
-use ascp_bench::harness::{repo_root_path, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{
+    check_coverage, repo_root_path, run_to_exit, Args, EXIT_SCENARIO_FAILURE,
+};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::datasheet::{FaultCoverage, SensorColumn};
 use ascp_core::prelude::*;
@@ -415,19 +417,7 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
 
     // Gate 4 (CI): baseline coverage cells must stay lit.
     if let Some(baseline) = args.check_coverage.as_deref() {
-        let path = repo_root_path(baseline);
-        let body = std::fs::read_to_string(&path)?;
-        let lost = coverage.regressions(&body);
-        if lost.is_empty() {
-            println!("  coverage check vs {}: ok", path.display());
-        } else {
-            eprintln!(
-                "sensor_datasheet: coverage REGRESSION vs {} — cells no longer exercised:",
-                path.display()
-            );
-            for (class, edge) in &lost {
-                eprintln!("  {class} × {edge}");
-            }
+        if !check_coverage("sensor_datasheet", &coverage, baseline)? {
             failures = true;
         }
     }

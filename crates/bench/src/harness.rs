@@ -7,6 +7,7 @@
 //! is all the cycle-budget comparisons here need.
 
 use ascp_core::campaign::{CampaignObserver, ScenarioProgress};
+use ascp_core::coverage::CoverageMatrix;
 use std::error::Error;
 use std::io;
 use std::io::{Read as _, Write as _};
@@ -105,6 +106,39 @@ pub fn run_to_exit(name: &str, run: impl FnOnce() -> Result<i32, Box<dyn Error>>
             std::process::exit(EXIT_INFRA_ERROR);
         }
     }
+}
+
+/// The `--check-coverage <baseline>` gate of the campaign bins: every
+/// `(fault class, transition)` cell of the committed baseline must still
+/// be exercised by `coverage`. Returns `Ok(false)` (a scenario failure)
+/// after listing the dark cells on stderr.
+///
+/// # Errors
+///
+/// An unreadable or malformed baseline: an infrastructure error, so a
+/// baseline that checks nothing never passes the gate.
+pub fn check_coverage(
+    bin: &str,
+    coverage: &CoverageMatrix,
+    baseline: &str,
+) -> Result<bool, Box<dyn Error>> {
+    let path = repo_root_path(baseline);
+    let body = std::fs::read_to_string(&path)?;
+    let lost = coverage
+        .regressions(&body)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    if lost.is_empty() {
+        println!("  coverage check vs {}: ok", path.display());
+        return Ok(true);
+    }
+    eprintln!(
+        "{bin}: coverage REGRESSION vs {} — cells no longer exercised:",
+        path.display()
+    );
+    for (class, edge) in &lost {
+        eprintln!("  {class} × {edge}");
+    }
+    Ok(false)
 }
 
 /// Usage text answered to `--help` (and appended to flag errors) by
@@ -647,6 +681,36 @@ pub fn check_against(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn committed_coverage_baselines_parse() {
+        for name in [
+            "COVERAGE_fault_campaign.csv",
+            "COVERAGE_sensor_datasheet.csv",
+        ] {
+            let body = std::fs::read_to_string(repo_root_path(name)).expect("committed baseline");
+            let lost = CoverageMatrix::default()
+                .regressions(&body)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            // Against an empty matrix every baseline cell reads as lost.
+            assert!(!lost.is_empty(), "{name} covers no cell");
+        }
+    }
+
+    #[test]
+    fn coverage_gate_rejects_a_garbage_baseline() {
+        let path =
+            std::env::temp_dir().join(format!("coverage-garbage-{}.csv", std::process::id()));
+        std::fs::write(&path, "garbage\n").expect("temp file");
+        let verdict = check_coverage(
+            "test",
+            &CoverageMatrix::default(),
+            path.to_str().expect("utf-8"),
+        );
+        std::fs::remove_file(&path).expect("temp file");
+        let err = verdict.expect_err("garbage baseline must be an error");
+        assert!(err.to_string().contains("header"), "{err}");
+    }
 
     fn parse(args: &[&str]) -> Result<Option<Args>, String> {
         Args::try_parse(args.iter().map(|s| (*s).to_owned()))

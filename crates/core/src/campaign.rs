@@ -52,9 +52,9 @@
 //! → Running, TimedOut → Retrying, Poisoned}`. A panicking scenario is
 //! caught ([`ScenarioError::Panicked`]) instead of killing the pool; a
 //! scenario overrunning the configured wall-clock deadline
-//! (`CampaignOptions::builder().deadline_s(..)`) is cancelled by a
-//! watchdog thread
-//! ([`ScenarioError::TimedOut`]); failed attempts are retried (default
+//! (`CampaignOptions::builder().deadline_s(..)`) is cancelled by its own
+//! worker, which reads the attempt's clock at every cancellation check
+//! point ([`ScenarioError::TimedOut`]); failed attempts are retried (default
 //! once, `CampaignOptions::builder().retries(..)`) with the derived seed
 //! **unchanged**, so a retried success is byte-identical to a first-try
 //! run; a scenario that exhausts its retries is quarantined as
@@ -138,7 +138,7 @@ use ascp_sim::units::{Celsius, DegPerSec, Hertz};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -488,10 +488,10 @@ pub enum ScenarioError {
         /// Panic payload rendered as text.
         message: String,
     },
-    /// The scenario overran the campaign's per-scenario wall-clock
-    /// deadline and was cancelled by the watchdog (or a chaos stall hit
-    /// its cap). Carries the *configured* limit, not the measured wall
-    /// time, so reports stay deterministic.
+    /// The scenario overran the campaign's per-attempt wall-clock
+    /// deadline and its worker cancelled it at the next check point (or a
+    /// chaos stall ran out). Carries the *configured* limit, not the
+    /// measured wall time, so reports stay deterministic.
     TimedOut {
         /// The deadline that was enforced, seconds.
         deadline_s: f64,
@@ -572,8 +572,8 @@ pub enum ChaosInjection {
     None,
     /// The worker panics before building the platform.
     Panic,
-    /// The worker stalls (a cancel-polling sleep) until the watchdog
-    /// cancels it or the stall cap elapses.
+    /// The worker stalls: one sleep for the attempt deadline or the stall
+    /// cap, whichever is shorter, then the attempt times out.
     Stall,
 }
 
@@ -583,37 +583,27 @@ pub enum ChaosInjection {
 /// Each scenario's injection is derived from the chaos seed and the
 /// scenario's input index ([`derive_seed`]`(seed, index) % 4`: 0 panic,
 /// 1 stall, else none), so a chaos campaign is reproducible at any thread
-/// count. Injections apply to the first `persist_attempts` attempts only;
-/// the retry that follows runs clean with the scenario seed unchanged, so
-/// every healthy metric is byte-identical to an undisturbed run.
+/// count. Injections apply to attempt 0 only: the retry that follows runs
+/// clean with the scenario seed unchanged, so the default retry budget
+/// recovers every scenario and every healthy metric is byte-identical to
+/// an undisturbed run.
 #[derive(Debug, Clone)]
 pub struct ChaosPlan {
     /// Seed the per-scenario injections derive from.
     pub seed: u64,
-    /// Attempts that receive the injection (default 1: attempt 0 only, so
-    /// default retries recover every scenario).
-    pub persist_attempts: u32,
-    /// Upper bound on a stall when no watchdog deadline is set, seconds.
+    /// Upper bound on a stall, seconds; a shorter attempt deadline ends
+    /// the stall first.
     pub stall_cap_s: f64,
 }
 
 impl ChaosPlan {
-    /// Plan with the default persistence (attempt 0 only) and a 30 s
-    /// stall cap.
+    /// Plan with a 30 s stall cap.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         Self {
             seed,
-            persist_attempts: 1,
             stall_cap_s: 30.0,
         }
-    }
-
-    /// Sets how many attempts per scenario receive the injection.
-    #[must_use]
-    pub fn with_persist_attempts(mut self, attempts: u32) -> Self {
-        self.persist_attempts = attempts;
-        self
     }
 
     /// Sets the stall cap (seconds).
@@ -626,7 +616,7 @@ impl ChaosPlan {
     /// The injection for one `(scenario index, attempt)` pair.
     #[must_use]
     pub fn decide(&self, index: usize, attempt: u32) -> ChaosInjection {
-        if attempt >= self.persist_attempts {
+        if attempt > 0 {
             return ChaosInjection::None;
         }
         match derive_seed(self.seed, index as u64) % 4 {
@@ -718,7 +708,9 @@ pub struct CampaignReport {
     /// artifacts).
     pub wall_s: f64,
     /// Scenarios that restored a cached settle checkpoint instead of
-    /// re-running their settle prefix (0 when warm-start is off).
+    /// re-running their settle prefix (0 when warm-start is off). Counted
+    /// once per completed scenario, from its final attempt; a poisoned
+    /// scenario never counts.
     pub warm_hits: usize,
     /// Scenarios loaded from a journal instead of executed (0 unless the
     /// report came from [`CampaignRunner::resume`]; not part of the
@@ -948,7 +940,7 @@ impl std::fmt::Debug for CampaignOptions {
 
 impl Default for CampaignOptions {
     /// One worker per available hardware thread; warm-start, tracing and
-    /// progress off; one immediate retry; no watchdog, no chaos.
+    /// progress off; one immediate retry; no deadline, no chaos.
     fn default() -> Self {
         Self {
             threads: available_parallelism(),
@@ -1002,7 +994,7 @@ impl CampaignOptions {
         self.max_retries
     }
 
-    /// Configured per-scenario deadline, if the watchdog is armed.
+    /// Configured per-attempt deadline, seconds, if one is set.
     #[must_use]
     pub fn deadline_s(&self) -> Option<f64> {
         self.deadline_s
@@ -1075,10 +1067,12 @@ impl CampaignOptionsBuilder {
         self
     }
 
-    /// Arms the watchdog with a per-attempt wall-clock deadline in
-    /// seconds (must be finite and > 0). Overrunning attempts are
-    /// cancelled cooperatively and recorded as
-    /// [`ScenarioError::TimedOut`].
+    /// Per-attempt wall-clock deadline in seconds, finite and positive.
+    /// Each worker times its own attempt and cancels it at the next check
+    /// point past the limit: step boundaries, tick loops every 1024
+    /// ticks, run chunks every 4096. The attempt is recorded as
+    /// [`ScenarioError::TimedOut`]. Time spent on the warm-start cache
+    /// (running or waiting for a shared settle prefix) is off the clock.
     #[must_use]
     pub fn deadline_s(mut self, seconds: f64) -> Self {
         self.options.deadline_s = Some(seconds);
@@ -1288,7 +1282,7 @@ impl CampaignRunner {
     }
 
     /// The execution core: runs every scenario not already `preloaded`
-    /// under supervision (panic isolation, watchdog, retry, chaos),
+    /// under supervision (panic isolation, deadline, retry, chaos),
     /// journals completions, and merges everything in input order.
     /// `parents` maps each expanded index to its Monte-Carlo parent
     /// (`None` for plain scenarios) and keys fleet grouping.
@@ -1322,7 +1316,6 @@ impl CampaignRunner {
             })
             .collect();
         let cache = self.options.warm_start.then(WarmCache::default);
-        let hits = AtomicUsize::new(0);
         let done = AtomicUsize::new(resumed);
         let collector = self.options.tracing.then(TraceCollector::new);
         // The campaign root span lives on track 0; scenario tracks are
@@ -1332,10 +1325,6 @@ impl CampaignRunner {
             let id = rec.begin("campaign", 0.0);
             (rec, id)
         });
-        let watchdog = self
-            .options
-            .deadline_s
-            .map(|d| Watchdog::spawn(units.len(), d));
         let journal_failure: Mutex<Option<JournalError>> = Mutex::new(None);
 
         // Journals one finished outcome and emits its progress line.
@@ -1370,28 +1359,21 @@ impl CampaignRunner {
             }
         };
 
-        let slots = try_parallel_map(units, self.options.threads, |slot, lanes| {
+        let slots = try_parallel_map(units, self.options.threads, |_, lanes| {
             let t0 = Instant::now();
-            let ctx = AttemptCtx {
-                watchdog: watchdog.as_ref(),
-                slot,
-            };
             let mut errors: Vec<ScenarioError> = Vec::new();
             let outs: Vec<(ScenarioOutcome, bool)> = loop {
                 let attempt = errors.len() as u32;
-                ctx.arm();
                 let caught = catch_unwind(AssertUnwindSafe(|| {
                     run_attempt(
                         &lanes,
                         attempt,
                         cache.as_ref(),
-                        &hits,
                         collector.as_ref(),
                         self.options.chaos.as_ref(),
-                        ctx,
+                        AttemptCtx::start(self.options.deadline_s),
                     )
                 }));
-                ctx.disarm();
                 let attempt_result = caught.unwrap_or_else(|payload| {
                     Err(ScenarioError::Panicked {
                         message: panic_message(payload.as_ref()),
@@ -1425,20 +1407,25 @@ impl CampaignRunner {
             // Wall time amortized over the unit: a group's lanes ran as one
             // lockstep batch.
             let lane_ms = t0.elapsed().as_secs_f64() * 1.0e3 / outs.len() as f64;
-            outs.into_iter()
-                .map(|(out, warm_hit)| {
-                    finish(&out, lane_ms, cache.as_ref().map(|_| warm_hit));
-                    out
-                })
-                .collect::<Vec<_>>()
+            for (out, warm_hit) in &outs {
+                finish(out, lane_ms, cache.as_ref().map(|_| *warm_hit));
+            }
+            outs
         });
-        drop(watchdog); // stops the scanner thread
 
         let mut outcomes = preloaded;
         outcomes.reserve(slots.len());
+        // Counted per scenario from the final outcomes, so retried and
+        // poisoned scenarios count at most once (poisoned ones never).
+        let mut warm_hits = 0;
         for (slot, result) in slots.into_iter().enumerate() {
             match result {
-                Ok(outs) => outcomes.extend(outs),
+                Ok(outs) => {
+                    for (out, warm_hit) in outs {
+                        warm_hits += usize::from(warm_hit);
+                        outcomes.push(out);
+                    }
+                }
                 // The supervised closure itself failed — convert the pool
                 // error into quarantined placeholders so the report still
                 // covers every scenario of the unit.
@@ -1481,7 +1468,7 @@ impl CampaignRunner {
             outcomes,
             threads: self.options.threads,
             wall_s: start.elapsed().as_secs_f64(),
-            warm_hits: hits.load(Ordering::Relaxed),
+            warm_hits,
             resumed,
             trace,
         })
@@ -1598,7 +1585,7 @@ fn run_fleet(
     fleet: &mut PlatformFleet,
     spec: &ScenarioSpec,
     runs: &mut [LaneRun],
-    ctx: AttemptCtx<'_>,
+    ctx: AttemptCtx,
 ) -> Result<(), Cancelled> {
     let dsp_rate = spec.config.dsp_rate.0;
     for step in &spec.steps {
@@ -1667,147 +1654,41 @@ const CANCEL_CHECK_TICKS: u64 = 1024;
 /// Ticks per [`Platform::step_block`] chunk inside [`run_for`].
 const RUN_BLOCK_TICKS: u64 = 4096;
 
-/// Marker error: the watchdog cancelled this attempt.
+/// Marker error: the attempt outlived its deadline.
 struct Cancelled;
 
-/// Per-attempt-slot watchdog state.
-struct WatchdogSlot {
-    armed: AtomicBool,
-    cancelled: AtomicBool,
-    armed_at_ms: AtomicU64,
-}
-
-/// State shared between workers and the scanner thread.
-struct WatchdogShared {
-    slots: Vec<WatchdogSlot>,
-    epoch: Instant,
-    deadline: Duration,
-    shutdown: AtomicBool,
-}
-
-impl WatchdogShared {
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
-    }
-}
-
-/// Deadline enforcement for scenario attempts: workers arm a slot when an
-/// attempt starts; a scanner thread marks slots whose attempt has
-/// outlived the deadline, and the worker observes the mark cooperatively
-/// (at step boundaries and run chunks) — the pool keeps draining while an
-/// overrunner winds down.
-struct Watchdog {
-    shared: Arc<WatchdogShared>,
-    scanner: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Watchdog {
-    fn spawn(slots: usize, deadline_s: f64) -> Self {
-        let shared = Arc::new(WatchdogShared {
-            slots: (0..slots)
-                .map(|_| WatchdogSlot {
-                    armed: AtomicBool::new(false),
-                    cancelled: AtomicBool::new(false),
-                    armed_at_ms: AtomicU64::new(0),
-                })
-                .collect(),
-            epoch: Instant::now(),
-            deadline: Duration::from_secs_f64(deadline_s.max(0.0)),
-            shutdown: AtomicBool::new(false),
-        });
-        let scan = Arc::clone(&shared);
-        let scanner = std::thread::spawn(move || {
-            let deadline_ms = scan.deadline.as_millis() as u64;
-            while !scan.shutdown.load(Ordering::SeqCst) {
-                let now = scan.now_ms();
-                for slot in &scan.slots {
-                    if slot.armed.load(Ordering::SeqCst)
-                        && now.saturating_sub(slot.armed_at_ms.load(Ordering::SeqCst)) > deadline_ms
-                    {
-                        slot.cancelled.store(true, Ordering::SeqCst);
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        });
-        Self {
-            shared,
-            scanner: Some(scanner),
-        }
-    }
-
-    fn deadline_s(&self) -> f64 {
-        self.shared.deadline.as_secs_f64()
-    }
-
-    fn arm(&self, slot: usize) {
-        let s = &self.shared.slots[slot];
-        s.cancelled.store(false, Ordering::SeqCst);
-        s.armed_at_ms.store(self.shared.now_ms(), Ordering::SeqCst);
-        s.armed.store(true, Ordering::SeqCst);
-    }
-
-    fn disarm(&self, slot: usize) {
-        self.shared.slots[slot].armed.store(false, Ordering::SeqCst);
-    }
-
-    fn cancelled(&self, slot: usize) -> bool {
-        self.shared.slots[slot].cancelled.load(Ordering::SeqCst)
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.scanner.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// A worker's handle on the watchdog for one scenario attempt (no-op when
-/// the watchdog is unarmed).
+/// A worker's deadline clock for one scenario attempt: when the clock
+/// started and the configured limit. The worker reads it at every check
+/// point ([`AttemptCtx::check`]); no other thread is involved, so an
+/// overrunning attempt winds down at its next check point while the pool
+/// keeps draining.
 #[derive(Clone, Copy)]
-struct AttemptCtx<'a> {
-    watchdog: Option<&'a Watchdog>,
-    slot: usize,
+struct AttemptCtx {
+    /// `(clock start, limit in seconds)`; `None` never cancels.
+    deadline: Option<(Instant, f64)>,
 }
 
-impl AttemptCtx<'_> {
-    /// A context with no watchdog (warm-prefix execution, tests).
-    const NONE: AttemptCtx<'static> = AttemptCtx {
-        watchdog: None,
-        slot: 0,
-    };
+impl AttemptCtx {
+    /// A clock that never runs out (warm-prefix execution).
+    const NONE: AttemptCtx = AttemptCtx { deadline: None };
 
-    fn arm(&self) {
-        if let Some(w) = self.watchdog {
-            w.arm(self.slot);
+    /// Starts an attempt's clock under the configured deadline, if any.
+    fn start(deadline_s: Option<f64>) -> Self {
+        Self {
+            deadline: deadline_s.map(|limit| (Instant::now(), limit)),
         }
     }
 
-    fn disarm(&self) {
-        if let Some(w) = self.watchdog {
-            w.disarm(self.slot);
+    /// `Err` once the attempt has been on the clock longer than its limit.
+    fn check(self) -> Result<(), Cancelled> {
+        match self.deadline {
+            Some((start, limit)) if start.elapsed().as_secs_f64() > limit => Err(Cancelled),
+            _ => Ok(()),
         }
     }
 
-    /// Observes a pending cancellation.
-    fn check(&self) -> Result<(), Cancelled> {
-        if self.cancelled() {
-            Err(Cancelled)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Whether the slot has been cancelled.
-    fn cancelled(&self) -> bool {
-        self.watchdog.is_some_and(|w| w.cancelled(self.slot))
-    }
-
-    fn deadline_s(&self) -> Option<f64> {
-        self.watchdog.map(Watchdog::deadline_s)
+    fn deadline_s(self) -> Option<f64> {
+        self.deadline.map(|(_, limit)| limit)
     }
 }
 
@@ -1960,8 +1841,8 @@ struct LaneRun {
 /// trace) and finalized (transitions, capture, recorder flag) here. A
 /// group's lanes step as one lockstep [`PlatformFleet`]; when the fleet
 /// refuses them they step one by one in this same attempt, with
-/// identical results. `Err` fails the whole attempt: a watchdog
-/// cancellation or a chaos stall (a panic propagates to the caller's
+/// identical results. `Err` fails the whole attempt: an overrun
+/// deadline or a chaos stall (a panic propagates to the caller's
 /// `catch_unwind` instead). `Ok` carries each lane's outcome plus
 /// whether its warm cache hit. Chaos injections fire before the platform
 /// is built, so an injected attempt never perturbs simulation state.
@@ -1970,14 +1851,12 @@ fn run_attempt(
     lanes: &[(usize, ScenarioSpec)],
     attempt: u32,
     cache: Option<&WarmCache>,
-    hits: &AtomicUsize,
     collector: Option<&TraceCollector>,
     chaos: Option<&ChaosPlan>,
-    ctx: AttemptCtx<'_>,
+    mut ctx: AttemptCtx,
 ) -> Result<Vec<(ScenarioOutcome, bool)>, ScenarioError> {
-    let timed_out = |_: Cancelled| ScenarioError::TimedOut {
-        deadline_s: ctx.deadline_s().unwrap_or(0.0),
-    };
+    let deadline_s = ctx.deadline_s().unwrap_or(0.0);
+    let timed_out = |_: Cancelled| ScenarioError::TimedOut { deadline_s };
     let mut runs: Vec<LaneRun> = Vec::with_capacity(lanes.len());
     for (index, spec) in lanes {
         let index = *index;
@@ -1987,16 +1866,13 @@ fn run_attempt(
                     panic!("chaos: injected worker panic (scenario {index}, attempt {attempt})")
                 }
                 ChaosInjection::Stall => {
-                    // A hung worker: sleeps until the watchdog cancels the
-                    // slot, capped so unsupervised chaos runs still end.
-                    // The recorded deadline is the configured limit (min
-                    // of watchdog deadline and cap), never measured time.
+                    // A hung worker: sleeps until the deadline, capped so
+                    // chaos runs without a deadline still end. The
+                    // recorded deadline is that configured limit, never
+                    // measured time.
                     let cap = plan.stall_cap_s.max(0.0);
                     let limit = ctx.deadline_s().map_or(cap, |d| d.min(cap));
-                    let t0 = Instant::now();
-                    while !ctx.cancelled() && t0.elapsed().as_secs_f64() < cap {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
+                    std::thread::sleep(Duration::try_from_secs_f64(limit).unwrap_or(Duration::MAX));
                     return Err(ScenarioError::TimedOut { deadline_s: limit });
                 }
                 ChaosInjection::None => {}
@@ -2054,12 +1930,6 @@ fn run_attempt(
 
         let prefix = cache.map_or(0, |_| settle_prefix_len(&spec.steps));
         let mut warm_hit = false;
-        // Warm-cache waits (blocking on a sibling's settle prefix) are not
-        // this scenario's own work: exclude them from the deadline budget
-        // by disarming around the cache access and re-arming after.
-        if prefix > 0 {
-            ctx.disarm();
-        }
         let (mut p, resume_at) = match cache {
             Some(cache) if prefix > 0 => {
                 let slot = cache.slot(warm_key(&config, &spec.steps[..prefix]));
@@ -2068,12 +1938,13 @@ fn run_attempt(
                     warmed_here = true;
                     warm_prefix(&config, &spec.steps[..prefix])
                 });
+                // The cache access (running the shared settle prefix, or
+                // blocking on a sibling that runs it) is not this
+                // scenario's own work: restart the clock after it.
+                ctx = AttemptCtx::start(ctx.deadline_s());
                 match checkpoint::restore(config.clone(), &entry.checkpoint) {
                     Ok(p) => {
                         warm_hit = !warmed_here;
-                        if warm_hit {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                        }
                         out.metrics.extend(entry.metrics.iter().cloned());
                         // Checkpoints skip telemetry: replay the prefix's
                         // transitions so warm outcomes match cold ones.
@@ -2093,9 +1964,6 @@ fn run_attempt(
             }
             _ => (Platform::new(config), 0),
         };
-        if prefix > 0 {
-            ctx.arm();
-        }
         if let Some(mut tr) = trace.take() {
             tr.annotate(span, "warm", if warm_hit { "hit" } else { "miss" });
             p.attach_trace(tr);
@@ -2183,7 +2051,7 @@ fn run_steps(
     steps: &[Step],
     duration_s: f64,
     out: &mut ScenarioOutcome,
-    ctx: AttemptCtx<'_>,
+    ctx: AttemptCtx,
 ) -> Result<(), Cancelled> {
     let mut scratch = Scratch::default();
     for step in steps {
@@ -2209,12 +2077,12 @@ fn run_steps(
 
 /// Advances `seconds` at `dsp_rate` through `step_block` — one platform's
 /// or a whole fleet's, with identical tick rounding to [`Platform::run`]
-/// — in [`RUN_BLOCK_TICKS`] chunks, so a pending watchdog cancellation is
-/// observed between chunks.
+/// — in [`RUN_BLOCK_TICKS`] chunks, so an overrun deadline is observed
+/// between chunks.
 fn run_for(
     seconds: f64,
     dsp_rate: f64,
-    ctx: AttemptCtx<'_>,
+    ctx: AttemptCtx,
     mut step_block: impl FnMut(u64),
 ) -> Result<(), Cancelled> {
     let mut ticks = (seconds * dsp_rate).round() as u64;
@@ -2228,12 +2096,12 @@ fn run_for(
 }
 
 /// Steps `p` until `pred` holds or `timeout_s` elapses; returns the
-/// simulation time at which the predicate first held. Heartbeats (and
-/// observes cancellation) every [`CANCEL_CHECK_TICKS`] ticks.
+/// simulation time at which the predicate first held. Checks the deadline
+/// every [`CANCEL_CHECK_TICKS`] ticks.
 fn run_until(
     p: &mut Platform,
     timeout_s: f64,
-    ctx: AttemptCtx<'_>,
+    ctx: AttemptCtx,
     mut pred: impl FnMut(&Platform) -> bool,
 ) -> Result<Option<f64>, Cancelled> {
     let ticks = (timeout_s * p.config().dsp_rate.0).round() as u64;
@@ -2250,7 +2118,7 @@ fn run_until(
 }
 
 /// Mean rate output (°/s) over `window_s`.
-fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx<'_>) -> Result<f64, Cancelled> {
+fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx) -> Result<f64, Cancelled> {
     let ticks = ((window_s * p.config().dsp_rate.0).round() as u64).max(1);
     let mut acc = 0.0;
     for i in 0..ticks {
@@ -2264,17 +2132,17 @@ fn mean_rate(p: &mut Platform, window_s: f64, ctx: AttemptCtx<'_>) -> Result<f64
 }
 
 /// Runs one step; `Ok(false)` means the remaining steps must be skipped
-/// (bring-up failure), `Err(Cancelled)` that the watchdog cancelled the
-/// attempt. Long uncancellable measurement primitives observe a pending
-/// cancellation at their boundary ([`AttemptCtx::check`]); tick-stepped
-/// loops observe it every [`CANCEL_CHECK_TICKS`] ticks.
+/// (bring-up failure), `Err(Cancelled)` that the attempt overran its
+/// deadline. Long uncancellable measurement primitives check the deadline
+/// at their boundary ([`AttemptCtx::check`]); tick-stepped loops check it
+/// every [`CANCEL_CHECK_TICKS`] ticks.
 #[allow(clippy::too_many_lines)]
 fn apply_step(
     p: &mut Platform,
     step: &Step,
     out: &mut ScenarioOutcome,
     scratch: &mut Scratch,
-    ctx: AttemptCtx<'_>,
+    ctx: AttemptCtx,
 ) -> Result<bool, Cancelled> {
     let push = |out: &mut ScenarioOutcome, name: &str, value: f64| {
         out.metrics.push((name.to_owned(), value));
@@ -2628,11 +2496,6 @@ mod tests {
         for index in 0..64 {
             assert_eq!(plan.decide(index, 0), plan.decide(index, 0));
             assert_eq!(plan.decide(index, 1), ChaosInjection::None);
-        }
-        let wider = plan.clone().with_persist_attempts(2);
-        for index in 0..64 {
-            assert_eq!(wider.decide(index, 1), wider.decide(index, 0));
-            assert_eq!(wider.decide(index, 2), ChaosInjection::None);
         }
     }
 

@@ -25,6 +25,33 @@ use std::fmt::Write as _;
 /// Row label for scenarios that inject no faults at all.
 pub const NO_FAULT_CLASS: &str = "none";
 
+/// Header line of the long-form CSV ([`CoverageMatrix::to_csv`]).
+const CSV_HEADER: &str = "scenario,fault_class,transition";
+
+/// A coverage baseline that is not a [`CoverageMatrix::to_csv`] dump: the
+/// header is missing, or a row lacks one of its three fields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BaselineError {
+    /// 1-based line number of the offending line.
+    pub line: usize,
+}
+
+impl std::fmt::Display for BaselineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.line == 1 {
+            write!(f, "coverage baseline lacks the `{CSV_HEADER}` header")
+        } else {
+            write!(
+                f,
+                "coverage baseline line {}: expected three non-empty fields `{CSV_HEADER}`",
+                self.line
+            )
+        }
+    }
+}
+
+impl std::error::Error for BaselineError {}
+
 /// Fault-class × supervisor-transition coverage matrix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageMatrix {
@@ -195,7 +222,7 @@ impl CoverageMatrix {
             }
         }
         rows.sort();
-        let mut s = String::from("scenario,fault_class,transition\n");
+        let mut s = format!("{CSV_HEADER}\n");
         for row in rows {
             s.push_str(&row);
             s.push('\n');
@@ -208,29 +235,58 @@ impl CoverageMatrix {
     ///
     /// Scenario names are deliberately ignored: renaming or merging
     /// scenarios is fine as long as the *cell* stays exercised.
-    #[must_use]
-    pub fn regressions(&self, baseline_csv: &str) -> Vec<(String, String)> {
+    ///
+    /// # Errors
+    ///
+    /// [`BaselineError`] when the baseline lacks the header or a row lacks
+    /// one of its three fields: a baseline that checks nothing must not
+    /// pass as one that found no regression. A header-only baseline is
+    /// valid (it covers no cell).
+    pub fn regressions(&self, baseline_csv: &str) -> Result<Vec<(String, String)>, BaselineError> {
+        let mut lines = baseline_csv.lines();
+        if lines.next().map(str::trim) != Some(CSV_HEADER) {
+            return Err(BaselineError { line: 1 });
+        }
         let current: BTreeSet<(&str, &str)> = self
             .cells
             .keys()
             .map(|(class, edge)| (class.as_str(), edge.as_str()))
             .collect();
         let mut lost = BTreeSet::new();
-        for line in baseline_csv.lines().skip(1) {
-            let mut fields = line.splitn(3, ',');
-            let (Some(_scenario), Some(class), Some(edge)) =
-                (fields.next(), fields.next(), fields.next())
-            else {
-                continue;
+        for (i, line) in lines.enumerate() {
+            let fields: Vec<&str> = line.splitn(3, ',').map(str::trim).collect();
+            let [_scenario, class, edge] = fields[..] else {
+                return Err(BaselineError { line: i + 2 });
             };
-            let (class, edge) = (class.trim(), edge.trim());
-            if class.is_empty() || edge.is_empty() {
-                continue;
+            if fields.iter().any(|f| f.is_empty()) {
+                return Err(BaselineError { line: i + 2 });
             }
             if !current.contains(&(class, edge)) {
                 lost.insert((class.to_owned(), edge.to_owned()));
             }
         }
-        lost.into_iter().collect()
+        Ok(lost.into_iter().collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn malformed_baselines_are_errors() {
+        let m = CoverageMatrix::default();
+        assert_eq!(m.regressions("garbage"), Err(BaselineError { line: 1 }));
+        assert_eq!(m.regressions(""), Err(BaselineError { line: 1 }));
+        let short_row = format!("{CSV_HEADER}\ns,adc_overload,init->normal\ns,adc_overload\n");
+        assert_eq!(m.regressions(&short_row), Err(BaselineError { line: 3 }));
+        let empty_field = format!("{CSV_HEADER}\ns,,init->normal\n");
+        assert_eq!(m.regressions(&empty_field), Err(BaselineError { line: 2 }));
+    }
+
+    #[test]
+    fn header_only_baseline_covers_nothing() {
+        let m = CoverageMatrix::default();
+        assert_eq!(m.regressions(&format!("{CSV_HEADER}\n")), Ok(Vec::new()));
     }
 }

@@ -5,9 +5,10 @@
 //! makes for healthy campaigns, extended to unhealthy ones.
 
 use ascp_core::campaign::{
-    CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ChaosInjection, ChaosPlan,
-    ScenarioError, ScenarioSpec, ScenarioStatus, Step,
+    CampaignObserver, CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ChaosInjection,
+    ChaosPlan, ScenarioError, ScenarioProgress, ScenarioSpec, ScenarioStatus, Step,
 };
+use std::sync::{Arc, Mutex};
 
 /// Runner with `threads` workers and otherwise default options.
 fn runner(threads: usize) -> CampaignRunner {
@@ -220,4 +221,103 @@ fn supervision_is_invisible_on_a_healthy_campaign() {
     assert_eq!(bare.to_csv(), supervised.to_csv());
     assert_eq!(supervised.retries_total(), 0);
     assert_eq!(supervised.timeouts_total(), 0);
+}
+
+/// Records the warm-start field of every progress callback.
+#[derive(Default)]
+struct WarmLog(Mutex<Vec<Option<bool>>>);
+
+impl CampaignObserver for WarmLog {
+    fn scenario_finished(&self, progress: &ScenarioProgress) {
+        self.0.lock().expect("log lock").push(progress.warm);
+    }
+}
+
+/// Two warm-start siblings: the same config, seed and settle prefix
+/// (`Run { prefix_s }`), then a zero-rate stimulus and `tail`.
+fn warm_siblings(prefix_s: f64, tail: &Step) -> Vec<ScenarioSpec> {
+    (0..2)
+        .map(|i| {
+            let config = PlatformConfig::builder().quiet().build().expect("valid");
+            ScenarioSpec::new(format!("w{i}"), config)
+                .with_seed(7)
+                .with_step(Step::Run { seconds: prefix_s })
+                .with_step(Step::SetRate { dps: 0.0 })
+                .with_step(tail.clone())
+        })
+        .collect()
+}
+
+/// `warm_hits` counts scenarios, not attempts: two siblings whose
+/// post-prefix run overruns the deadline on every attempt end poisoned,
+/// so neither counts as a cache hit, even though three of their four
+/// attempts restored the shared checkpoint. The report agrees with the
+/// per-scenario progress callbacks.
+#[test]
+fn warm_hits_count_scenarios_not_attempts() {
+    let log = Arc::new(WarmLog::default());
+    let report = configured(
+        CampaignOptions::builder()
+            .threads(2)
+            .warm_start(true)
+            .retries(1)
+            .deadline_s(0.02)
+            .observer(log.clone()),
+    )
+    // Ten simulated seconds: far past the deadline in any build.
+    .run(warm_siblings(0.005, &Step::Run { seconds: 10.0 }));
+    for o in &report.outcomes {
+        assert_eq!(o.status, ScenarioStatus::Poisoned, "{}", o.name);
+        assert_eq!(
+            o.attempt_errors,
+            vec![ScenarioError::TimedOut { deadline_s: 0.02 }; 2],
+            "{}",
+            o.name
+        );
+    }
+    let warm = log.0.lock().expect("log lock");
+    assert_eq!(warm.len(), 2);
+    let hits = warm.iter().filter(|&&w| w == Some(true)).count();
+    assert_eq!(report.warm_hits, hits);
+}
+
+/// Deadline of the warm-cache clock test, seconds.
+const DEADLINE_S: f64 = 0.1;
+
+/// That test's shared settle prefix, simulated seconds: about 0.5 s of
+/// wall time in a release build on a 2-vCPU host and about 1.5 s in a
+/// debug build, so several deadlines either way. The measurement after it
+/// (0.4 ms simulated) is hundreds of times shorter than the deadline.
+const PREFIX_S: f64 = 3.0;
+
+/// Time spent on the warm-start cache is off the deadline clock: the
+/// siblings' shared settle prefix takes several deadlines to run (and the
+/// sibling that waits for it blocks just as long), yet both finish their
+/// short measurement on the first attempt.
+#[test]
+fn warm_cache_time_is_off_the_deadline_clock() {
+    let report = configured(
+        CampaignOptions::builder()
+            .threads(2)
+            .warm_start(true)
+            .retries(0)
+            .deadline_s(DEADLINE_S),
+    )
+    .run(warm_siblings(
+        PREFIX_S,
+        &Step::MeasureMeanRate {
+            label: "rate".into(),
+            window_s: 0.0004,
+        },
+    ));
+    for o in &report.outcomes {
+        assert_eq!(o.status, ScenarioStatus::Done, "{}", o.name);
+        assert!(
+            o.attempt_errors.is_empty(),
+            "{}: {:?}",
+            o.name,
+            o.attempt_errors
+        );
+    }
+    assert_eq!(report.warm_hits, 1);
 }

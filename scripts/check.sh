@@ -78,18 +78,31 @@ echo "== kill -9 + resume (crash-recoverable journal) =="
 # SIGKILL the campaign mid-run, then re-run the same command line: the
 # journal resumes the completed scenarios and the merged CSV must be
 # byte-identical to the undisturbed run. The binary is exec'd directly so
-# the kill hits the campaign process, not a cargo wrapper.
+# the kill hits the campaign process, not a cargo wrapper. The kill lands
+# as soon as the journal outgrows its 20-byte header (first scenario
+# recorded), and the resume must report 1..10 of the 11 smoke scenarios:
+# a kill that missed the run, or found nothing journaled, fails the step.
 JOURNAL=target/experiments/kill_resume.journal
 rm -f "$JOURNAL"
 target/release/fault_campaign --smoke --threads 4 --journal "$JOURNAL" >/dev/null 2>&1 &
 campaign_pid=$!
-sleep 2
+polls=0
+while [ ! -f "$JOURNAL" ] || [ "$(wc -c <"$JOURNAL")" -le 20 ]; do
+    polls=$((polls + 1))
+    [ "$polls" -le 3000 ] || break # 30 s: the count check below reports it
+    sleep 0.01
+done
 kill -9 "$campaign_pid" 2>/dev/null || true
 wait "$campaign_pid" 2>/dev/null || true
-target/release/fault_campaign --smoke --threads 4 --journal "$JOURNAL"
+resume_log=target/experiments/kill_resume.log
+target/release/fault_campaign --smoke --threads 4 --journal "$JOURNAL" >"$resume_log"
+cat "$resume_log"
+resumed=$(sed -n 's/.*journal: resumed \([0-9]*\) completed scenario.*/\1/p' "$resume_log")
+[ -n "$resumed" ] && [ "$resumed" -ge 1 ] && [ "$resumed" -le 10 ] \
+    || { echo "kill did not land mid-run (resumed: ${resumed:-none}; want 1..10)" >&2; exit 1; }
 cmp target/experiments/fault_campaign.csv target/experiments/fault_campaign.reference.csv \
     || { echo "resumed campaign CSV differs from the undisturbed run" >&2; exit 1; }
-rm -f "$JOURNAL"
+rm -f "$JOURNAL" "$resume_log"
 
 echo "== kernel benches (short mode: build + run smoke, perf guard) =="
 # --short shrinks the measurement protocol ~10x; --check compares the
