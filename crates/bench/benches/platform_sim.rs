@@ -19,11 +19,31 @@ use ascp_mcu8051::asm::assemble;
 use ascp_mcu8051::cpu::{Cpu, NullBus};
 use ascp_mems::gyro::{GyroParams, RingGyro};
 use ascp_mems::resonator::Resonator;
+use ascp_sim::noise::{PinkNoise, WhiteNoise};
 use ascp_sim::telemetry::TelemetryConfig;
 
 fn main() {
     println!("== platform_sim ==");
     let mut all: Vec<BenchStats> = Vec::new();
+
+    // The noise layer: ns per Gaussian draw, round robin over as many
+    // sources as the gyro tick draws from (13 white; the two PGAs' 14-row
+    // pink ladders), so block refills interleave as they do in the tick.
+    const WHITE_SOURCES: u64 = 13;
+    let mut white: Vec<WhiteNoise> = (0..WHITE_SOURCES)
+        .map(|i| WhiteNoise::new(1.0, 0x5eed_0000 + i))
+        .collect();
+    let mut next = 0;
+    all.push(bench("noise/white_sample", || {
+        next = if next + 1 == white.len() { 0 } else { next + 1 };
+        white[next].sample()
+    }));
+    let mut pink = [PinkNoise::new(1.0, 14, 0x99), PinkNoise::new(1.0, 14, 0x98)];
+    let mut next = 0;
+    all.push(bench("noise/pink_sample", || {
+        next ^= 1;
+        pink[next].sample()
+    }));
 
     let mut res = Resonator::new(15_000.0, 2_000.0);
     all.push(bench("mems/resonator_zoh_step", || {
@@ -157,11 +177,11 @@ fn main() {
     // the structure-of-arrays lane kernels versus the same N stepped
     // independently — the hot path under the `monte_carlo` campaign axis.
     // The original acceptance bar was > 4x aggregate ticks/sec at
-    // N = 8–16; the honest measured result on this class of host is
-    // ~2x (see DESIGN.md §14: the per-lane Gaussian noise draws are
-    // inherently serial under the bit-exactness contract and dominate
-    // the tick), so the print reports against the 4x bar truthfully
-    // rather than moving the goalposts.
+    // N = 8–16. With scalar sources drawing their Gaussian noise in
+    // blocks through the same AVX2 kernel as the lanes, alternating runs
+    // on a 2-vCPU host read 1.47x median (quartiles 1.28–1.62; DESIGN.md
+    // §14), so the print reports against the 4x bar truthfully rather
+    // than moving the goalposts.
     const FLEET_N: usize = 16;
     let make_members = || -> Vec<Platform> {
         (0..FLEET_N)

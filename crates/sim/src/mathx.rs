@@ -144,8 +144,9 @@ pub fn box_muller(u1: f64, u2: f64) -> (f64, f64) {
 
 /// Batched [`box_muller`] over equal-length slices: `z_cos[i]` and
 /// `z_sin[i]` receive the pair for `(u1[i], u2[i])`. Bit-identical to the
-/// scalar function per lane; on x86-64 hosts with AVX2 or AVX-512 the
-/// loops run through a vectorized copy (same IEEE operations, same bits).
+/// scalar function per lane; on x86-64 hosts with AVX2 the loops run
+/// through a vectorized copy (same IEEE operations, same bits). There is
+/// deliberately no AVX-512 tier: AVX-512 hosts take the AVX2 copy.
 ///
 /// # Panics
 ///

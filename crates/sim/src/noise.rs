@@ -12,6 +12,18 @@
 //! measurement. Every source exposes `save_state`/`load_state` over the
 //! [`crate::snapshot`] primitives so the platform checkpoint can capture
 //! RNG streams bit-exactly mid-run.
+//!
+//! A seeded Gaussian stream is a fixed sequence: Box–Muller pair *k*
+//! turns the PRNG's next uniforms into `cos_k, sin_k`, and the stream
+//! reads `cos_0, sin_0, cos_1, sin_1, …` times sigma. [`WhiteNoise`]
+//! produces it 32 pairs at a time (one serial PRNG pass, then one batched
+//! [`mathx::box_muller_slice`] call) and hands the normals out one per
+//! draw. The block is a cache, not state: a saved source records its
+//! *logical* stream position, i.e. the PRNG state and cached sine half a
+//! generator drawing one pair at a time would hold after the same draws,
+//! and a restored source starts a fresh block from there. The *phase* of
+//! a source is likewise logical: whether its next draw is the sine half
+//! of a pair already drawn.
 
 use crate::mathx;
 use crate::snapshot::{SnapshotError, StateReader, StateWriter};
@@ -133,11 +145,99 @@ fn uniform_53_split(word: u64) -> f64 {
     ((hi - MAGIC) + lo) * (1.0 / (1u64 << 53) as f64)
 }
 
+/// Box–Muller pairs a [`WhiteNoise`] block holds: one refill draws this
+/// many pairs' uniforms and transforms them in one batch. Long enough for
+/// the AVX2 transform to run at throughput, short enough that a saved
+/// position is cheap to replay and a mostly idle source wastes little.
+const BLOCK_PAIRS: usize = 32;
+
+/// Unit normals per block, in stream order.
+const BLOCK_LEN: usize = 2 * BLOCK_PAIRS;
+
+/// One Box–Muller pair's uniforms as the stream takes them: `u1` redrawn
+/// until nonzero (`ln` needs `u1 > 0`; a zero has probability 2^-53),
+/// then `u2`.
+#[inline(always)]
+fn pair_uniforms(rng: &mut Rng64) -> (f64, f64) {
+    let u1 = loop {
+        let u = rng.next_f64();
+        if u > 0.0 {
+            break u;
+        }
+    };
+    (u1, rng.next_f64())
+}
+
+/// A block of unit normals in stream order (`cos_0, sin_0, cos_1, …`)
+/// and the PRNG state it was drawn from.
+#[derive(Debug, Clone)]
+struct NormalBlock {
+    /// PRNG state before the block's first pair.
+    start: u64,
+    /// Index of the next normal to hand out; `BLOCK_LEN` once spent.
+    next: usize,
+    z: [f64; BLOCK_LEN],
+}
+
+impl NormalBlock {
+    fn spent() -> Box<Self> {
+        Box::new(Self {
+            start: 0,
+            next: BLOCK_LEN,
+            z: [0.0; BLOCK_LEN],
+        })
+    }
+
+    fn is_live(&self) -> bool {
+        self.next < BLOCK_LEN
+    }
+
+    /// Draws the next `BLOCK_PAIRS` pairs from `rng`: the serial xorshift
+    /// pass first, then one batched transform (bit-identical to
+    /// [`mathx::box_muller`] per pair). Kept out of line so that
+    /// [`WhiteNoise::sample`], which calls it once per `BLOCK_LEN` draws,
+    /// stays small enough to inline into the per-tick models.
+    #[inline(never)]
+    fn refill(&mut self, rng: &mut Rng64) {
+        self.start = rng.state;
+        let mut u1 = [0.0; BLOCK_PAIRS];
+        let mut u2 = [0.0; BLOCK_PAIRS];
+        for (a, b) in u1.iter_mut().zip(&mut u2) {
+            (*a, *b) = pair_uniforms(rng);
+        }
+        let mut z_cos = [0.0; BLOCK_PAIRS];
+        let mut z_sin = [0.0; BLOCK_PAIRS];
+        mathx::box_muller_slice(&u1, &u2, &mut z_cos, &mut z_sin);
+        for ((pair, &c), &s) in self.z.chunks_exact_mut(2).zip(&z_cos).zip(&z_sin) {
+            pair[0] = c;
+            pair[1] = s;
+        }
+        self.next = 0;
+    }
+
+    /// The logical stream position after the normals handed out so far:
+    /// the PRNG state past the pairs they came from (replayed from
+    /// `start`) and, mid-pair, the pending sine half.
+    fn position(&self) -> (u64, Option<f64>) {
+        let mut rng = Rng64 { state: self.start };
+        for _ in 0..self.next.div_ceil(2) {
+            pair_uniforms(&mut rng);
+        }
+        let cached = (self.next % 2 == 1).then(|| self.z[self.next]);
+        (rng.state, cached)
+    }
+}
+
 /// Gaussian white-noise source (Box–Muller over a seeded PRNG).
 ///
 /// `sigma` is the standard deviation of each sample. For a band-limited
 /// process sampled at `fs`, a white density of `d` units/√Hz corresponds to
 /// `sigma = d * sqrt(fs / 2)`; use [`WhiteNoise::from_density`].
+///
+/// Normals come from a private block of 32 Box–Muller pairs, allocated
+/// at the first nonzero-sigma draw and refilled when spent (see the
+/// module docs); a source with `sigma == 0` never draws, so it neither
+/// advances its PRNG nor allocates.
 ///
 /// # Example
 ///
@@ -150,8 +250,12 @@ fn uniform_53_split(word: u64) -> f64 {
 #[derive(Debug, Clone)]
 pub struct WhiteNoise {
     sigma: f64,
+    /// PRNG state past the last pair drawn (the live block's end).
     rng: Rng64,
+    /// Sine half pending from a restored position; only set while no
+    /// block is live.
     cached: Option<f64>,
+    block: Option<Box<NormalBlock>>,
 }
 
 impl WhiteNoise {
@@ -170,6 +274,7 @@ impl WhiteNoise {
             sigma,
             rng: Rng64::new(seed),
             cached: None,
+            block: None,
         }
     }
 
@@ -196,40 +301,70 @@ impl WhiteNoise {
         if self.sigma == 0.0 {
             return 0.0;
         }
-        if let Some(z) = self.cached.take() {
+        if let Some(z) = self.cached {
+            self.cached = None;
             return z * self.sigma;
         }
-        // Box–Muller: two uniforms -> two independent normals, through the
-        // deterministic `mathx` kernels so scalar and SoA-lane execution
-        // produce identical bits.
-        let u1: f64 = loop {
-            let u = self.rng.next_f64();
-            if u > 0.0 {
-                break u;
-            }
-        };
-        let u2: f64 = self.rng.next_f64();
-        let (z_cos, z_sin) = mathx::box_muller(u1, u2);
-        self.cached = Some(z_sin);
-        z_cos * self.sigma
+        let block = self.block.get_or_insert_with(NormalBlock::spent);
+        if !block.is_live() {
+            block.refill(&mut self.rng);
+        }
+        let z = block.z[block.next];
+        block.next += 1;
+        z * self.sigma
     }
 
-    /// Serializes sigma, the PRNG, and the cached Box–Muller half-sample.
+    /// The logical stream position: PRNG state and pending sine half.
+    fn position(&self) -> (u64, Option<f64>) {
+        match &self.block {
+            Some(b) if b.is_live() => b.position(),
+            _ => (self.rng.state, self.cached),
+        }
+    }
+
+    /// Moves the stream to a logical position, dropping any live block.
+    fn set_position(&mut self, state: u64, cached: Option<f64>) {
+        self.rng.state = state;
+        self.cached = cached;
+        if let Some(b) = &mut self.block {
+            b.next = BLOCK_LEN;
+        }
+    }
+
+    /// Serializes sigma and the logical stream position: the PRNG state
+    /// and the cached Box–Muller half-sample (the block itself is not
+    /// saved).
     pub fn save_state(&self, w: &mut StateWriter) {
+        let (state, cached) = self.position();
         w.put_f64(self.sigma);
-        self.rng.save_state(w);
-        w.put_opt_f64(self.cached);
+        Rng64 { state }.save_state(w);
+        w.put_opt_f64(cached);
     }
 
     /// Restores the full source state (bit-exact continuation).
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input.
+    /// Propagates [`SnapshotError`] on malformed input; a negative or
+    /// non-finite sigma, or a non-finite cached half, is
+    /// [`SnapshotError::Corrupt`].
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.sigma = r.take_f64()?;
-        self.rng.load_state(r)?;
-        self.cached = r.take_opt_f64()?;
+        let sigma = r.take_f64()?;
+        if !sigma.is_finite() || sigma < 0.0 {
+            return Err(SnapshotError::Corrupt {
+                context: format!("white noise sigma {sigma}"),
+            });
+        }
+        let mut rng = Rng64 { state: 0 };
+        rng.load_state(r)?;
+        let cached = r.take_opt_f64()?;
+        if cached.is_some_and(|z| !z.is_finite()) {
+            return Err(SnapshotError::Corrupt {
+                context: format!("white noise cached half {cached:?}"),
+            });
+        }
+        self.sigma = sigma;
+        self.set_position(rng.state, cached);
         Ok(())
     }
 }
@@ -256,6 +391,10 @@ impl PinkNoise {
     #[must_use]
     pub fn new(sigma: f64, rows: usize, seed: u64) -> Self {
         assert!(rows > 0, "pink noise needs at least one row");
+        assert!(
+            sigma.is_finite() && sigma >= 0.0,
+            "noise sigma must be finite and non-negative, got {sigma}"
+        );
         let n = rows as f64;
         Self {
             white: WhiteNoise::new(1.0, seed),
@@ -289,18 +428,26 @@ impl PinkNoise {
     /// # Errors
     ///
     /// Propagates [`SnapshotError`] on malformed input; the saved row
-    /// ladder must be non-empty.
+    /// ladder must be non-empty and finite, and the scale finite and
+    /// non-negative.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.white.load_state(r)?;
         let rows = r.take_f64_vec()?;
-        if rows.is_empty() {
+        if rows.is_empty() || rows.iter().any(|v| !v.is_finite()) {
             return Err(SnapshotError::Corrupt {
-                context: "pink noise with zero rows".to_owned(),
+                context: "pink noise row ladder empty or not finite".to_owned(),
+            });
+        }
+        let counter = r.take_u64()?;
+        let scale = r.take_f64()?;
+        if !scale.is_finite() || scale < 0.0 {
+            return Err(SnapshotError::Corrupt {
+                context: format!("pink noise scale {scale}"),
             });
         }
         self.rows = rows;
-        self.counter = r.take_u64()?;
-        self.scale = r.take_f64()?;
+        self.counter = counter;
+        self.scale = scale;
         Ok(())
     }
 }
@@ -308,7 +455,8 @@ impl PinkNoise {
 /// Structure-of-arrays mirror of N [`WhiteNoise`] sources stepping in
 /// lockstep — the fleet execution path.
 ///
-/// Extraction captures each lane's PRNG walk, Box–Muller cache and sigma;
+/// Extraction captures each lane's logical stream position (PRNG state
+/// and cached Box–Muller half, see the module docs) and sigma;
 /// [`WhiteLanes::sample`] then advances every lane by exactly one draw,
 /// with the expensive `ln`/`sincos`/`sqrt` work batched over contiguous
 /// arrays (see [`crate::mathx`]) so it auto-vectorizes. Per-lane outputs
@@ -316,8 +464,10 @@ impl PinkNoise {
 /// the property the fleet's byte-identical-CSV contract rests on.
 ///
 /// Lockstep requires a *uniform* lane population: every lane on the same
-/// Box–Muller phase, and sigmas either all zero or all nonzero (a
-/// zero-sigma source never advances its PRNG). [`WhiteLanes::extract`]
+/// logical Box–Muller phase, and sigmas either all zero or all nonzero (a
+/// zero-sigma source never advances its PRNG). A source's block does not
+/// enter into it: extraction reads the logical position, and
+/// [`WhiteLanes::restore`] drops any live block. [`WhiteLanes::extract`]
 /// returns `None` when the population is mixed; callers fall back to
 /// scalar sampling.
 #[derive(Debug, Clone)]
@@ -344,14 +494,15 @@ impl WhiteLanes {
         let mut cached = Vec::new();
         let mut phase: Option<bool> = None;
         for s in sources {
+            let (st, c) = s.position();
             match phase {
-                None => phase = Some(s.cached.is_some()),
-                Some(p) if p != s.cached.is_some() => return None,
+                None => phase = Some(c.is_some()),
+                Some(p) if p != c.is_some() => return None,
                 Some(_) => {}
             }
             sigma.push(s.sigma);
-            state.push(s.rng.state);
-            cached.push(s.cached.unwrap_or(0.0));
+            state.push(st);
+            cached.push(c.unwrap_or(0.0));
         }
         let n = sigma.len();
         let zeros = sigma.iter().filter(|&&s| s == 0.0).count();
@@ -372,16 +523,16 @@ impl WhiteLanes {
     }
 
     /// Writes the lane state back into the sources (same order and count
-    /// as extraction).
+    /// as extraction), dropping their live blocks.
     pub fn restore<'a>(&self, sources: impl Iterator<Item = &'a mut WhiteNoise>) {
         for (l, s) in sources.enumerate() {
-            s.rng.state = self.state[l];
-            s.cached = if self.has_cached {
-                Some(self.cached[l])
-            } else {
-                None
-            };
+            s.set_position(self.state[l], self.lane_cached(l));
         }
+    }
+
+    /// Lane `l`'s pending sine half, in [`WhiteNoise`]'s representation.
+    fn lane_cached(&self, l: usize) -> Option<f64> {
+        self.has_cached.then(|| self.cached[l])
     }
 
     /// Number of lanes.
@@ -510,7 +661,8 @@ impl PinkLanes {
     }
 
     /// Writes the lane state back into the sources (row ladder, counter,
-    /// and the inner white source's PRNG walk and cache).
+    /// and the inner white source's logical position; its live block is
+    /// dropped).
     pub fn restore<'a>(&self, sources: impl Iterator<Item = &'a mut PinkNoise>) {
         let n = self.scale.len();
         for (l, s) in sources.enumerate() {
@@ -518,12 +670,8 @@ impl PinkLanes {
                 s.rows[r] = self.rows[r * n + l];
             }
             s.counter = self.counter;
-            s.white.rng.state = self.white.state[l];
-            s.white.cached = if self.white.has_cached {
-                Some(self.white.cached[l])
-            } else {
-                None
-            };
+            s.white
+                .set_position(self.white.state[l], self.white.lane_cached(l));
         }
     }
 
@@ -587,11 +735,13 @@ impl RandomWalk {
     /// Advances the walk and returns the new state.
     pub fn sample(&mut self) -> f64 {
         self.state += self.white.sample();
-        // Reflect at the limit so the bias stays physically bounded.
+        // Reflect at the limit so the bias stays physically bounded. An
+        // increment of more than twice the limit would bounce past the
+        // opposite bound; it stops there instead.
         if self.state > self.limit {
-            self.state = 2.0 * self.limit - self.state;
+            self.state = (2.0 * self.limit - self.state).max(-self.limit);
         } else if self.state < -self.limit {
-            self.state = -2.0 * self.limit - self.state;
+            self.state = (-2.0 * self.limit - self.state).min(self.limit);
         }
         self.state
     }
@@ -613,11 +763,25 @@ impl RandomWalk {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input.
+    /// Propagates [`SnapshotError`] on malformed input; a limit that is
+    /// not positive, or a state outside `±limit`, is
+    /// [`SnapshotError::Corrupt`].
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.white.load_state(r)?;
-        self.state = r.take_f64()?;
-        self.limit = r.take_f64()?;
+        let state = r.take_f64()?;
+        let limit = r.take_f64()?;
+        if limit.is_nan() || limit <= 0.0 {
+            return Err(SnapshotError::Corrupt {
+                context: format!("random walk limit {limit}"),
+            });
+        }
+        if !state.is_finite() || state.abs() > limit {
+            return Err(SnapshotError::Corrupt {
+                context: format!("random walk state {state} outside ±{limit}"),
+            });
+        }
+        self.state = state;
+        self.limit = limit;
         Ok(())
     }
 }
@@ -694,7 +858,11 @@ mod tests {
     #[test]
     fn white_noise_zero_sigma_is_silent() {
         let mut n = WhiteNoise::new(0.0, 3);
-        assert!((0..10).all(|_| n.sample() == 0.0));
+        assert!((0..3 * BLOCK_LEN).all(|_| n.sample() == 0.0));
+        // Silent sources neither advance nor allocate a block.
+        assert!(n.block.is_none());
+        assert_eq!(n.rng, Rng64::new(3));
+        assert_eq!(saved(&n), saved(&WhiteNoise::new(0.0, 3)));
     }
 
     #[test]
@@ -813,5 +981,318 @@ mod tests {
         let mut w = RandomWalk::new(0.1, 10.0, 13);
         let s = w.sample();
         assert_eq!(s, w.value());
+    }
+
+    /// Reference generator: one Box–Muller pair per two draws, the sine
+    /// half cached in between. This defines the stream; every block-path
+    /// draw and saved byte must match it.
+    #[derive(Clone)]
+    struct PerDrawWhite {
+        sigma: f64,
+        rng: Rng64,
+        cached: Option<f64>,
+    }
+
+    impl PerDrawWhite {
+        fn new(sigma: f64, state: u64) -> Self {
+            Self {
+                sigma,
+                rng: Rng64 { state },
+                cached: None,
+            }
+        }
+
+        fn sample(&mut self) -> f64 {
+            if self.sigma == 0.0 {
+                return 0.0;
+            }
+            if let Some(z) = self.cached.take() {
+                return z * self.sigma;
+            }
+            let u1 = loop {
+                let u = self.rng.next_f64();
+                if u > 0.0 {
+                    break u;
+                }
+            };
+            let u2 = self.rng.next_f64();
+            let (z_cos, z_sin) = mathx::box_muller(u1, u2);
+            self.cached = Some(z_sin);
+            z_cos * self.sigma
+        }
+
+        fn saved(&self) -> Vec<u8> {
+            let mut w = StateWriter::new();
+            w.put_f64(self.sigma);
+            self.rng.save_state(&mut w);
+            w.put_opt_f64(self.cached);
+            w.into_bytes()
+        }
+    }
+
+    fn saved(n: &WhiteNoise) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        n.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    fn white_with_state(sigma: f64, state: u64) -> WhiteNoise {
+        let mut n = WhiteNoise::new(sigma, 0);
+        n.rng.state = state;
+        n
+    }
+
+    /// The state one xorshift advance came from (each xor-shift step is
+    /// undone by xoring in every multiple of its shift).
+    fn xorshift_prev(x: u64) -> u64 {
+        fn unshift(y: u64, k: u32, left: bool) -> u64 {
+            let mut x = y;
+            let mut s = k;
+            while s < 64 {
+                x ^= if left { y << s } else { y >> s };
+                s += k;
+            }
+            x
+        }
+        unshift(unshift(unshift(x, 27, false), 25, true), 12, false)
+    }
+
+    /// A PRNG state whose stream draws `u1 == 0` for Box–Muller pair
+    /// `pair`, forcing the rejection redraw there.
+    fn state_rejecting_at(pair: usize) -> u64 {
+        const MUL: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut inv = MUL;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)));
+        }
+        // The state after the zero draw: its output word is below 2^11.
+        let mut state = 0x5a5u64.wrapping_mul(inv);
+        for _ in 0..=2 * pair {
+            state = xorshift_prev(state);
+        }
+        let mut probe = Rng64 { state };
+        for _ in 0..2 * pair {
+            probe.next_u64();
+        }
+        assert_eq!(probe.next_f64(), 0.0, "crafted state must draw a zero");
+        state
+    }
+
+    #[test]
+    fn block_path_matches_per_draw_reference_at_every_offset() {
+        let streams = [
+            (1.0, Rng64::new(7).state),
+            (0.37, state_rejecting_at(BLOCK_PAIRS + 5)),
+        ];
+        for (sigma, start) in streams {
+            for offset in 0..=4 * BLOCK_PAIRS {
+                let mut block = white_with_state(sigma, start);
+                let mut reference = PerDrawWhite::new(sigma, start);
+                for k in 0..offset {
+                    assert_eq!(
+                        block.sample().to_bits(),
+                        reference.sample().to_bits(),
+                        "sigma {sigma} offset {offset} draw {k}"
+                    );
+                }
+                let bytes = saved(&block);
+                assert_eq!(bytes, reference.saved(), "saved bytes at offset {offset}");
+                // The target holds a live block of its own that the load
+                // must drop.
+                let mut restored = WhiteNoise::new(2.0, 99);
+                restored.sample();
+                restored
+                    .load_state(&mut StateReader::new(&bytes))
+                    .expect("round trip");
+                assert_eq!(saved(&restored), bytes, "re-saved at offset {offset}");
+                for k in 0..BLOCK_LEN + 3 {
+                    let want = reference.sample().to_bits();
+                    assert_eq!(block.sample().to_bits(), want, "offset {offset} +{k}");
+                    assert_eq!(restored.sample().to_bits(), want, "restored {offset} +{k}");
+                }
+                assert_eq!(saved(&block), reference.saved());
+                assert_eq!(saved(&restored), reference.saved());
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_extract_from_mid_block_positions() {
+        // Odd offsets stop mid-pair (a pending sine half), even ones on a
+        // pair boundary; both inside the first and the second block.
+        for offset in [5usize, 12, BLOCK_LEN + 7, BLOCK_LEN + 30] {
+            let mut white: Vec<WhiteNoise> = (0..5)
+                .map(|l| WhiteNoise::new(0.5 + l as f64 * 0.1, 300 + l as u64))
+                .collect();
+            let mut pink: Vec<PinkNoise> = (0..5)
+                .map(|l| PinkNoise::new(0.3 + l as f64 * 0.05, 14, 400 + l as u64))
+                .collect();
+            for _ in 0..offset {
+                for s in &mut white {
+                    s.sample();
+                }
+                for s in &mut pink {
+                    s.sample();
+                }
+            }
+            let mut white_twin = white.clone();
+            let mut pink_twin = pink.clone();
+            let mut white_lanes = WhiteLanes::extract(white.iter()).expect("uniform phase");
+            let mut pink_lanes = PinkLanes::extract(pink.iter()).expect("uniform phase");
+            let mut out = vec![0.0; 5];
+            for tick in 0..BLOCK_LEN + 9 {
+                white_lanes.sample(&mut out);
+                for (l, s) in white_twin.iter_mut().enumerate() {
+                    assert_eq!(
+                        out[l].to_bits(),
+                        s.sample().to_bits(),
+                        "white {offset} {tick}"
+                    );
+                }
+                pink_lanes.sample(&mut out);
+                for (l, s) in pink_twin.iter_mut().enumerate() {
+                    assert_eq!(
+                        out[l].to_bits(),
+                        s.sample().to_bits(),
+                        "pink {offset} {tick}"
+                    );
+                }
+            }
+            // Restoring drops the sources' stale blocks and continues the
+            // lanes' streams.
+            white_lanes.restore(white.iter_mut());
+            pink_lanes.restore(pink.iter_mut());
+            for (a, b) in white.iter_mut().zip(&mut white_twin) {
+                assert_eq!(saved(a), saved(b));
+                for _ in 0..BLOCK_LEN + 3 {
+                    assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+                }
+            }
+            for (a, b) in pink.iter_mut().zip(&mut pink_twin) {
+                for _ in 0..BLOCK_LEN + 3 {
+                    assert_eq!(a.sample().to_bits(), b.sample().to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn pink_noise_rejects_nan_sigma() {
+        let _ = PinkNoise::new(f64::NAN, 14, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn pink_noise_rejects_negative_sigma() {
+        let _ = PinkNoise::new(-2.0, 14, 1);
+    }
+
+    /// A saved white source with the given sigma and cached half and a
+    /// healthy PRNG.
+    fn white_bytes(sigma: f64, cached: Option<f64>) -> StateWriter {
+        let mut w = StateWriter::new();
+        w.put_f64(sigma);
+        w.put_u64(Rng64::new(1).state);
+        w.put_opt_f64(cached);
+        w
+    }
+
+    fn is_corrupt(result: Result<(), SnapshotError>) -> bool {
+        matches!(result, Err(SnapshotError::Corrupt { .. }))
+    }
+
+    #[test]
+    fn white_noise_decoder_rejects_bad_state() {
+        for sigma in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let bytes = white_bytes(sigma, None).into_bytes();
+            let result = WhiteNoise::new(1.0, 0).load_state(&mut StateReader::new(&bytes));
+            assert!(is_corrupt(result), "sigma {sigma} loaded");
+        }
+        for z in [f64::NAN, f64::INFINITY] {
+            let bytes = white_bytes(1.0, Some(z)).into_bytes();
+            let result = WhiteNoise::new(1.0, 0).load_state(&mut StateReader::new(&bytes));
+            assert!(is_corrupt(result), "cached half {z} loaded");
+        }
+        for (sigma, cached) in [(0.0, None), (1.0, Some(-0.7))] {
+            let bytes = white_bytes(sigma, cached).into_bytes();
+            let mut n = WhiteNoise::new(1.0, 0);
+            n.load_state(&mut StateReader::new(&bytes))
+                .expect("valid state");
+        }
+    }
+
+    #[test]
+    fn pink_noise_decoder_rejects_bad_state() {
+        let pink = |row: f64, scale: f64| {
+            let mut w = white_bytes(1.0, None);
+            w.put_f64_slice(&[0.1, row, -0.2]);
+            w.put_u64(3);
+            w.put_f64(scale);
+            w.into_bytes()
+        };
+        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            let bytes = pink(0.0, scale);
+            let result = PinkNoise::new(1.0, 14, 0).load_state(&mut StateReader::new(&bytes));
+            assert!(is_corrupt(result), "scale {scale} loaded");
+        }
+        for row in [f64::NAN, f64::NEG_INFINITY] {
+            let bytes = pink(row, 0.25);
+            let result = PinkNoise::new(1.0, 14, 0).load_state(&mut StateReader::new(&bytes));
+            assert!(is_corrupt(result), "row {row} loaded");
+        }
+        let mut p = PinkNoise::new(1.0, 14, 0);
+        p.load_state(&mut StateReader::new(&pink(0.0, 0.25)))
+            .expect("valid state");
+    }
+
+    #[test]
+    fn random_walk_decoder_rejects_bad_limit_or_state() {
+        let walk = |state: f64, limit: f64| {
+            let mut w = white_bytes(0.1, None);
+            w.put_f64(state);
+            w.put_f64(limit);
+            w.into_bytes()
+        };
+        let bad = [
+            (0.0, -1.0),
+            (0.0, 0.0),
+            (0.0, f64::NAN),
+            (0.0, f64::NEG_INFINITY),
+            (1.5, 1.0),
+            (-1.5, 1.0),
+            (f64::NAN, 1.0),
+            (f64::INFINITY, f64::INFINITY),
+        ];
+        for (state, limit) in bad {
+            let bytes = walk(state, limit);
+            let result = RandomWalk::new(0.1, 1.0, 0).load_state(&mut StateReader::new(&bytes));
+            assert!(is_corrupt(result), "state {state} limit {limit} loaded");
+        }
+        // `new` accepts an infinite limit, so the decoder does too.
+        for (state, limit) in [(0.5, 1.0), (-1.0, 1.0), (3.0, f64::INFINITY)] {
+            let mut w = RandomWalk::new(0.1, 1.0, 0);
+            w.load_state(&mut StateReader::new(&walk(state, limit)))
+                .expect("valid walk");
+        }
+    }
+
+    #[test]
+    fn random_walk_stays_within_limit_under_large_increments() {
+        // Increments ~10x the limit would reflect past the opposite bound.
+        let mut w = RandomWalk::new(10.0, 1.0, 17);
+        for _ in 0..1000 {
+            let v = w.sample();
+            assert!(v.abs() <= 1.0, "walk escaped limit: {v}");
+        }
+        let mut bytes = StateWriter::new();
+        w.save_state(&mut bytes);
+        let mut restored = RandomWalk::new(0.1, 5.0, 0);
+        restored
+            .load_state(&mut StateReader::new(bytes.bytes()))
+            .expect("a walked state loads");
+        for _ in 0..100 {
+            assert_eq!(w.sample().to_bits(), restored.sample().to_bits());
+        }
     }
 }

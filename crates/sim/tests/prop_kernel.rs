@@ -2,6 +2,7 @@
 //! reproducibility and trace bookkeeping for arbitrary inputs.
 
 use ascp_sim::noise::{PinkNoise, RandomWalk, WhiteNoise};
+use ascp_sim::snapshot::{StateReader, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::trace::Trace;
 use ascp_sim::{RateDivider, TimeBase};
@@ -54,6 +55,32 @@ proptest! {
         let mut b = WhiteNoise::new(sigma, seed);
         for _ in 0..32 {
             prop_assert_eq!(a.sample(), b.sample());
+        }
+    }
+
+    #[test]
+    fn white_noise_save_load_continues_the_stream(
+        seed in any::<u64>(),
+        zero_or_sigma in (0u8..4, 0.0f64..10.0),
+        k in 0usize..200,
+        m in 1usize..100,
+    ) {
+        // A quarter of the cases are silent sources.
+        let sigma = if zero_or_sigma.0 == 0 { 0.0 } else { zero_or_sigma.1 };
+        let mut whole = WhiteNoise::new(sigma, seed);
+        let stream: Vec<u64> = (0..k + m).map(|_| whole.sample().to_bits()).collect();
+        let mut a = WhiteNoise::new(sigma, seed);
+        for want in &stream[..k] {
+            prop_assert_eq!(a.sample().to_bits(), *want);
+        }
+        let mut w = StateWriter::new();
+        a.save_state(&mut w);
+        let mut b = WhiteNoise::new(1.5, seed ^ 0x55);
+        b.sample();
+        prop_assert!(b.load_state(&mut StateReader::new(w.bytes())).is_ok());
+        for want in &stream[k..] {
+            prop_assert_eq!(a.sample().to_bits(), *want);
+            prop_assert_eq!(b.sample().to_bits(), *want);
         }
     }
 
