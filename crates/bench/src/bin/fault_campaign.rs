@@ -19,9 +19,7 @@
 //! `.coverage.csv`). The process exits non-zero if any fault class goes
 //! undetected — `--smoke` runs the same sweep but skips the (slow)
 //! recovery measurements. `--check-coverage <baseline.csv>` additionally
-//! fails the run when a previously-exercised coverage cell goes dark, and
-//! `--serve-metrics <addr>` serves live Prometheus metrics while the
-//! campaign runs.
+//! fails the run when a previously-exercised coverage cell goes dark.
 //!
 //! # Supervision, chaos, and crash recovery
 //!
@@ -42,7 +40,9 @@
 //! coverage regressions), `2` infrastructure errors (journal I/O, an
 //! unreadable or malformed coverage baseline).
 
-use ascp_bench::harness::{check_coverage, run_to_exit, Args, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{
+    check_coverage, run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE,
+};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::prelude::*;
 use ascp_sim::fault::AdcChannel;
@@ -190,11 +190,10 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
         }
     );
 
-    let metrics_server = args.metrics_server();
     let mut options = CampaignOptions::builder()
         .threads(threads)
         .tracing(true)
-        .progress(true);
+        .observer(Arc::new(ProgressLines));
     if chaos {
         let seed = args.chaos_seed.unwrap_or(CHAOS_SEED);
         options = options.chaos(ChaosPlan::new(seed).with_stall_cap_s(CHAOS_STALL_CAP_S));
@@ -203,9 +202,6 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
     if let Some(deadline) = args.deadline_s {
         options = options.deadline_s(deadline);
         println!("  watchdog: per-scenario deadline {deadline} s");
-    }
-    if let Some(server) = &metrics_server {
-        options = options.observer(Arc::new(server.clone()));
     }
     let runner = CampaignRunner::with_options(options.build()?);
     let journal_path = args.journal.clone();
@@ -226,10 +222,6 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
         }
         None => runner.run(scenarios),
     };
-    if let Some(server) = &metrics_server {
-        server.publish(report.to_telemetry().to_prometheus());
-    }
-
     for o in &report.outcomes {
         print!("  {:<20}", o.name);
         if o.failed() {

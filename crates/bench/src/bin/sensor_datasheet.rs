@@ -30,7 +30,7 @@
 //! coverage cell goes dark.
 
 use ascp_bench::harness::{
-    check_coverage, repo_root_path, run_to_exit, Args, EXIT_SCENARIO_FAILURE,
+    check_coverage, repo_root_path, run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE,
 };
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::datasheet::{FaultCoverage, SensorColumn};
@@ -305,7 +305,7 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
     let runner = CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)
-            .progress(true)
+            .observer(Arc::new(ProgressLines))
             .build()?,
     );
     let mut report = runner.run(gyro_scenarios(smoke));

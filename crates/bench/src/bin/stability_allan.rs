@@ -30,7 +30,7 @@
 //! produces byte-identical samples to the run that saved the checkpoint
 //! continuing past it.
 
-use ascp_bench::harness::{run_to_exit, Args, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::characterize::RateSensor;
 use ascp_core::checkpoint;
@@ -99,15 +99,10 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
                 settle_s: 0.5,
             });
         println!("stability: locking, then recording 40 s of zero-rate output ...");
-        let metrics_server = args.metrics_server();
-        let mut options = CampaignOptions::builder().threads(threads).progress(true);
-        if let Some(server) = &metrics_server {
-            options = options.observer(Arc::new(server.clone()));
-        }
+        let options = CampaignOptions::builder()
+            .threads(threads)
+            .observer(Arc::new(ProgressLines));
         let report = CampaignRunner::with_options(options.build()?).run(vec![spec]);
-        if let Some(server) = &metrics_server {
-            server.publish(report.to_telemetry().to_prometheus());
-        }
         if report.poisoned() > 0 {
             eprintln!(
                 "stability_allan: capture scenario poisoned: {:?}",

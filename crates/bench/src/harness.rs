@@ -10,11 +10,7 @@ use ascp_core::campaign::{CampaignObserver, ScenarioProgress};
 use ascp_core::coverage::CoverageMatrix;
 use std::error::Error;
 use std::io;
-use std::io::{Read as _, Write as _};
-use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -155,7 +151,6 @@ Shared campaign-bin options:
   --journal PATH        crash-recoverable campaign journal (resumes if present)
   --checkpoint PATH     save a settled platform checkpoint after bring-up
   --resume PATH         restore a settled platform checkpoint
-  --serve-metrics ADDR  live Prometheus endpoint (e.g. 127.0.0.1:9464)
   --check PATH          bench-trajectory baseline to check against
   --check-coverage PATH coverage-matrix baseline to check against
   --help                print this help and exit";
@@ -195,8 +190,6 @@ pub struct Args {
     pub checkpoint: Option<String>,
     /// `--resume PATH`: restore a settled platform checkpoint.
     pub resume: Option<String>,
-    /// `--serve-metrics ADDR`: live Prometheus endpoint address.
-    pub serve_metrics: Option<String>,
     /// `--check PATH`: bench-trajectory baseline, repo-root relative.
     pub check: Option<PathBuf>,
     /// `--check-coverage PATH`: coverage-matrix baseline.
@@ -216,7 +209,6 @@ impl Default for Args {
             journal: None,
             checkpoint: None,
             resume: None,
-            serve_metrics: None,
             check: None,
             check_coverage: None,
         }
@@ -313,9 +305,6 @@ impl Args {
                     out.checkpoint = Some(next_value("checkpoint", inline, &mut args)?);
                 }
                 "resume" => out.resume = Some(next_value("resume", inline, &mut args)?),
-                "serve-metrics" => {
-                    out.serve_metrics = Some(next_value("serve-metrics", inline, &mut args)?);
-                }
                 "check" => {
                     out.check = Some(repo_root_path(next_value("check", inline, &mut args)?));
                 }
@@ -327,129 +316,17 @@ impl Args {
         }
         Ok(Some(out))
     }
-
-    /// Builds a [`MetricsServer`] when `--serve-metrics` was given. A
-    /// bind failure is reported on stderr and ignored (observability must
-    /// never kill the run it observes).
-    #[must_use]
-    pub fn metrics_server(&self) -> Option<MetricsServer> {
-        let addr = self.serve_metrics.as_deref()?;
-        match MetricsServer::bind(addr) {
-            Ok(server) => {
-                println!("serving live metrics on http://{}/metrics", server.addr());
-                Some(server)
-            }
-            Err(e) => {
-                eprintln!("warning: --serve-metrics {addr}: bind failed ({e}); continuing without");
-                None
-            }
-        }
-    }
 }
 
-/// A std-only Prometheus scrape endpoint for live campaign observability.
-///
-/// Binds a TCP listener and serves the most recently published
-/// ([`MetricsServer::publish`]) exposition body to every HTTP request on a
-/// detached thread — no HTTP framework, no async runtime, no registry
-/// access. Point a Prometheus scrape job (or `curl`) at the address while
-/// a long campaign runs to watch scenario progress live.
-///
-/// The server also implements [`CampaignObserver`]: attach it to a
-/// [`CampaignRunner`](ascp_core::campaign::CampaignRunner) via
-/// `CampaignOptions::builder().observer(..)` and it self-updates `ascp_campaign_scenarios_completed`
-/// / `ascp_campaign_recorder_triggers` gauges as scenarios finish, in
-/// addition to whatever body the driver publishes.
-#[derive(Debug, Clone)]
-pub struct MetricsServer {
-    addr: std::net::SocketAddr,
-    body: Arc<Mutex<String>>,
-    completed: Arc<AtomicU64>,
-    triggered: Arc<AtomicU64>,
-}
+/// Campaign observer that prints each finished scenario's
+/// [`ScenarioProgress`] line on stdout, in completion order. The campaign
+/// bins install it with `CampaignOptions::builder().observer(..)`.
+#[derive(Debug, Clone, Copy)]
+pub struct ProgressLines;
 
-impl MetricsServer {
-    /// Binds `addr` (e.g. `127.0.0.1:9464`, or port `0` for an ephemeral
-    /// port) and starts the serving thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error if the address cannot be bound.
-    pub fn bind(addr: &str) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let server = Self {
-            addr: listener.local_addr()?,
-            body: Arc::new(Mutex::new(String::new())),
-            completed: Arc::new(AtomicU64::new(0)),
-            triggered: Arc::new(AtomicU64::new(0)),
-        };
-        let worker = server.clone();
-        std::thread::Builder::new()
-            .name("metrics-server".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    let Ok(stream) = stream else { continue };
-                    worker.serve_one(stream);
-                }
-            })?;
-        Ok(server)
-    }
-
-    /// The bound address (useful with port `0`).
-    #[must_use]
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Replaces the published exposition body (Prometheus text format).
-    pub fn publish(&self, exposition: String) {
-        *self.body.lock().expect("metrics body lock") = exposition;
-    }
-
-    /// The current exposition body: the published text plus the live
-    /// campaign-progress gauges maintained by the observer hook.
-    #[must_use]
-    pub fn exposition(&self) -> String {
-        let mut body = self.body.lock().expect("metrics body lock").clone();
-        let _ = std::fmt::Write::write_fmt(
-            &mut body,
-            format_args!(
-                "# TYPE ascp_campaign_scenarios_completed gauge\n\
-                 ascp_campaign_scenarios_completed {}\n\
-                 # TYPE ascp_campaign_recorder_triggers gauge\n\
-                 ascp_campaign_recorder_triggers {}\n",
-                self.completed.load(Ordering::Relaxed),
-                self.triggered.load(Ordering::Relaxed),
-            ),
-        );
-        body
-    }
-
-    /// Answers one HTTP request with the current exposition. The request
-    /// is read (bounded) and discarded: every path serves the metrics.
-    fn serve_one(&self, mut stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf = [0u8; 1024];
-        let _ = stream.read(&mut buf);
-        let body = self.exposition();
-        let response = format!(
-            "HTTP/1.1 200 OK\r\n\
-             Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-             Content-Length: {}\r\n\
-             Connection: close\r\n\r\n{body}",
-            body.len()
-        );
-        let _ = stream.write_all(response.as_bytes());
-    }
-}
-
-impl CampaignObserver for MetricsServer {
+impl CampaignObserver for ProgressLines {
     fn scenario_finished(&self, progress: &ScenarioProgress) {
-        self.completed
-            .store(progress.completed as u64, Ordering::Relaxed);
-        if progress.triggered {
-            self.triggered.fetch_add(1, Ordering::Relaxed);
-        }
+        println!("{progress}");
     }
 }
 
@@ -732,8 +609,6 @@ mod tests {
             "--checkpoint=cp.bin",
             "--resume",
             "cp.bin",
-            "--serve-metrics",
-            "127.0.0.1:0",
             "--check-coverage",
             "cov.csv",
         ])
@@ -747,7 +622,6 @@ mod tests {
         assert_eq!(args.journal.as_deref(), Some("j.bin"));
         assert_eq!(args.checkpoint.as_deref(), Some("cp.bin"));
         assert_eq!(args.resume.as_deref(), Some("cp.bin"));
-        assert_eq!(args.serve_metrics.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(args.check_coverage.as_deref(), Some("cov.csv"));
     }
 
@@ -804,7 +678,6 @@ mod tests {
             "--journal",
             "--checkpoint",
             "--resume",
-            "--serve-metrics",
             "--check",
             "--check-coverage",
             "--help",
@@ -847,40 +720,6 @@ mod tests {
         assert_eq!(parsed[0].0, "platform/dsp_tick_no_cpu");
         assert!((parsed[0].1 - 950.5).abs() < 1e-9);
         assert!((parsed[1].1 - 55.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn metrics_server_serves_published_body_over_loopback() {
-        let server = MetricsServer::bind("127.0.0.1:0").expect("bind loopback");
-        server.publish("# TYPE ascp_up gauge\nascp_up 1\n".to_owned());
-        server.scenario_finished(&ScenarioProgress {
-            index: 0,
-            total: 2,
-            name: "smoke".to_owned(),
-            wall_ms: 1.0,
-            warm: None,
-            triggered: true,
-            completed: 1,
-            retries: 0,
-            status: ascp_core::campaign::ScenarioStatus::Done,
-        });
-
-        let mut stream = TcpStream::connect(server.addr()).expect("connect");
-        stream
-            .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .expect("request");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("response");
-        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
-        assert!(response.contains("ascp_up 1"), "{response}");
-        assert!(
-            response.contains("ascp_campaign_scenarios_completed 1"),
-            "{response}"
-        );
-        assert!(
-            response.contains("ascp_campaign_recorder_triggers 1"),
-            "{response}"
-        );
     }
 
     #[test]

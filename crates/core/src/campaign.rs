@@ -133,7 +133,7 @@ use ascp_sim::fault::FaultPlan;
 use ascp_sim::snapshot::fnv1a64;
 use ascp_sim::stats;
 use ascp_sim::telemetry::trace::{SpanId, TraceCollector, TraceLog};
-use ascp_sim::telemetry::{CaptureBundle, Event, Telemetry, TelemetryConfig, TelemetrySnapshot};
+use ascp_sim::telemetry::{CaptureBundle, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use ascp_sim::units::{Celsius, DegPerSec, Hertz};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -645,7 +645,7 @@ pub struct ScenarioOutcome {
     /// catalog order (coverage-matrix rows).
     pub fault_classes: Vec<&'static str>,
     /// Supervisor `(from, to)` transitions observed, in order
-    /// (coverage-matrix columns). Empty when telemetry is disabled.
+    /// (coverage-matrix columns; see [`Platform::transitions`]).
     pub transitions: Vec<(&'static str, &'static str)>,
     /// Flight-recorder capture, when the scenario armed a recorder and a
     /// trigger fired. Captures are **not** journaled: a resumed campaign
@@ -742,20 +742,19 @@ impl CampaignReport {
     }
 
     /// Total retry attempts across the campaign (the
-    /// `ascp_campaign_retries_total` counter).
+    /// `campaign.retries_total` counter of [`CampaignReport::to_telemetry`]).
     #[must_use]
     pub fn retries_total(&self) -> u64 {
         self.outcomes.iter().map(|o| o.retries() as u64).sum()
     }
 
-    /// Total timed-out attempts (the `ascp_campaign_timeouts_total`
-    /// counter).
+    /// Total timed-out attempts (the `campaign.timeouts_total` counter).
     #[must_use]
     pub fn timeouts_total(&self) -> u64 {
         self.attempt_error_count(|e| matches!(e, ScenarioError::TimedOut { .. }))
     }
 
-    /// Total panicked attempts (the `ascp_campaign_panics_total` counter).
+    /// Total panicked attempts (the `campaign.panics_total` counter).
     #[must_use]
     pub fn panics_total(&self) -> u64 {
         self.attempt_error_count(|e| matches!(e, ScenarioError::Panicked { .. }))
@@ -848,7 +847,8 @@ impl CampaignReport {
     }
 }
 
-/// One line of campaign progress, emitted as each scenario finishes.
+/// One scenario's progress record, handed to the [`CampaignObserver`] as
+/// the scenario finishes. `Display` renders it as one progress line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioProgress {
     /// Input index of the finished scenario.
@@ -896,8 +896,8 @@ impl std::fmt::Display for ScenarioProgress {
 }
 
 /// Receives per-scenario progress callbacks from a running campaign (e.g.
-/// a live metrics endpoint). Callbacks arrive from worker threads in
-/// completion order.
+/// `ascp_bench::harness::ProgressLines`, which prints one line per
+/// scenario). Callbacks arrive from worker threads in completion order.
 pub trait CampaignObserver: Send + Sync {
     /// Called once per scenario, as it finishes.
     fn scenario_finished(&self, progress: &ScenarioProgress);
@@ -916,7 +916,6 @@ pub struct CampaignOptions {
     threads: usize,
     warm_start: bool,
     tracing: bool,
-    progress: bool,
     observer: Option<Arc<dyn CampaignObserver>>,
     max_retries: u32,
     deadline_s: Option<f64>,
@@ -929,7 +928,6 @@ impl std::fmt::Debug for CampaignOptions {
             .field("threads", &self.threads)
             .field("warm_start", &self.warm_start)
             .field("tracing", &self.tracing)
-            .field("progress", &self.progress)
             .field("observer", &self.observer.is_some())
             .field("max_retries", &self.max_retries)
             .field("deadline_s", &self.deadline_s)
@@ -939,14 +937,13 @@ impl std::fmt::Debug for CampaignOptions {
 }
 
 impl Default for CampaignOptions {
-    /// One worker per available hardware thread; warm-start, tracing and
-    /// progress off; one immediate retry; no deadline, no chaos.
+    /// One worker per available hardware thread; warm-start and tracing
+    /// off; no observer; one immediate retry; no deadline, no chaos.
     fn default() -> Self {
         Self {
             threads: available_parallelism(),
             warm_start: false,
             tracing: false,
-            progress: false,
             observer: None,
             max_retries: 1,
             deadline_s: None,
@@ -980,12 +977,6 @@ impl CampaignOptions {
     #[must_use]
     pub fn tracing(&self) -> bool {
         self.tracing
-    }
-
-    /// Whether per-scenario progress lines are printed.
-    #[must_use]
-    pub fn progress(&self) -> bool {
-        self.progress
     }
 
     /// Configured retry budget (attempts beyond the first).
@@ -1043,14 +1034,9 @@ impl CampaignOptionsBuilder {
         self
     }
 
-    /// Enables (or disables) one-line per-scenario progress on stdout.
-    #[must_use]
-    pub fn progress(mut self, enabled: bool) -> Self {
-        self.options.progress = enabled;
-        self
-    }
-
-    /// Installs a progress observer (e.g. a live metrics endpoint).
+    /// Installs a progress observer, called once per finished scenario
+    /// (e.g. `ascp_bench::harness::ProgressLines` for one line per
+    /// scenario on stdout).
     #[must_use]
     pub fn observer(mut self, observer: Arc<dyn CampaignObserver>) -> Self {
         self.options.observer = Some(observer);
@@ -1327,7 +1313,7 @@ impl CampaignRunner {
         });
         let journal_failure: Mutex<Option<JournalError>> = Mutex::new(None);
 
-        // Journals one finished outcome and emits its progress line.
+        // Journals one finished outcome and reports it to the observer.
         let finish = |out: &ScenarioOutcome, wall_ms: f64, warm: Option<bool>| {
             if let Some(writer) = writer {
                 if let Err(e) = writer.append(out) {
@@ -1338,8 +1324,8 @@ impl CampaignRunner {
                 }
             }
             let completed = done.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.options.progress || self.options.observer.is_some() {
-                let progress = ScenarioProgress {
+            if let Some(obs) = self.options.observer.as_deref() {
+                obs.scenario_finished(&ScenarioProgress {
                     index: out.index,
                     total,
                     name: out.name.clone(),
@@ -1349,13 +1335,7 @@ impl CampaignRunner {
                     completed,
                     retries: out.retries(),
                     status: out.status,
-                };
-                if self.options.progress {
-                    println!("{progress}");
-                }
-                if let Some(obs) = self.options.observer.as_deref() {
-                    obs.scenario_finished(&progress);
-                }
+                });
             }
         };
 
@@ -1700,22 +1680,11 @@ struct WarmEntry {
     checkpoint: Vec<u8>,
     metrics: Vec<(String, f64)>,
     /// Supervisor transitions the prefix produced. Checkpoints skip
-    /// telemetry, so a restored platform starts with an empty event log;
-    /// replaying these keeps warm outcomes byte-identical to cold ones.
+    /// [`Platform::transitions`], so a restored platform starts with an
+    /// empty list; replaying these keeps warm outcomes byte-identical to
+    /// cold ones.
     transitions: Vec<(&'static str, &'static str)>,
     aborted: bool,
-}
-
-/// Supervisor `(from, to)` transition pairs retained in the event log.
-fn scrape_transitions(p: &Platform) -> Vec<(&'static str, &'static str)> {
-    p.telemetry()
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::SupervisorTransition { from, to, .. } => Some((*from, *to)),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Keyed settle-checkpoint store shared by all campaign workers.
@@ -1799,7 +1768,7 @@ fn warm_prefix(config: &PlatformConfig, prefix: &[Step]) -> WarmEntry {
     WarmEntry {
         checkpoint: checkpoint::save(&p),
         metrics: out.metrics,
-        transitions: scrape_transitions(&p),
+        transitions: p.transitions().to_vec(),
         aborted,
     }
 }
@@ -1946,8 +1915,9 @@ fn run_attempt(
                     Ok(p) => {
                         warm_hit = !warmed_here;
                         out.metrics.extend(entry.metrics.iter().cloned());
-                        // Checkpoints skip telemetry: replay the prefix's
-                        // transitions so warm outcomes match cold ones.
+                        // Checkpoints skip the transition list: replay the
+                        // prefix's transitions so warm outcomes match cold
+                        // ones.
                         out.transitions.extend(entry.transitions.iter().copied());
                         let resume_at = if entry.aborted {
                             spec.steps.len()
@@ -2023,7 +1993,7 @@ fn run_attempt(
     let mut outs = Vec::with_capacity(runs.len());
     for mut run in runs {
         if let Some(mut p) = run.platform {
-            run.out.transitions.extend(scrape_transitions(&p));
+            run.out.transitions.extend_from_slice(p.transitions());
             run.out.capture = p.take_capture();
             if p.recorder().is_some() {
                 run.out.metrics.push((
@@ -2319,7 +2289,7 @@ fn apply_step(
 mod tests {
     use super::*;
     use crate::platform::FleetIneligible;
-    use ascp_sim::fault::FaultKind;
+    use ascp_sim::fault::{AdcChannel, FaultKind};
     use ascp_sim::telemetry::RecorderConfig;
 
     fn quick_cfg() -> PlatformConfig {
@@ -2391,6 +2361,53 @@ mod tests {
         spec.config.analog_oversample = 0;
         let report = runner(1).run(vec![spec]);
         assert_eq!(report.outcomes[0].metric("config_valid"), Some(0.0));
+    }
+
+    /// Outcome transitions come from the platform's own list, not from the
+    /// 1024-slot telemetry event ring: a permanent ADC overload floods the
+    /// ring with thousands of `AdcClip` events, which would evict the
+    /// early transitions, and a telemetry-off platform records no events.
+    #[test]
+    fn transitions_survive_a_flooded_event_ring_and_telemetry_off() {
+        let overload = |name: &str, channel| {
+            let mut faults = FaultPlan::new();
+            faults.permanent(
+                FaultKind::AdcOverload {
+                    channel,
+                    gain: 50.0,
+                },
+                0.7,
+            );
+            ScenarioSpec::new(name, quick_cfg())
+                .with_faults(faults)
+                .with_step(Step::WaitReady { timeout_s: 2.0 })
+                .with_step(Step::Run { seconds: 3.0 })
+        };
+        let mut silent_cfg = quick_cfg();
+        silent_cfg.telemetry = TelemetryConfig::disabled();
+        let silent = ScenarioSpec::new("telemetry_off", silent_cfg)
+            .with_faults({
+                let mut f = FaultPlan::new();
+                f.one_shot(FaultKind::PllUnlock, 0.7, 0.1);
+                f
+            })
+            .with_step(Step::WaitReady { timeout_s: 2.0 })
+            .with_step(Step::Run { seconds: 1.0 });
+        let report = runner(2).run(vec![
+            overload("flooded", AdcChannel::Secondary),
+            overload("flooded_primary", AdcChannel::Primary),
+            silent,
+        ]);
+        for o in &report.outcomes {
+            assert_eq!(
+                o.transitions.first(),
+                Some(&("init", "normal")),
+                "{}: {:?}",
+                o.name,
+                o.transitions
+            );
+            assert!(o.transitions.len() >= 2, "{}: {:?}", o.name, o.transitions);
+        }
     }
 
     /// Sixteen scenarios sharing one settle recipe (same config, same

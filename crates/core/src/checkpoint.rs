@@ -32,7 +32,8 @@
 //! - the [`PlatformConfig`] itself: a restore target is built from a
 //!   caller-supplied config, and the stored digest rejects a mismatched
 //!   one with [`CheckpointError::ConfigMismatch`];
-//! - telemetry (metrics, events, stage profiles): observability output,
+//! - telemetry (metrics, events, stage profiles) and the supervisor
+//!   transition list ([`Platform::transitions`]): observability output,
 //!   deliberately excluded so that restoring never double-counts history.
 //!
 //! # Example

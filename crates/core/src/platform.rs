@@ -35,7 +35,7 @@ use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::telemetry::trace::{SpanId, TraceRecorder};
 use ascp_sim::telemetry::{
     CaptureBundle, Event, FlightRecorder, SignalFrame, Telemetry, TelemetryConfig,
-    TelemetrySnapshot,
+    TelemetrySnapshot, CAPTURE_EVENTS,
 };
 use ascp_sim::trace::{Trace, TraceSet};
 use ascp_sim::units::{Celsius, DegPerSec, Hertz, Seconds, Volts};
@@ -578,6 +578,9 @@ pub struct Platform {
     recorder: Option<FlightRecorder>,
     /// Attached span recorder (campaign tracing). Observability only.
     trace: Option<TraceRecorder>,
+    /// Supervisor `(from, to)` transitions in order. Observability only:
+    /// never checkpointed, so a restored platform starts empty.
+    transitions: Vec<(&'static str, &'static str)>,
 }
 
 impl std::fmt::Debug for Platform {
@@ -739,6 +742,7 @@ impl Platform {
                 .armed()
                 .then(|| FlightRecorder::new(config.telemetry.recorder.clone())),
             trace: None,
+            transitions: Vec::new(),
             config,
         };
         platform.apply_afe_registers();
@@ -1302,6 +1306,7 @@ impl Platform {
         self.supervisor.poll(&sample, &mut self.telemetry);
         let state = self.supervisor.state();
         if state != prev_state {
+            self.transitions.push((prev_state.label(), state.label()));
             if let Some(tr) = self.trace.as_mut() {
                 tr.instant(
                     format!("supervisor {}->{}", prev_state.label(), state.label()),
@@ -1330,35 +1335,26 @@ impl Platform {
     /// only the *first* freeze ever populates the capture, so a cascade
     /// still reports its initial failure.
     fn check_recorder_triggers(&mut self, prev_state: SupervisorState, prev_faults: u64, t: f64) {
-        let Some(rec) = self.recorder.as_ref() else {
-            return;
-        };
-        if rec.is_frozen() {
+        if self.recorder.as_ref().is_none_or(FlightRecorder::is_frozen) {
             return;
         }
-        let cfg = rec.config().clone();
         let state = self.supervisor.state();
-        let cause = if cfg.trigger_safe_state
-            && state == SupervisorState::SafeState
-            && prev_state != SupervisorState::SafeState
-        {
-            Some("safe_state")
-        } else if cfg.trigger_degraded
-            && prev_state == SupervisorState::Normal
-            && state != SupervisorState::Normal
-        {
-            Some("degraded")
-        } else if cfg.trigger_check_fail && self.supervisor.faults_detected() > prev_faults {
-            Some("check_fail")
-        } else {
-            None
-        };
+        let cause =
+            if state == SupervisorState::SafeState && prev_state != SupervisorState::SafeState {
+                Some("safe_state")
+            } else if prev_state == SupervisorState::Normal && state != SupervisorState::Normal {
+                Some("degraded")
+            } else if self.supervisor.faults_detected() > prev_faults {
+                Some("check_fail")
+            } else {
+                None
+            };
         let Some(cause) = cause else {
             return;
         };
         let events: Vec<Event> = {
             let log = self.telemetry.events();
-            let skip = log.len().saturating_sub(cfg.event_capacity);
+            let skip = log.len().saturating_sub(CAPTURE_EVENTS);
             log.iter().skip(skip).cloned().collect()
         };
         let registers = self.key_registers();
@@ -1407,6 +1403,16 @@ impl Platform {
     /// Mutable access to the attached span recorder.
     pub fn trace_mut(&mut self) -> Option<&mut TraceRecorder> {
         self.trace.as_mut()
+    }
+
+    /// Supervisor `(from, to)` state transitions since construction, in
+    /// order. Unlike the bounded telemetry event ring, nothing evicts
+    /// them and they are kept with telemetry off. Like telemetry they are
+    /// not checkpointed: a [`checkpoint::restore`](crate::checkpoint::restore)d
+    /// platform starts with an empty list.
+    #[must_use]
+    pub fn transitions(&self) -> &[(&'static str, &'static str)] {
+        &self.transitions
     }
 
     /// The flight recorder, when armed.

@@ -175,8 +175,8 @@ fn watchdog_cancels_overrunning_scenarios_at_the_configured_deadline() {
     assert_eq!(report.outcomes[1].status, ScenarioStatus::Done);
 }
 
-/// Supervision events flow through telemetry: the Prometheus exposition
-/// carries the retry/timeout/panic counters with the `ascp_` prefix.
+/// Supervision events flow through telemetry: the JSON export carries the
+/// retry/timeout/panic/poisoned counters.
 #[test]
 fn supervision_counters_reach_prometheus_and_json() {
     let seed = chaos_seed_with_both(8);
@@ -192,16 +192,15 @@ fn supervision_counters_reach_prometheus_and_json() {
         snap.counter("campaign.retries_total"),
         report.retries_total()
     );
-    let prom = snap.to_prometheus();
+    let json = snap.to_json();
     for needle in [
-        "ascp_campaign_retries_total",
-        "ascp_campaign_timeouts_total",
-        "ascp_campaign_panics_total",
-        "ascp_campaign_poisoned_scenarios",
+        "\"campaign.retries_total\"",
+        "\"campaign.timeouts_total\"",
+        "\"campaign.panics_total\"",
+        "\"campaign.poisoned_scenarios\"",
     ] {
-        assert!(prom.contains(needle), "{needle} missing from:\n{prom}");
+        assert!(json.contains(needle), "{needle} missing from:\n{json}");
     }
-    assert!(snap.to_json().contains("campaign.retries_total"));
 }
 
 /// A healthy campaign under full supervision (watchdog armed, retry

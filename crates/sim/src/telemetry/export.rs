@@ -1,8 +1,9 @@
-//! Snapshot exporters: JSON, Prometheus text exposition, human summary.
+//! The JSON snapshot exporter, the one metrics view.
 //!
-//! All three render a [`TelemetrySnapshot`](super::TelemetrySnapshot) —
-//! the immutable view captured at the end of a run — so exporting never
-//! races the simulation and the formats cannot drift apart.
+//! It renders a [`TelemetrySnapshot`](super::TelemetrySnapshot) — the
+//! immutable view captured at the end of a run — so exporting never races
+//! the simulation. The event encoding is shared with the flight
+//! recorder's capture bundles.
 
 use super::{Event, TelemetrySnapshot};
 use std::fmt::Write as _;
@@ -74,22 +75,6 @@ pub(crate) fn event_json(e: &Event) -> String {
         Event::PllUnlocked { .. } => {}
     }
     format!("{{{}}}", fields.join(","))
-}
-
-/// Maps a dotted metric name to a Prometheus-legal one
-/// (`adc.conversions` → `ascp_adc_conversions`).
-#[must_use]
-pub fn prometheus_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 5);
-    out.push_str("ascp_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
 }
 
 impl TelemetrySnapshot {
@@ -175,111 +160,5 @@ impl TelemetrySnapshot {
         let _ = writeln!(s, "  \"events_dropped\": {}", self.events_dropped);
         s.push_str("}\n");
         s
-    }
-
-    /// Serializes the snapshot in the Prometheus text exposition format.
-    ///
-    /// Every non-comment line is `name value` or `name{label="v"} value`;
-    /// comment lines start with `#`. Counters get the conventional
-    /// `_total` suffix, per-stage timings come out as one
-    /// `ascp_stage_seconds_total{stage="..."}` family, and per-kind event
-    /// totals as `ascp_telemetry_events_total{kind="..."}`.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        for (name, v) in &self.counters {
-            let p = prometheus_name(name);
-            let _ = writeln!(s, "# TYPE {p}_total counter");
-            let _ = writeln!(s, "{p}_total {v}");
-        }
-        for (name, v) in &self.gauges {
-            let p = prometheus_name(name);
-            let _ = writeln!(s, "# TYPE {p} gauge");
-            let _ = writeln!(s, "{p} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let p = prometheus_name(name);
-            let _ = writeln!(s, "# TYPE {p} histogram");
-            let mut cumulative = 0u64;
-            for (le, c) in &h.buckets {
-                cumulative += c;
-                let _ = writeln!(s, "{p}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(s, "{p}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(s, "{p}_sum {}", h.sum);
-            let _ = writeln!(s, "{p}_count {}", h.count);
-        }
-        if !self.stages.is_empty() {
-            let _ = writeln!(s, "# TYPE ascp_stage_seconds_total counter");
-            for st in &self.stages {
-                let _ = writeln!(
-                    s,
-                    "ascp_stage_seconds_total{{stage=\"{}\"}} {}",
-                    st.stage, st.seconds
-                );
-            }
-        }
-        if !self.event_counts.is_empty() {
-            let _ = writeln!(s, "# TYPE ascp_telemetry_events_total counter");
-            for (kind, n) in &self.event_counts {
-                let _ = writeln!(s, "ascp_telemetry_events_total{{kind=\"{kind}\"}} {n}");
-            }
-        }
-        let _ = writeln!(s, "# TYPE ascp_sim_time_seconds gauge");
-        let _ = writeln!(s, "ascp_sim_time_seconds {}", self.sim_time_s);
-        s
-    }
-}
-
-impl std::fmt::Display for TelemetrySnapshot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "telemetry @ t = {:.3} s ({} events, {} dropped)",
-            self.sim_time_s, self.events_total, self.events_dropped
-        )?;
-        if !self.counters.is_empty() {
-            writeln!(f, "  counters:")?;
-            for (n, v) in &self.counters {
-                writeln!(f, "    {n:<28} {v}")?;
-            }
-        }
-        if !self.gauges.is_empty() {
-            writeln!(f, "  gauges:")?;
-            for (n, v) in &self.gauges {
-                writeln!(f, "    {n:<28} {v:.6}")?;
-            }
-        }
-        if !self.histograms.is_empty() {
-            writeln!(f, "  histograms:")?;
-            for (n, h) in &self.histograms {
-                writeln!(
-                    f,
-                    "    {n:<28} n={} mean={:.3e} max={:.3e}",
-                    h.count,
-                    h.mean,
-                    h.max.unwrap_or(0.0)
-                )?;
-            }
-        }
-        if !self.stages.is_empty() {
-            writeln!(f, "  stage breakdown:")?;
-            for st in &self.stages {
-                writeln!(
-                    f,
-                    "    {:<28} {:>10.3} ms  ({:>5.1} %)",
-                    st.stage,
-                    st.seconds * 1.0e3,
-                    st.share * 100.0
-                )?;
-            }
-        }
-        for e in self.events.iter().take(12) {
-            writeln!(f, "  event @ {:>9.4} s  {}", e.time(), e.kind())?;
-        }
-        if self.events.len() > 12 {
-            writeln!(f, "  ... {} more events", self.events.len() - 12)?;
-        }
-        Ok(())
     }
 }

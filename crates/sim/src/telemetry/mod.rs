@@ -13,9 +13,9 @@
 //!   acquisition, DSP chain, CPU slice, register sync), sampled every Nth
 //!   tick so instrumentation stays well under the run cost.
 //!
-//! Everything is exported from an immutable [`TelemetrySnapshot`]: JSON
-//! (`to_json`), Prometheus text (`to_prometheus`) or a human summary
-//! (`Display`). A disabled `Telemetry` reduces every recording call to a
+//! Everything is exported from an immutable [`TelemetrySnapshot`] as one
+//! JSON document (`to_json`), the `*.metrics.json` artifact every bench
+//! bin writes. A disabled `Telemetry` reduces every recording call to a
 //! single branch — the hot path allocates nothing either way.
 //!
 //! # Example
@@ -28,8 +28,7 @@
 //! tele.gauge_set("pll.frequency_hz", 14_980.0);
 //! tele.record_event(Event::PllLocked { t: 0.12, frequency_hz: 14_980.0 });
 //! let snap = tele.snapshot(0.5);
-//! assert!(snap.to_json().contains("adc.conversions"));
-//! assert!(snap.to_prometheus().contains("ascp_adc_conversions_total 1024"));
+//! assert!(snap.to_json().contains("\"adc.conversions\": 1024"));
 //! ```
 
 mod events;
@@ -39,26 +38,27 @@ mod registry;
 pub mod trace;
 
 pub use events::{Event, EventLog};
-pub use export::prometheus_name;
-pub use recorder::{CaptureBundle, FlightRecorder, RecorderConfig, SignalFrame};
+pub use recorder::{CaptureBundle, FlightRecorder, RecorderConfig, SignalFrame, CAPTURE_EVENTS};
 pub use registry::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, HISTOGRAM_MIN};
 pub use trace::{SpanId, TraceCollector, TraceLog, TraceRecorder};
 
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+/// Events retained by an enabled collector's ring buffer.
+pub const EVENT_CAPACITY: usize = 1024;
+
+/// Stage wall-times are profiled on every Nth tick.
+///
+/// `Instant::now()` costs tens of nanoseconds; sampling keeps the overhead
+/// of six timestamps per tick far below the ≈µs tick cost.
+pub const PROFILE_EVERY: u32 = 64;
+
 /// Telemetry collection settings.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryConfig {
     /// Master switch: `false` turns every recording call into a no-op.
     pub enabled: bool,
-    /// Maximum events retained by the ring buffer.
-    pub event_capacity: usize,
-    /// Profile stage wall-times on every Nth profiling tick (1 = always).
-    ///
-    /// `Instant::now()` costs tens of nanoseconds; sampling keeps the
-    /// overhead of six timestamps per tick far below the ≈µs tick cost.
-    pub profile_every: u32,
     /// Flight-recorder settings (disarmed by default). Pure observability:
     /// excluded from the platform config digest, never checkpointed.
     pub recorder: RecorderConfig,
@@ -68,8 +68,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             enabled: true,
-            event_capacity: 1024,
-            profile_every: 64,
             recorder: RecorderConfig::default(),
         }
     }
@@ -115,11 +113,7 @@ impl Telemetry {
     #[must_use]
     pub fn new(config: TelemetryConfig) -> Self {
         Self {
-            events: EventLog::new(if config.enabled {
-                config.event_capacity
-            } else {
-                0
-            }),
+            events: EventLog::new(if config.enabled { EVENT_CAPACITY } else { 0 }),
             registry: MetricsRegistry::new(),
             stages: BTreeMap::new(),
             profile_counter: 0,
@@ -203,7 +197,7 @@ impl Telemetry {
             return None;
         }
         self.profile_counter += 1;
-        if self.profile_counter >= self.config.profile_every.max(1) {
+        if self.profile_counter >= PROFILE_EVERY {
             self.profile_counter = 0;
             Some(Instant::now())
         } else {
@@ -231,11 +225,7 @@ impl Telemetry {
     /// Clears metrics, events and stage times (configuration is kept).
     pub fn reset(&mut self) {
         self.registry = MetricsRegistry::new();
-        self.events = EventLog::new(if self.config.enabled {
-            self.config.event_capacity
-        } else {
-            0
-        });
+        self.events = EventLog::new(self.events.capacity());
         self.stages.clear();
         self.profile_counter = 0;
         self.created = Instant::now();
@@ -260,7 +250,6 @@ impl Telemetry {
                             count: h.count(),
                             sum: h.sum(),
                             mean: h.mean(),
-                            max: h.max(),
                             buckets: h.nonzero_buckets().collect(),
                         },
                     )
@@ -297,8 +286,6 @@ pub struct HistogramSummary {
     pub sum: f64,
     /// Mean sample.
     pub mean: f64,
-    /// Largest sample, when any.
-    pub max: Option<f64>,
     /// Non-empty `(inclusive_upper_bound, count)` buckets.
     pub buckets: Vec<(f64, u64)>,
 }
@@ -409,14 +396,12 @@ mod tests {
 
     #[test]
     fn profile_tick_fires_every_nth() {
-        let mut t = Telemetry::new(TelemetryConfig {
-            profile_every: 4,
-            ..TelemetryConfig::default()
-        });
-        let fired: Vec<bool> = (0..12).map(|_| t.profile_tick().is_some()).collect();
+        let mut t = Telemetry::default();
+        let n = PROFILE_EVERY as usize;
+        let fired: Vec<bool> = (0..3 * n).map(|_| t.profile_tick().is_some()).collect();
         assert_eq!(fired.iter().filter(|&&b| b).count(), 3);
-        // Every 4th call fires.
-        assert!(fired[3] && fired[7] && fired[11]);
+        // Every Nth call fires.
+        assert!(fired[n - 1] && fired[2 * n - 1] && fired[3 * n - 1]);
     }
 
     #[test]
@@ -435,16 +420,13 @@ mod tests {
 
     #[test]
     fn reset_clears_but_keeps_config() {
-        let mut t = Telemetry::new(TelemetryConfig {
-            event_capacity: 2,
-            ..TelemetryConfig::default()
-        });
+        let mut t = Telemetry::default();
         t.counter_add("cpu.instructions", 1);
         t.record_event(Event::PllUnlocked { t: 0.0 });
         t.reset();
         assert!(t.registry().is_empty());
         assert!(t.events().is_empty());
-        assert_eq!(t.events().capacity(), 2);
+        assert_eq!(t.events().capacity(), EVENT_CAPACITY);
         assert!(t.is_enabled());
     }
 
@@ -472,44 +454,5 @@ mod tests {
             json.matches(']').count(),
             "{json}"
         );
-    }
-
-    #[test]
-    fn snapshot_prometheus_lines_parse() {
-        let mut t = Telemetry::default();
-        t.counter_set("adc.conversions", 7);
-        t.gauge_set("agc.envelope", 0.25);
-        t.histogram_record("stage.tick_s", 1.0e-6);
-        t.record_event(Event::WatchdogReset { t: 0.1, total: 1 });
-        let text = t.snapshot(0.2).to_prometheus();
-        for line in text
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-        {
-            let (name_part, value) = line.rsplit_once(' ').expect("name value");
-            let name = name_part.split('{').next().expect("metric name");
-            assert!(
-                name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_'),
-                "bad metric name in line: {line}"
-            );
-            assert!(
-                value.parse::<f64>().is_ok() || value == "+Inf",
-                "bad value in line: {line}"
-            );
-        }
-        assert!(text.contains("ascp_adc_conversions_total 7"), "{text}");
-        assert!(
-            text.contains("ascp_telemetry_events_total{kind=\"WatchdogReset\"} 1"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn display_summarizes() {
-        let mut t = Telemetry::default();
-        t.counter_set("cpu.instructions", 42);
-        let shown = format!("{}", t.snapshot(1.5));
-        assert!(shown.contains("cpu.instructions"), "{shown}");
-        assert!(shown.contains("1.500"), "{shown}");
     }
 }

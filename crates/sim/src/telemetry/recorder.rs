@@ -4,13 +4,13 @@
 //! the time you know something went wrong it is too late to start
 //! recording. This module is that idea for the simulated platform. While
 //! armed, the driver pushes one [`SignalFrame`] per DSP tick into a
-//! fixed-capacity ring (oldest evicted). When a configured trigger fires —
-//! SafeState entry, the supervisor leaving Normal, or a plausibility-check
-//! episode opening — the ring freezes and [`FlightRecorder::freeze`]
-//! assembles a bounded [`CaptureBundle`]: the pre-trigger samples, the most
-//! recent telemetry events, and a dump of the DSP register file. A failing
-//! campaign scenario therefore produces a waveform artifact instead of a
-//! bare metric.
+//! fixed-capacity ring (oldest evicted). When a trigger fires — SafeState
+//! entry, the supervisor leaving Normal, or a plausibility-check episode
+//! opening — the ring freezes and [`FlightRecorder::freeze`] assembles a
+//! bounded [`CaptureBundle`]: the pre-trigger samples, the last
+//! [`CAPTURE_EVENTS`] telemetry events, and a dump of the DSP register
+//! file. A failing campaign scenario therefore produces a waveform
+//! artifact instead of a bare metric.
 //!
 //! The recorder is observability only: it is *not* part of checkpoint
 //! state (matching [`Telemetry`](super::Telemetry), which checkpoints also
@@ -23,52 +23,32 @@ use super::Event;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+/// Most recent telemetry events copied into a capture bundle.
+pub const CAPTURE_EVENTS: usize = 64;
+
 /// Flight-recorder settings. The default is disarmed (`capacity == 0`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// An armed recorder freezes on all three fault triggers, in severity
+/// order: SafeState entry, then the supervisor leaving Normal, then a
+/// plausibility-check episode opening (`FaultDetected`).
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RecorderConfig {
     /// Pre-trigger ring size in frames (one frame per DSP tick); `0`
     /// disarms the recorder entirely.
     pub capacity: usize,
-    /// Maximum telemetry events copied into a capture bundle.
-    pub event_capacity: usize,
-    /// Freeze when the supervisor enters SafeState.
-    pub trigger_safe_state: bool,
-    /// Freeze when the supervisor leaves Normal (fault detection).
-    pub trigger_degraded: bool,
-    /// Freeze when a plausibility-check episode opens (`FaultDetected`).
-    pub trigger_check_fail: bool,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        Self {
-            capacity: 0,
-            event_capacity: 64,
-            trigger_safe_state: false,
-            trigger_degraded: false,
-            trigger_check_fail: false,
-        }
-    }
 }
 
 impl RecorderConfig {
-    /// A recorder of `capacity` frames armed on every fault-related trigger.
+    /// A recorder of `capacity` frames armed on every fault trigger.
     #[must_use]
     pub fn fault_triggers(capacity: usize) -> Self {
-        Self {
-            capacity,
-            trigger_safe_state: true,
-            trigger_degraded: true,
-            trigger_check_fail: true,
-            ..Self::default()
-        }
+        Self { capacity }
     }
 
-    /// `true` when the ring should record (non-zero capacity, any trigger).
+    /// `true` when the ring should record (non-zero capacity).
     #[must_use]
     pub fn armed(&self) -> bool {
         self.capacity > 0
-            && (self.trigger_safe_state || self.trigger_degraded || self.trigger_check_fail)
     }
 }
 
@@ -153,7 +133,7 @@ impl CaptureBundle {
 /// Fixed-capacity pre-trigger signal ring with freeze-on-trigger semantics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
-    config: RecorderConfig,
+    capacity: usize,
     ring: VecDeque<SignalFrame>,
     capture: Option<CaptureBundle>,
     frames_recorded: u64,
@@ -165,16 +145,10 @@ impl FlightRecorder {
     pub fn new(config: RecorderConfig) -> Self {
         Self {
             ring: VecDeque::with_capacity(config.capacity.min(65_536)),
-            config,
+            capacity: config.capacity,
             capture: None,
             frames_recorded: 0,
         }
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> &RecorderConfig {
-        &self.config
     }
 
     /// `true` once a trigger has frozen the ring.
@@ -191,10 +165,10 @@ impl FlightRecorder {
 
     /// Pushes one frame, evicting the oldest when full. No-op once frozen.
     pub fn record(&mut self, frame: SignalFrame) {
-        if self.capture.is_some() || self.config.capacity == 0 {
+        if self.capture.is_some() || self.capacity == 0 {
             return;
         }
-        if self.ring.len() == self.config.capacity {
+        if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
         self.ring.push_back(frame);

@@ -275,11 +275,11 @@ fn default_run_populates_telemetry() {
     let snap = p.telemetry_snapshot();
 
     // Lock accounting: the PLL locked at least once, and the event log saw it.
-    assert!(snap.counter("pll.lock_transitions") >= 1, "{snap}");
-    assert!(snap.count_events("PllLocked") >= 1, "{snap}");
+    assert!(snap.counter("pll.lock_transitions") >= 1, "{snap:?}");
+    assert!(snap.count_events("PllLocked") >= 1, "{snap:?}");
     // The streaming UART must not flood the ring (edge-triggered events);
     // a flood here would evict the lock event on longer runs.
-    assert!(snap.count_events("UartTx") <= 8, "{snap}");
+    assert!(snap.count_events("UartTx") <= 8, "{snap:?}");
 
     // Profiling: the sampled spans accumulated real wall time per stage.
     for stage in [
@@ -326,28 +326,7 @@ fn telemetry_exports_parse_and_disabled_is_silent() {
     p.wait_for_ready(2.0).expect("lock");
     let snap = p.telemetry_snapshot();
 
-    // Prometheus exposition: every non-comment line is `name{labels} value`.
-    let prom = snap.to_prometheus();
-    let mut metric_lines = 0;
-    for line in prom
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-    {
-        let (name_part, value_part) = line.rsplit_once(' ').expect("name value split");
-        let bare = name_part.split('{').next().unwrap();
-        assert!(
-            !bare.is_empty()
-                && bare
-                    .chars()
-                    .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
-            "bad metric name in {line:?}"
-        );
-        assert!(value_part.parse::<f64>().is_ok(), "bad value in {line:?}");
-        metric_lines += 1;
-    }
-    assert!(metric_lines >= 8, "only {metric_lines} prometheus lines");
-
-    // JSON export mentions the same counters.
+    // The JSON export carries the counters and the event list.
     let json = snap.to_json();
     assert!(json.contains("\"sim.ticks\""), "{json}");
     assert!(json.contains("\"events\""), "{json}");
@@ -361,7 +340,7 @@ fn telemetry_exports_parse_and_disabled_is_silent() {
     let mut p = Platform::new(cfg);
     p.wait_for_ready(2.0).expect("lock");
     let snap = p.telemetry_snapshot();
-    assert!(snap.counters.is_empty(), "{snap}");
+    assert!(snap.counters.is_empty(), "{snap:?}");
     assert!(snap.events.is_empty());
     assert!(snap.stages.is_empty());
 }
