@@ -1,11 +1,10 @@
 //! Cross-sensor datasheet campaign: the paper's platform-based-design
-//! claim, demonstrated. One campaign binary characterizes **three sensor
+//! claim, demonstrated. One campaign characterizes **four sensor
 //! families** through the same conditioning IP portfolio — the case-study
-//! vibrating-ring gyro (full platform), the automotive MAP/IAT
-//! pressure/temperature divider pair, and a capacitive crash accelerometer
-//! (plus the promoted capacitive-pressure and LVDT-position demo sensors)
-//! — and renders the merged results as a Table-1-style cross-sensor
-//! datasheet.
+//! vibrating-ring gyro (full platform), the automotive MAP and IAT
+//! pressure/temperature dividers, and a capacitive crash accelerometer —
+//! and renders the results as a Table-1-style cross-sensor datasheet, one
+//! column per family.
 //!
 //! ```sh
 //! cargo run --release -p ascp-bench --bin sensor_datasheet            # full
@@ -16,11 +15,11 @@
 //! linearity, zero offset), the output noise density, and the response to
 //! the wire-harness fault classes the dbus-adc-style supervisor checks
 //! introduce (`wire_not_connected`, `wire_short_to_ground`,
-//! `wire_reverse_polarity`). Gyro scenarios run on the full-platform
-//! campaign runner (Step DSL); the other sensors run as generic
-//! [`SensorChannel`] scenarios on the same worker pool. Both outcome
-//! streams merge into one [`CampaignReport`], so the CSV, telemetry and
-//! coverage-matrix artifacts are shared.
+//! `wire_reverse_polarity`). Gyro scenarios run on the full platform and
+//! the other sensors as generic [`SensorChannel`]s
+//! ([`ScenarioSpec::channel`]); all of them are one scenario list on one
+//! [`CampaignRunner::run`], so supervision, progress lines, the CSV,
+//! telemetry and coverage-matrix artifacts are shared.
 //!
 //! Artifacts: `DATASHEET.md` at the repo root (full run; smoke writes to
 //! `target/experiments/`), the long-format campaign CSV, merged metrics
@@ -33,10 +32,10 @@ use ascp_bench::harness::{
     check_coverage, repo_root_path, run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE,
 };
 use ascp_bench::{experiments_dir, write_metrics};
+use ascp_core::campaign::derive_seed;
 use ascp_core::datasheet::{FaultCoverage, SensorColumn};
 use ascp_core::prelude::*;
 use ascp_mems::accel::CapacitiveAccelFrontEnd;
-use ascp_mems::frontend::WireFault;
 use ascp_mems::pressure::{IatThermistorFrontEnd, MapSensorFrontEnd};
 use std::sync::Arc;
 
@@ -50,22 +49,28 @@ const T_FAULT_S: f64 = 0.05;
 const GYRO_T_INJECT_S: f64 = 0.7;
 const GYRO_T_FAULT_S: f64 = 0.3;
 
-/// One generic-channel device entry in the sweep.
-struct Device {
+/// The wire-harness fault classes, in datasheet row order.
+const WIRE_FAULTS: [FaultKind; 3] = [
+    FaultKind::WireNotConnected,
+    FaultKind::WireShortToGround,
+    FaultKind::WireReversePolarity,
+];
+
+/// One generic-channel sensor family in the sweep.
+struct Channel {
     name: &'static str,
-    factory: Arc<dyn Fn(u64) -> SensorChannel + Send + Sync>,
+    build: fn(u64) -> SensorChannel,
     /// Static-transfer stimulus points, engineering units.
     points: Vec<f64>,
     /// Noise-density hold point, engineering units.
     noise_at: f64,
     /// Wire-fault classes this front-end's plausibility bands are
     /// designed to detect (the datasheet shows the per-sensor contrast).
-    faults: Vec<WireFault>,
+    faults: &'static [FaultKind],
     seed: u64,
 }
 
-fn devices(smoke: bool) -> Vec<Device> {
-    use WireFault::{NotConnected, ReversePolarity, ShortToGround};
+fn channels(smoke: bool) -> Vec<Channel> {
     let thin = |points: Vec<f64>| -> Vec<f64> {
         if smoke {
             // Keep the end points and the middle: enough for a slope fit.
@@ -76,81 +81,80 @@ fn devices(smoke: bool) -> Vec<Device> {
         }
     };
     vec![
-        Device {
+        Channel {
             name: "map",
-            factory: Arc::new(|seed| {
+            build: |seed| {
                 let mut cfg = ChannelConfig::new("map", seed);
                 cfg.adc_vref = 5.0;
                 SensorChannel::new(cfg, Box::new(MapSensorFrontEnd::automotive(seed)))
-            }),
+            },
             points: thin(vec![30.0, 75.0, 120.0, 165.0, 210.0, 255.0, 290.0]),
             noise_at: 101.325,
-            faults: vec![NotConnected, ShortToGround, ReversePolarity],
+            faults: &WIRE_FAULTS,
             seed: 0x0DA7_0001,
         },
-        Device {
+        Channel {
             name: "iat",
-            factory: Arc::new(|seed| {
+            build: |seed| {
                 let mut cfg = ChannelConfig::new("iat", seed);
                 cfg.adc_vref = 5.0;
                 SensorChannel::new(cfg, Box::new(IatThermistorFrontEnd::automotive(seed)))
-            }),
+            },
             points: thin(vec![-20.0, 0.0, 20.0, 40.0, 60.0, 85.0, 110.0]),
             noise_at: 25.0,
             // The thermistor's valid span crosses the protection-diode
             // band, so reverse polarity is undetectable by design.
-            faults: vec![NotConnected, ShortToGround],
+            faults: &WIRE_FAULTS[..2],
             seed: 0x0DA7_0002,
         },
-        Device {
+        Channel {
             name: "accel",
-            factory: Arc::new(|seed| {
+            build: |seed| {
                 SensorChannel::new(
                     ChannelConfig::new("accel", seed),
                     Box::new(CapacitiveAccelFrontEnd::crash_50g(seed)),
                 )
-            }),
+            },
             points: thin(vec![-40.0, -25.0, -10.0, 0.0, 10.0, 25.0, 40.0]),
             noise_at: 0.0,
-            faults: vec![NotConnected, ShortToGround, ReversePolarity],
+            faults: &WIRE_FAULTS,
             seed: 0x0DA7_0003,
         },
     ]
 }
 
-/// Channel scenarios for one device: transfer, noise, one scenario per
+/// Channel scenarios for one family: transfer, noise, one scenario per
 /// designed-detectable wire fault.
-fn channel_scenarios(dev: &Device, smoke: bool) -> Vec<ChannelScenario> {
-    let mut out = Vec::new();
-    out.push(ChannelScenario {
-        name: format!("{}/transfer", dev.name),
-        factory: dev.factory.clone(),
-        measurement: ChannelMeasurement::StaticTransfer {
-            points: dev.points.clone(),
-            avg: if smoke { 16 } else { 64 },
-        },
-        seed: dev.seed,
-    });
-    out.push(ChannelScenario {
-        name: format!("{}/noise", dev.name),
-        factory: dev.factory.clone(),
-        measurement: ChannelMeasurement::NoiseDensity {
-            at: dev.noise_at,
-            samples: if smoke { 1 << 10 } else { 1 << 13 },
-        },
-        seed: dev.seed,
-    });
-    for &fault in &dev.faults {
-        out.push(ChannelScenario {
-            name: format!("{}/fault/{}", dev.name, fault.label()),
-            factory: dev.factory.clone(),
-            measurement: ChannelMeasurement::WireFaultResponse {
-                fault,
-                at_s: T_INJECT_S,
-                duration_s: T_FAULT_S,
-            },
-            seed: dev.seed,
-        });
+fn channel_scenarios(dev: &Channel, smoke: bool) -> Vec<ScenarioSpec> {
+    let spec =
+        |what: &str| ScenarioSpec::channel(format!("{}/{what}", dev.name), dev.seed, dev.build);
+    let mut out = vec![
+        spec("transfer").with_step(Step::MeasureStaticTransfer {
+            rate_points: dev.points.clone(),
+            samples_per_point: if smoke { 16 } else { 64 },
+        }),
+        spec("noise")
+            .with_step(Step::SetStimulus {
+                value: dev.noise_at,
+            })
+            .with_step(Step::MeasureNoiseDensity {
+                samples: if smoke { 1 << 10 } else { 1 << 13 },
+            }),
+    ];
+    for &kind in dev.faults {
+        let mut plan = FaultPlan::new();
+        plan.one_shot(kind, T_INJECT_S, T_FAULT_S);
+        out.push(
+            spec(&format!("fault/{}", kind.label()))
+                .with_faults(plan)
+                .with_step(Step::FaultResponse {
+                    t_inject_s: T_INJECT_S,
+                    t_clear_s: T_INJECT_S + T_FAULT_S,
+                    detect_budget_s: T_FAULT_S,
+                    recover_budget_s: 0.1,
+                    measure_recovery: true,
+                }),
+        );
     }
     out
 }
@@ -179,11 +183,7 @@ fn gyro_scenarios(smoke: bool) -> Vec<ScenarioSpec> {
         .with_step(Step::MeasureNoiseDensity {
             samples: if smoke { 1 << 12 } else { 1 << 14 },
         })];
-    for kind in [
-        FaultKind::WireNotConnected,
-        FaultKind::WireShortToGround,
-        FaultKind::WireReversePolarity,
-    ] {
+    for kind in WIRE_FAULTS {
         let config = PlatformConfig::builder()
             .quiet()
             .cpu_enabled(false)
@@ -211,23 +211,36 @@ fn outcome<'a>(report: &'a CampaignReport, name: &str) -> Option<&'a ScenarioOut
     report.outcomes.iter().find(|o| o.name == name)
 }
 
-fn fault_row(report: &CampaignReport, scenario: &str, class: &str) -> Option<FaultCoverage> {
-    let o = outcome(report, scenario)?;
-    Some(FaultCoverage {
-        class: class.to_owned(),
-        detected: o.metric("detected") == Some(1.0),
-        latency_ms: o
-            .metric("latency_ms")
-            .or_else(|| o.metric("detection_latency_s").map(|s| s * 1.0e3))
-            .unwrap_or(-1.0),
-    })
+/// Detection latency of a fault scenario in ms (a channel records ms, the
+/// gyro seconds); -1 when undetected.
+fn latency_ms(o: &ScenarioOutcome) -> f64 {
+    o.metric("latency_ms")
+        .or_else(|| o.metric("detection_latency_s").map(|s| s * 1.0e3))
+        .unwrap_or(-1.0)
 }
 
-/// Assembles one device column from the merged report.
-fn device_column(report: &CampaignReport, dev: &Device) -> SensorColumn {
+/// A family's wire-fault rows, one per scheduled fault class.
+fn fault_coverage(
+    report: &CampaignReport,
+    family: &str,
+    kinds: &[FaultKind],
+) -> Vec<FaultCoverage> {
+    let row = |k: &FaultKind| {
+        let o = outcome(report, &format!("{family}/fault/{}", k.label()))?;
+        Some(FaultCoverage {
+            class: k.label().to_owned(),
+            detected: o.metric("detected") == Some(1.0),
+            latency_ms: latency_ms(o),
+        })
+    };
+    kinds.iter().filter_map(row).collect()
+}
+
+/// Assembles one channel family's column from the report.
+fn channel_column(report: &CampaignReport, dev: &Channel) -> SensorColumn {
     // One throwaway channel instance answers the static questions
     // (unit, range) straight from the front-end contract.
-    let ch = (dev.factory)(dev.seed);
+    let ch = (dev.build)(dev.seed);
     let (lo, hi) = ch.frontend().range();
     let unit = ch.frontend().unit();
     let transfer = outcome(report, &format!("{}/transfer", dev.name));
@@ -241,17 +254,7 @@ fn device_column(report: &CampaignReport, dev: &Device) -> SensorColumn {
         linearity_pct_fs: transfer.and_then(|o| o.metric("linearity_pct_fs")),
         noise_density_eu_rthz: noise.and_then(|o| o.metric("noise_density_eu_rthz")),
         offset_eu: transfer.and_then(|o| o.metric("offset_eu")),
-        fault_coverage: dev
-            .faults
-            .iter()
-            .filter_map(|f| {
-                fault_row(
-                    report,
-                    &format!("{}/fault/{}", dev.name, f.label()),
-                    f.label(),
-                )
-            })
-            .collect(),
+        fault_coverage: fault_coverage(report, dev.name, dev.faults),
     }
 }
 
@@ -274,14 +277,7 @@ fn gyro_column(report: &CampaignReport) -> SensorColumn {
             let null = o.metric("null_v")?;
             Some((null - 2.5) / sensitivity?)
         }),
-        fault_coverage: [
-            FaultKind::WireNotConnected,
-            FaultKind::WireShortToGround,
-            FaultKind::WireReversePolarity,
-        ]
-        .iter()
-        .filter_map(|k| fault_row(report, &format!("gyro/fault/{}", k.label()), k.label()))
-        .collect(),
+        fault_coverage: fault_coverage(report, "gyro", &WIRE_FAULTS),
     }
 }
 
@@ -294,46 +290,43 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
     let args = Args::parse("sensor_datasheet");
     let smoke = args.smoke;
     let threads = args.threads;
-    let devs = devices(smoke);
+    let chans = channels(smoke);
     println!(
         "sensor_datasheet: characterizing {} sensor families on {threads} worker thread(s){}",
-        devs.len() + 1,
+        chans.len() + 1,
         if smoke { " (smoke)" } else { "" }
     );
 
-    // Phase 1: the gyro on the full-platform campaign runner.
+    // One campaign: the gyro, then the channel families. A channel spec's
+    // seed derives from its family seed and its position in the channel
+    // list rather than its campaign index, so adding a gyro scenario never
+    // moves a channel's numbers.
+    let mut specs = gyro_scenarios(smoke);
+    let mut k = 0;
+    for c in &chans {
+        for spec in channel_scenarios(c, smoke) {
+            specs.push(spec.with_seed(derive_seed(c.seed, k)));
+            k += 1;
+        }
+    }
     let runner = CampaignRunner::with_options(
         CampaignOptions::builder()
             .threads(threads)
             .observer(Arc::new(ProgressLines))
             .build()?,
     );
-    let mut report = runner.run(gyro_scenarios(smoke));
+    let report = runner.run(specs);
 
-    // Phase 2: the generic channels on the same worker pool; outcomes
-    // merge into the same report so CSV/coverage/telemetry are shared.
-    let channel: Vec<ChannelScenario> = devs
-        .iter()
-        .flat_map(|d| channel_scenarios(d, smoke))
-        .collect();
-    report
-        .outcomes
-        .extend(run_channel_scenarios(channel, threads));
-
+    let names = report.outcomes.iter().map(|o| o.name.len());
+    let width = names.max().unwrap_or(0) + 1;
     for o in &report.outcomes {
-        print!("  {:<32}", o.name);
+        print!("  {:<width$}", o.name);
         if o.failed() {
             println!("POISONED");
             continue;
         }
         match o.metric("detected") {
-            Some(1.0) => {
-                let ms = o
-                    .metric("latency_ms")
-                    .or_else(|| o.metric("detection_latency_s").map(|s| s * 1.0e3))
-                    .unwrap_or(-1.0);
-                println!("detected in {ms:>6.1} ms");
-            }
+            Some(1.0) => println!("detected in {:>6.1} ms", latency_ms(o)),
             Some(_) => println!("NOT DETECTED"),
             None => println!("done"),
         }
@@ -342,8 +335,8 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
     // The cross-sensor datasheet: gyro column first, then the sweep order.
     let mut sheet = CrossSensorReport::default();
     sheet.push(gyro_column(&report));
-    for dev in &devs {
-        sheet.push(device_column(&report, dev));
+    for dev in &chans {
+        sheet.push(channel_column(&report, dev));
     }
     let md = sheet.to_markdown();
     let md_path = if smoke {
@@ -403,12 +396,8 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
         }
     }
 
-    // Gate 3: the three new wire-fault classes all appear in coverage.
-    for class in [
-        "wire_not_connected",
-        "wire_short_to_ground",
-        "wire_reverse_polarity",
-    ] {
+    // Gate 3: the three wire-fault classes all appear in coverage.
+    for class in WIRE_FAULTS.map(FaultKind::label) {
         if !sheet.fault_classes().iter().any(|c| c == class) {
             eprintln!("sensor_datasheet: wire-fault class `{class}` never exercised");
             failures = true;

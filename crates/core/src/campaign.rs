@@ -1,17 +1,17 @@
-//! Scenario campaigns: declarative platform experiments executed on the
-//! parallel [`ascp_sim::campaign`] worker pool.
+//! Scenario campaigns: declarative experiments on the gyro platform and on
+//! sensor channels, executed on the parallel [`ascp_sim::campaign`] pool.
 //!
 //! The paper's design flow (§2, Fig. 1) explores one programmable platform
-//! across many configurations. This module turns that exploration into
-//! data: a [`ScenarioSpec`] names a configuration (built with
-//! [`PlatformConfig::builder`]), an optional [`FaultPlan`], a duration, a
-//! seed and a list of [`Step`]s (the measurement protocol); a
+//! across many configurations and sensors. This module turns that
+//! exploration into data: a [`ScenarioSpec`] names a [`Device`] (a
+//! [`PlatformConfig`], or a [`SensorChannel`] via [`ScenarioSpec::channel`]),
+//! an optional [`FaultPlan`], a duration, a seed and a list of [`Step`]s; a
 //! [`CampaignRunner`] shards a `Vec<ScenarioSpec>` across worker threads —
-//! one independent [`Platform`] per scenario — and merges the per-scenario
+//! one independent device per scenario — and merges the per-scenario
 //! metrics into a single [`CampaignReport`] (CSV + telemetry JSON).
 //!
 //! Determinism contract: every scenario derives its noise seed from its
-//! own spec (`seed` override, else the config seed mixed with the
+//! own spec (`seed` override, else the device's base seed mixed with the
 //! scenario's input index), so a campaign's report is **bit-identical for
 //! any worker-thread count**. Metrics that were not measured (e.g. no
 //! recovery on an undetected fault) are omitted rather than recorded as
@@ -34,8 +34,9 @@
 //! seed and whose physical parameters (resonator frequency, quality
 //! factors, quadrature rate, charge gain) are perturbed per lane by a
 //! [`Dispersion`] — the paper's device-mismatch exploration as one line
-//! of campaign code. Lanes are ordinary scenarios: they journal, resume,
-//! retry, and land in the CSV individually. Consecutive sibling lanes
+//! of campaign code (channel lanes differ in their seeds only). Lanes are
+//! ordinary scenarios: they journal, resume, retry, and land in the CSV
+//! individually. Consecutive sibling lanes
 //! whose steps use only the lockstep-safe vocabulary (`Run`, `SetRate`,
 //! `SetTemperature`, `MeasureMeanRate`) additionally execute *batched*
 //! on a [`PlatformFleet`] — structure-of-arrays, up to 16 lanes per
@@ -68,28 +69,31 @@
 //!
 //! # Step vocabulary
 //!
-//! Steps either evolve platform state or measure it; every measurement
+//! Steps either evolve the device's state or measure it; every measurement
 //! lands in the scenario's [`ScenarioOutcome`] and, through
 //! [`CampaignReport::to_csv`], in the long-format CSV
-//! (`scenario,metric,value,status` rows).
+//! (`scenario,metric,value,status` rows). Each device interprets the steps
+//! it has a meaning for; any other step panics with its label, which
+//! supervision turns into a [`ScenarioStatus::Poisoned`] row.
 //!
-//! | Step | Measures | CSV metric columns |
-//! |------|----------|--------------------|
+//! | Step | On the gyro platform: measures, CSV metrics | On a sensor channel ([`ScenarioSpec::channel`]) |
+//! |------|---------------------------------------------|-------------------------------------------------|
 //! | [`Step::ArmWatchdog`] | — (arms the watchdog) | — |
-//! | [`Step::WaitReady`] | PLL lock + AGC settling | `locked`, `turn_on_s` |
-//! | [`Step::WaitSupervisorNormal`] | supervisor bring-up | `supervisor_normal_s` |
-//! | [`Step::Run`] | — (advances time) | — |
-//! | [`Step::SetRate`] | — (rate table stimulus) | — |
-//! | [`Step::SetTemperature`] | — (chamber setpoint) | — |
-//! | [`Step::FreezeAgcDrive`] | — (AGC-off ablation arm) | — |
-//! | [`Step::TrimRebalancePhase`] | closed-loop axis trim | `rebalance_phase_rad` |
-//! | [`Step::MeasureMeanRate`] | mean rate over a window | `<label>` |
-//! | [`Step::MeasureSensitivity`] | two-point sensitivity | `<label>` |
-//! | [`Step::MeasureLinearity`] | linear-fit nonlinearity | `<label>` |
-//! | [`Step::MeasureStaticTransfer`] | datasheet static transfer | `sensitivity_v_per_dps`, `null_v`, `nonlinearity_pct_fs` |
-//! | [`Step::MeasureNoiseDensity`] | Welch-PSD noise density | `noise_density_dps_rthz` |
-//! | [`Step::CaptureZeroRate`] | zero-rate series (Allan input) | `<label>_fs_hz` + series `<label>` |
-//! | [`Step::FaultResponse`] | detection/recovery protocol | `baseline_dps`, `detected`, `detection_latency_s`, `recovered`, `recovery_time_s`, `residual_rate_dps`, `final_state_code` |
+//! | [`Step::WaitReady`] | PLL lock + AGC settling: `locked`, `turn_on_s` | — |
+//! | [`Step::WaitSupervisorNormal`] | supervisor bring-up: `supervisor_normal_s` | — |
+//! | [`Step::Run`] | advances time | `settle(seconds)` |
+//! | [`Step::SetRate`] | rate table stimulus | — |
+//! | [`Step::SetStimulus`] | — | stimulus in engineering units |
+//! | [`Step::SetTemperature`] | chamber setpoint | transducer temperature |
+//! | [`Step::FreezeAgcDrive`] | AGC-off ablation arm | — |
+//! | [`Step::TrimRebalancePhase`] | closed-loop axis trim: `rebalance_phase_rad` | — |
+//! | [`Step::MeasureMeanRate`] | mean rate over a window: `<label>` | — |
+//! | [`Step::MeasureSensitivity`] | two-point sensitivity: `<label>` | — |
+//! | [`Step::MeasureLinearity`] | linear-fit nonlinearity: `<label>` | — |
+//! | [`Step::MeasureStaticTransfer`] | `sensitivity_v_per_dps`, `null_v`, `nonlinearity_pct_fs` | settle 20 ms, then per point (EU): settle 10 ms, average; `transfer_slope`, `sensitivity_v_per_eu`, `linearity_pct_fs`, `offset_eu` + series `transfer_eu` |
+//! | [`Step::MeasureNoiseDensity`] | Welch PSD: `noise_density_dps_rthz` | settle 50 ms at the held stimulus, Welch PSD: `noise_density_eu_rthz`, `noise_rms_eu` |
+//! | [`Step::CaptureZeroRate`] | Allan input: `<label>_fs_hz` + series `<label>` | — |
+//! | [`Step::FaultResponse`] | `baseline_dps`, `detected`, `detection_latency_s`, `recovered`, `recovery_time_s`, `residual_rate_dps`, `final_state_code` | wire-fault latch until `t_clear_s + recover_budget_s`: `detected`, `latency_ms`, `recovered` |
 //!
 //! # Example
 //!
@@ -124,15 +128,17 @@ use crate::characterize::{
     measure_noise_density, measure_static_transfer, CharacterizationConfig, RateSensor,
 };
 use crate::checkpoint;
+use crate::frontend::{ChannelStatus, SensorChannel};
 use crate::journal::{self, JournalError, JournalWriter};
 use crate::platform::{ConfigError, Platform, PlatformConfig, PlatformFleet};
 use crate::supervisor::SupervisorState;
+use ascp_dsp::fft::{band_density, welch_psd, Window};
 use ascp_mcu8051::periph::Bus16Device;
 use ascp_sim::campaign::{available_parallelism, panic_message, try_parallel_map, MapError};
 use ascp_sim::fault::FaultPlan;
 use ascp_sim::snapshot::fnv1a64;
 use ascp_sim::stats;
-use ascp_sim::telemetry::trace::{SpanId, TraceCollector, TraceLog};
+use ascp_sim::telemetry::trace::{SpanId, TraceCollector, TraceLog, TraceRecorder};
 use ascp_sim::telemetry::{CaptureBundle, Telemetry, TelemetryConfig, TelemetrySnapshot};
 use ascp_sim::units::{Celsius, DegPerSec, Hertz};
 use std::collections::{HashMap, HashSet};
@@ -144,11 +150,12 @@ use std::time::{Duration, Instant};
 
 /// One step of a scenario's measurement protocol.
 ///
-/// Steps run in order against the scenario's private [`Platform`]; each
-/// `Measure*` step appends named metrics (and, for captures, sample
+/// Steps run in order against the scenario's private device ([`Device`]);
+/// each `Measure*` step appends named metrics (and, for captures, sample
 /// series) to the scenario's [`ScenarioOutcome`]. The step vocabulary
 /// covers the protocols of the repo's bench bins — fault campaign,
-/// ablations and stability runs are all scenario lists now.
+/// ablations, stability runs and the cross-sensor datasheet are all
+/// scenario lists. The module docs tabulate each step's meaning per device.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
     /// Arms the watchdog through its register interface (needed before
@@ -178,6 +185,11 @@ pub enum Step {
     SetRate {
         /// Rate, °/s.
         dps: f64,
+    },
+    /// Sets a sensor channel's stimulus, in engineering units.
+    SetStimulus {
+        /// Stimulus value.
+        value: f64,
     },
     /// Sets chamber temperature.
     SetTemperature {
@@ -261,7 +273,8 @@ pub enum Step {
     /// after `t_clear_s`. Records `baseline_dps`, `detected`,
     /// `detection_latency_s`, `recovered`, `recovery_time_s`,
     /// `residual_rate_dps` and `final_state_code` — unmeasured metrics are
-    /// omitted, never NaN.
+    /// omitted, never NaN. A sensor channel steps until `t_clear_s +
+    /// recover_budget_s` and records `detected`, `latency_ms`, `recovered`.
     FaultResponse {
         /// Scheduled fault-injection time (must match the scenario's
         /// [`FaultPlan`]), seconds.
@@ -287,6 +300,7 @@ impl Step {
             Self::WaitSupervisorNormal { .. } => "WaitSupervisorNormal",
             Self::Run { .. } => "Run",
             Self::SetRate { .. } => "SetRate",
+            Self::SetStimulus { .. } => "SetStimulus",
             Self::SetTemperature { .. } => "SetTemperature",
             Self::FreezeAgcDrive { .. } => "FreezeAgcDrive",
             Self::TrimRebalancePhase { .. } => "TrimRebalancePhase",
@@ -365,25 +379,52 @@ impl Dispersion {
     }
 }
 
-/// One scenario: a platform configuration plus the protocol to run on it.
+/// The device under test of a [`ScenarioSpec`].
+#[allow(clippy::large_enum_variant)] // built once per scenario: a box saves nothing
+#[derive(Debug, Clone)]
+pub enum Device {
+    /// The gyro platform, built from this configuration.
+    Platform(PlatformConfig),
+    /// A generic sensor channel. Channel lanes bypass the warm-start cache
+    /// and fleet batching.
+    Channel {
+        /// Base noise seed (the analogue of [`PlatformConfig::seed`]).
+        seed: u64,
+        /// Builds the channel for a lane's effective noise seed.
+        build: fn(u64) -> SensorChannel,
+    },
+}
+
+impl Device {
+    /// The base seed a lane's noise seed derives from.
+    fn seed(&self) -> u64 {
+        match self {
+            Self::Platform(config) => config.seed,
+            Self::Channel { seed, .. } => *seed,
+        }
+    }
+}
+
+/// One scenario: a device under test plus the protocol to run on it.
 ///
-/// Build the config with [`PlatformConfig::builder`]; schedule faults
-/// either in the config or through [`ScenarioSpec::with_faults`] (the two
-/// plans are merged). `duration_s` is a floor on simulated time: after the
-/// steps finish, the platform runs on until at least that much simulated
-/// time has elapsed.
+/// Build a platform config with [`PlatformConfig::builder`] (or use
+/// [`ScenarioSpec::channel`] for a sensor channel); schedule faults either
+/// in the config or through [`ScenarioSpec::with_faults`] (the two plans
+/// are merged; a channel gets the spec's plan). `duration_s` is a floor on
+/// simulated time: after the steps finish, the device runs on until at
+/// least that much simulated time has elapsed.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// Scenario name (CSV rows, metric prefixes).
     pub name: String,
-    /// Platform configuration (from the builder).
-    pub config: PlatformConfig,
+    /// The device under test.
+    pub device: Device,
     /// Extra fault plan merged into the config's plan.
     pub faults: FaultPlan,
     /// Minimum simulated duration, seconds.
     pub duration_s: f64,
-    /// Noise-seed override; default derives from the config seed and the
-    /// scenario's input index (deterministic for any thread count).
+    /// Noise-seed override; default derives from the device's base seed
+    /// and the scenario's input index (deterministic for any thread count).
     pub seed: Option<u64>,
     /// Measurement protocol, run in order.
     pub steps: Vec<Step>,
@@ -394,13 +435,24 @@ pub struct ScenarioSpec {
 }
 
 impl ScenarioSpec {
-    /// Creates a scenario with no steps, no extra faults and no duration
-    /// floor.
+    /// Creates a gyro-platform scenario with no steps, no extra faults and
+    /// no duration floor.
     #[must_use]
     pub fn new(name: impl Into<String>, config: PlatformConfig) -> Self {
+        Self::for_device(name.into(), Device::Platform(config))
+    }
+
+    /// Creates a sensor-channel scenario: `build` makes the channel from
+    /// the lane's noise seed, which derives from `seed` like a platform's.
+    #[must_use]
+    pub fn channel(name: impl Into<String>, seed: u64, build: fn(u64) -> SensorChannel) -> Self {
+        Self::for_device(name.into(), Device::Channel { seed, build })
+    }
+
+    fn for_device(name: String, device: Device) -> Self {
         Self {
-            name: name.into(),
-            config,
+            name,
+            device,
             faults: FaultPlan::new(),
             duration_s: 0.0,
             seed: None,
@@ -448,7 +500,8 @@ impl ScenarioSpec {
     /// `lanes` scenarios named `{name}/mc0 … {name}/mc{lanes-1}`, each
     /// with an independent position-derived noise seed and a
     /// configuration perturbed by `dispersion` (drawn from that same
-    /// seed). Lane outcomes are ordinary [`ScenarioOutcome`]s — the CSV
+    /// seed; channel lanes get no dispersion, whose fields are gyro
+    /// parameters). Lane outcomes are ordinary [`ScenarioOutcome`]s — the CSV
     /// carries one row set per lane, byte-identical whether the lanes ran
     /// batched on a [`PlatformFleet`] or as independent scalar scenarios,
     /// at any worker-thread count.
@@ -848,7 +901,8 @@ impl CampaignReport {
 }
 
 /// One scenario's progress record, handed to the [`CampaignObserver`] as
-/// the scenario finishes. `Display` renders it as one progress line.
+/// the scenario finishes. `Display` renders it as one progress line; its
+/// name column fits the longest name the repo's campaigns emit (33 chars).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioProgress {
     /// Input index of the finished scenario.
@@ -876,7 +930,7 @@ impl std::fmt::Display for ScenarioProgress {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "[{:>2}/{}] {:<28} {:>8.1} ms",
+            "[{:>2}/{}] {:<33} {:>8.1} ms",
             self.completed, self.total, self.name, self.wall_ms
         )?;
         match self.warm {
@@ -1460,16 +1514,19 @@ impl CampaignRunner {
 /// leaving enough units for the worker pool to balance.
 const FLEET_GROUP_MAX: usize = 16;
 
-/// Whether a lane spec can run on the batched fleet path: only the
-/// lockstep-safe step vocabulary, no monitor CPU, no fault plans, and a
-/// configuration that validates. Anything subtler — armed recorders,
+/// Whether a lane spec can run on the batched fleet path: a platform
+/// lane with only the lockstep-safe steps, no monitor CPU, no fault plans,
+/// and a configuration that validates. Anything subtler — armed recorders,
 /// gated paths, non-uniform lane state — is caught by
 /// [`PlatformFleet::new`] at attempt time; refused lanes then step one by
 /// one in the same attempt, with identical results.
 fn fleet_eligible(spec: &ScenarioSpec) -> bool {
-    spec.config.validate().is_ok()
-        && !spec.config.cpu_enabled
-        && spec.config.faults.is_empty()
+    let Device::Platform(config) = &spec.device else {
+        return false;
+    };
+    config.validate().is_ok()
+        && !config.cpu_enabled
+        && config.faults.is_empty()
         && spec.faults.is_empty()
         && spec.steps.iter().all(|s| {
             matches!(
@@ -1505,9 +1562,9 @@ fn disperse_config(config: &mut PlatformConfig, d: &Dispersion, lane_seed: u64) 
 /// Expands every Monte-Carlo spec into its dispersed lanes, in input
 /// order; plain specs pass through unchanged. Lane `i` of a spec becomes
 /// scenario `{name}/mc{i}` with seed `derive_seed(base, expanded_index)`
-/// — `base` being the spec's seed override or its config seed — and a
-/// configuration perturbed by the spec's [`Dispersion`] drawn from that
-/// same lane seed.
+/// — `base` being the spec's seed override or its device's base seed —
+/// and a platform configuration perturbed by the spec's [`Dispersion`]
+/// drawn from that same lane seed.
 ///
 /// The result runs as plain scenarios, one platform per lane: running it
 /// is the scalar reference for batched fleet execution, with outcomes
@@ -1541,14 +1598,16 @@ fn expand_with_parents(scenarios: Vec<ScenarioSpec>) -> (Vec<ScenarioSpec>, Vec<
             parents.push(None);
             continue;
         };
-        let base = spec.seed.unwrap_or(spec.config.seed);
+        let base = spec.seed.unwrap_or(spec.device.seed());
         for lane in 0..lanes {
             let lane_seed = derive_seed(base, expanded.len() as u64);
             let mut s = spec.clone();
             s.monte_carlo = None;
             s.name = format!("{}/mc{lane}", spec.name);
             s.seed = Some(lane_seed);
-            disperse_config(&mut s.config, &dispersion, lane_seed);
+            if let Device::Platform(config) = &mut s.device {
+                disperse_config(config, &dispersion, lane_seed);
+            }
             expanded.push(s);
             parents.push(Some(parent));
         }
@@ -1567,7 +1626,10 @@ fn run_fleet(
     runs: &mut [LaneRun],
     ctx: AttemptCtx,
 ) -> Result<(), Cancelled> {
-    let dsp_rate = spec.config.dsp_rate.0;
+    let Device::Platform(config) = &spec.device else {
+        unreachable!("fleet-eligible lanes are platform lanes");
+    };
+    let dsp_rate = config.dsp_rate.0;
     for step in &spec.steps {
         match step {
             Step::Run { seconds } => run_for(*seconds, dsp_rate, ctx, |n| fleet.step_block(n))?,
@@ -1604,11 +1666,23 @@ fn run_fleet(
     Ok(())
 }
 
-/// The noise seed a lane runs with: its spec's override, else the config
-/// seed mixed with the lane's campaign index.
+/// The noise seed a lane runs with: its spec's override, else the
+/// device's base seed mixed with the lane's campaign index.
 fn lane_seed(index: usize, spec: &ScenarioSpec) -> u64 {
     spec.seed
-        .unwrap_or_else(|| derive_seed(spec.config.seed, index as u64))
+        .unwrap_or_else(|| derive_seed(spec.device.seed(), index as u64))
+}
+
+/// A fault plan's class labels, deduplicated in plan order (an outcome's
+/// coverage-matrix rows).
+fn fault_classes(plan: &FaultPlan) -> Vec<&'static str> {
+    let mut labels: Vec<&'static str> = Vec::new();
+    for fault in plan.specs() {
+        if !labels.contains(&fault.kind.label()) {
+            labels.push(fault.kind.label());
+        }
+    }
+    labels
 }
 
 /// The quarantined outcome of a scenario that failed every attempt.
@@ -1796,7 +1870,8 @@ struct LaneRun {
     warm_hit: bool,
     /// The lane's scenario span ([`SpanId::NULL`] when untraced).
     span: SpanId,
-    /// `None` when the config failed validation: the outcome is final.
+    /// `None` for a channel lane or a config that failed validation: the
+    /// outcome is final.
     platform: Option<Platform>,
     /// First step still to run: past a restored settle prefix, or past
     /// every step when that prefix aborted.
@@ -1807,13 +1882,14 @@ struct LaneRun {
 /// Monte-Carlo sibling lanes (see [`CampaignRunner::plan_units`]).
 ///
 /// Each lane is set up (chaos, seed, config validation, warm start,
-/// trace) and finalized (transitions, capture, recorder flag) here. A
+/// trace) and finalized (transitions, capture, recorder flag) here; a
+/// channel lane runs whole during its setup ([`run_channel`]). A
 /// group's lanes step as one lockstep [`PlatformFleet`]; when the fleet
 /// refuses them they step one by one in this same attempt, with
 /// identical results. `Err` fails the whole attempt: an overrun
 /// deadline or a chaos stall (a panic propagates to the caller's
 /// `catch_unwind` instead). `Ok` carries each lane's outcome plus
-/// whether its warm cache hit. Chaos injections fire before the platform
+/// whether its warm cache hit. Chaos injections fire before the device
 /// is built, so an injected attempt never perturbs simulation state.
 #[allow(clippy::too_many_lines)]
 fn run_attempt(
@@ -1847,24 +1923,11 @@ fn run_attempt(
                 ChaosInjection::None => {}
             }
         }
-        let mut config = spec.config.clone();
-        for fault in spec.faults.specs() {
-            config.faults.push(*fault);
-        }
         let seed = lane_seed(index, spec);
-        config.seed = seed;
-        let mut fault_classes: Vec<&'static str> = Vec::new();
-        for fault in config.faults.specs() {
-            let label = fault.kind.label();
-            if !fault_classes.contains(&label) {
-                fault_classes.push(label);
-            }
-        }
         let mut out = ScenarioOutcome {
             name: spec.name.clone(),
             index,
             seed,
-            fault_classes,
             ..ScenarioOutcome::default()
         };
         let mut trace = collector.map(|c| c.recorder(index as u64 + 1));
@@ -1876,6 +1939,37 @@ fn run_attempt(
                 tr.annotate(span, "attempt", attempt.to_string());
             }
         }
+        let mut config = match &spec.device {
+            Device::Platform(config) => config.clone(),
+            Device::Channel { build, .. } => {
+                // A channel lane bypasses the warm cache and the fleet: it
+                // runs to completion here, and its outcome is final.
+                out.fault_classes = fault_classes(&spec.faults);
+                let mut ch = build(seed);
+                ch.set_fault_plan(spec.faults.clone());
+                run_channel(&mut ch, spec, &mut out, trace.as_mut(), ctx).map_err(timed_out)?;
+                out.transitions.extend_from_slice(ch.transitions());
+                if let Some(mut tr) = trace.take() {
+                    tr.end(span, ch.time());
+                    if let Some(c) = collector {
+                        c.merge(tr);
+                    }
+                }
+                runs.push(LaneRun {
+                    out,
+                    warm_hit: false,
+                    span,
+                    platform: None,
+                    resume_at: 0,
+                });
+                continue;
+            }
+        };
+        for fault in spec.faults.specs() {
+            config.faults.push(*fault);
+        }
+        config.seed = seed;
+        out.fault_classes = fault_classes(&config.faults);
         if let Err(e) = config.validate() {
             // An invalid spec is a scenario result, not a campaign abort.
             out.metrics.push(("config_valid".into(), 0.0));
@@ -2281,8 +2375,104 @@ fn apply_step(
             }
             push(out, "final_state_code", p.supervisor().state().code());
         }
+        other => panic!("no gyro-platform meaning for step `{}`", other.label()),
     }
     Ok(true)
+}
+
+/// The sensor-channel interpreter: runs a channel lane's steps on `ch`,
+/// one trace span per step, then settles on to the `duration_s` floor (the
+/// module docs tabulate each step's channel meaning). A step with no
+/// channel meaning panics with its label; supervision turns that into a
+/// poisoned row. Checks the deadline at every step boundary.
+fn run_channel(
+    ch: &mut SensorChannel,
+    spec: &ScenarioSpec,
+    out: &mut ScenarioOutcome,
+    mut trace: Option<&mut TraceRecorder>,
+    ctx: AttemptCtx,
+) -> Result<(), Cancelled> {
+    let push = |out: &mut ScenarioOutcome, name: &str, value: f64| {
+        out.metrics.push((name.to_owned(), value));
+    };
+    for step in &spec.steps {
+        ctx.check()?;
+        let t_begin = ch.time();
+        let span = trace
+            .as_deref_mut()
+            .map_or(SpanId::NULL, |tr| tr.begin(step.label(), t_begin));
+        match step {
+            Step::Run { seconds } => ch.settle(*seconds),
+            Step::SetStimulus { value } => ch.set_stimulus(*value),
+            Step::SetTemperature { celsius } => ch.set_temperature(Celsius(*celsius)),
+            Step::MeasureStaticTransfer {
+                rate_points: points,
+                samples_per_point,
+            } => {
+                ch.settle(0.02);
+                let mut eus = Vec::with_capacity(points.len());
+                let mut node_v = Vec::with_capacity(points.len());
+                for &p in points {
+                    ch.set_stimulus(p);
+                    ch.settle(0.01);
+                    eus.push(ch.read(*samples_per_point));
+                    node_v.push(ch.last_ratio() * ch.frontend().excitation().rail());
+                }
+                let fit_eu = stats::linear_fit(points, &eus);
+                let fit_v = stats::linear_fit(points, &node_v);
+                let (lo, hi) = ch.frontend().range();
+                let offset: f64 = eus.iter().zip(points).map(|(y, x)| y - x).sum();
+                push(out, "transfer_slope", fit_eu.slope);
+                push(out, "sensitivity_v_per_eu", fit_v.slope);
+                let linearity = 100.0 * fit_eu.max_residual / (hi - lo);
+                push(out, "linearity_pct_fs", linearity);
+                push(out, "offset_eu", offset / points.len() as f64);
+                out.series.push(("transfer_eu".into(), eus));
+            }
+            Step::MeasureNoiseDensity { samples } => {
+                ch.settle(0.05);
+                let xs = ch.collect(*samples);
+                let m = stats::mean(&xs);
+                let centred: Vec<f64> = xs.iter().map(|x| x - m).collect();
+                let fs_out = ch.output_rate();
+                let seg = (samples / 4).next_power_of_two().clamp(64, 512);
+                let (freqs, psd) = welch_psd(&centred, fs_out, seg, Window::Hann);
+                let density = band_density(&freqs, &psd, 5.0, (fs_out / 4.0).min(200.0));
+                push(out, "noise_density_eu_rthz", density);
+                push(out, "noise_rms_eu", stats::rms(&centred));
+            }
+            Step::FaultResponse {
+                t_inject_s,
+                t_clear_s,
+                recover_budget_s,
+                ..
+            } => {
+                let latch = ChannelStatus::latched_by(&spec.faults);
+                let (mut detected_at, mut recovered) = (None, false);
+                while ch.time() < t_clear_s + recover_budget_s && !recovered {
+                    let _ = ch.step();
+                    if detected_at.is_none() && Some(ch.status()) == latch {
+                        detected_at = Some(ch.time());
+                    }
+                    recovered = detected_at.is_some()
+                        && ch.time() > *t_clear_s
+                        && ch.status() == ChannelStatus::Normal;
+                }
+                push(out, "detected", f64::from(u8::from(detected_at.is_some())));
+                let latency_ms = detected_at.map_or(-1.0, |t| (t - t_inject_s) * 1.0e3);
+                push(out, "latency_ms", latency_ms);
+                push(out, "recovered", f64::from(u8::from(recovered)));
+            }
+            other => panic!("no channel meaning for step `{}`", other.label()),
+        }
+        if let Some(tr) = trace.as_deref_mut() {
+            tr.end(span, ch.time());
+        }
+    }
+    if ch.time() < spec.duration_s {
+        ch.settle(spec.duration_s - ch.time());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -2357,10 +2547,68 @@ mod tests {
 
     #[test]
     fn invalid_config_becomes_an_outcome_not_a_panic() {
-        let mut spec = ScenarioSpec::new("bad", quick_cfg());
-        spec.config.analog_oversample = 0;
-        let report = runner(1).run(vec![spec]);
+        let mut cfg = quick_cfg();
+        cfg.analog_oversample = 0;
+        let report = runner(1).run(vec![ScenarioSpec::new("bad", cfg)]);
         assert_eq!(report.outcomes[0].metric("config_valid"), Some(0.0));
+    }
+
+    fn map_channel(seed: u64) -> SensorChannel {
+        let mut cfg = crate::frontend::ChannelConfig::new("map", seed);
+        cfg.adc_vref = 5.0;
+        SensorChannel::new(
+            cfg,
+            Box::new(ascp_mems::pressure::MapSensorFrontEnd::automotive(seed)),
+        )
+    }
+
+    /// Monte-Carlo lanes of a channel spec differ only in their seeds: each
+    /// lane equals a plain channel spec pinned to that lane's seed, so the
+    /// (gyro-only) dispersion is not applied.
+    #[test]
+    fn channel_monte_carlo_lanes_reseed_without_dispersion() {
+        let transfer = Step::MeasureStaticTransfer {
+            rate_points: vec![50.0, 250.0],
+            samples_per_point: 8,
+        };
+        let population = ScenarioSpec::channel("map", 3, map_channel)
+            .with_step(transfer.clone())
+            .monte_carlo(3, Dispersion::none().with_gain_frac(0.5));
+        let report = runner(2).run(vec![population]);
+        let pinned: Vec<ScenarioSpec> = (0..3)
+            .map(|lane| {
+                ScenarioSpec::channel(format!("map/mc{lane}"), 3, map_channel)
+                    .with_seed(derive_seed(3, lane))
+                    .with_step(transfer.clone())
+            })
+            .collect();
+        assert_eq!(report.outcomes, runner(1).run(pinned).outcomes);
+        let seeds: HashSet<u64> = report.outcomes.iter().map(|o| o.seed).collect();
+        assert_eq!(seeds.len(), 3);
+    }
+
+    /// A step the device has no meaning for panics in that device's
+    /// interpreter; supervision turns it into a poisoned row carrying the
+    /// panic, and the rest of the campaign runs on.
+    #[test]
+    fn misapplied_steps_poison_their_row_not_the_campaign() {
+        let map = map_channel;
+        let report = runner(2).run(vec![
+            ScenarioSpec::channel("channel_wait_ready", 3, map)
+                .with_step(Step::WaitReady { timeout_s: 1.0 }),
+            ScenarioSpec::new("gyro_set_stimulus", quick_cfg())
+                .with_step(Step::SetStimulus { value: 1.0 }),
+            ScenarioSpec::channel("channel_ok", 3, map).with_step(Step::Run { seconds: 0.01 }),
+        ]);
+        for (out, label) in report.outcomes.iter().zip(["WaitReady", "SetStimulus"]) {
+            assert!(out.failed(), "{}", out.name);
+            assert_eq!(out.attempt_errors.len(), 2, "{}: one retry", out.name);
+            assert!(out.attempt_errors.iter().all(
+                |e| matches!(e, ScenarioError::Panicked { message } if message.contains(label))
+            ));
+        }
+        assert!(!report.outcomes[2].failed());
+        assert_eq!(report.outcomes[2].transitions, [("init", "normal")]);
     }
 
     /// Outcome transitions come from the platform's own list, not from the
@@ -2732,9 +2980,13 @@ mod tests {
         let platforms = unit
             .iter()
             .map(|(index, spec)| {
-                let mut config = spec.config.clone();
-                config.seed = lane_seed(*index, spec);
-                Platform::new(config)
+                let Device::Platform(config) = &spec.device else {
+                    panic!("fleet units hold platform lanes");
+                };
+                Platform::new(PlatformConfig {
+                    seed: lane_seed(*index, spec),
+                    ..config.clone()
+                })
             })
             .collect();
         PlatformFleet::new(platforms)
@@ -2781,11 +3033,13 @@ mod tests {
     #[test]
     fn fleet_refused_group_steps_lanes_one_by_one() {
         let mut spec = mc_spec();
-        spec.config = PlatformConfig::builder()
-            .quiet()
-            .recorder(RecorderConfig::fault_triggers(256))
-            .build()
-            .expect("valid");
+        spec.device = Device::Platform(
+            PlatformConfig::builder()
+                .quiet()
+                .recorder(RecorderConfig::fault_triggers(256))
+                .build()
+                .expect("valid"),
+        );
         let units = planned(&runner(1), vec![spec.clone()]);
         assert_eq!(units.len(), 1, "recorder lanes still group");
         assert!(units[0].iter().all(|(_, lane)| fleet_eligible(lane)));

@@ -18,11 +18,11 @@
 //!   [`FaultKind::WireReversePolarity`]) onto the front-end's electrical
 //!   fault hook, and [`FaultKind::ReferenceDroop`] onto the excitation
 //!   reference;
-//! - **campaign measurements**: [`ChannelScenario`] retargets the Step
-//!   DSL's measurement semantics (static transfer, noise density, fault
-//!   response) and produces ordinary
-//!   [`crate::campaign::ScenarioOutcome`]s, so channel sweeps merge into a
-//!   [`crate::campaign::CampaignReport`] next to gyro scenarios and flow
+//! - **campaign measurements**: a channel is a campaign device
+//!   ([`crate::campaign::ScenarioSpec::channel`]): the Step DSL's static
+//!   transfer, noise density and fault response have channel meanings, so
+//!   channel scenarios run on the same supervised
+//!   [`crate::campaign::CampaignRunner`] as gyro scenarios and flow
 //!   through the same CSV/coverage/telemetry artifacts;
 //! - **checkpointing**: [`SensorChannel::save_state`] /
 //!   [`SensorChannel::load_state`] snapshot every component bit-exactly and
@@ -43,13 +43,12 @@
 //! assert!((kpa - 150.0).abs() < 3.0);
 //! ```
 
-use crate::campaign::{derive_seed, ScenarioOutcome, ScenarioStatus};
+use crate::campaign::derive_seed;
 use ascp_afe::adc::{AdcConfig, SarAdc};
 use ascp_afe::amp::Pga;
 use ascp_afe::refs::VoltageReference;
 use ascp_dsp::cic::CicDecimator;
 use ascp_dsp::demod::Demodulator;
-use ascp_dsp::fft::{band_density, welch_psd, Window};
 use ascp_dsp::nco::Nco;
 use ascp_mems::frontend::{
     Excitation, NodeObservation, PlausibilityBands, SensorFrontEnd, WireFault, WireStatus,
@@ -58,7 +57,6 @@ use ascp_sim::fault::{FaultEdge, FaultKind, FaultPlan};
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::units::{Celsius, Volts};
-use std::sync::Arc;
 
 /// Construction parameters of a [`SensorChannel`].
 #[derive(Debug, Clone)]
@@ -136,6 +134,17 @@ pub enum ChannelStatus {
 }
 
 impl ChannelStatus {
+    /// Every status in declaration order; a status's position (its
+    /// discriminant) is its checkpoint code.
+    pub(crate) const ALL: [Self; 6] = [
+        Self::Init,
+        Self::Normal,
+        Self::NotConnected,
+        Self::ShortToGround,
+        Self::ReversePolarity,
+        Self::OutOfRange,
+    ];
+
     /// Stable label (supervisor transitions, coverage columns).
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -147,6 +156,17 @@ impl ChannelStatus {
             Self::ReversePolarity => "reverse_polarity",
             Self::OutOfRange => "out_of_range",
         }
+    }
+
+    /// The status the first wire fault scheduled in `plan` latches; `None`
+    /// when the plan holds no wire fault.
+    pub(crate) fn latched_by(plan: &FaultPlan) -> Option<Self> {
+        plan.specs().find_map(|f| match f.kind {
+            FaultKind::WireNotConnected => Some(Self::NotConnected),
+            FaultKind::WireShortToGround => Some(Self::ShortToGround),
+            FaultKind::WireReversePolarity => Some(Self::ReversePolarity),
+            _ => None,
+        })
     }
 
     fn from_wire(ws: WireStatus) -> Self {
@@ -541,8 +561,8 @@ impl SensorChannel {
             w.put_f64(self.win_sum);
             w.put_f64(self.win_sq);
             w.put_u32(self.win_n);
-            w.put_u8(status_code(self.status));
-            w.put_u8(status_code(self.candidate));
+            w.put_u8(self.status as u8);
+            w.put_u8(self.candidate as u8);
             w.put_u32(self.candidate_count);
             w.put_u32(self.transitions.len() as u32);
             for &(from, to) in &self.transitions {
@@ -659,222 +679,20 @@ impl SensorChannel {
     }
 }
 
-fn status_code(s: ChannelStatus) -> u8 {
-    match s {
-        ChannelStatus::Init => 0,
-        ChannelStatus::Normal => 1,
-        ChannelStatus::NotConnected => 2,
-        ChannelStatus::ShortToGround => 3,
-        ChannelStatus::ReversePolarity => 4,
-        ChannelStatus::OutOfRange => 5,
-    }
-}
-
 fn code_status(code: u8) -> Result<ChannelStatus, SnapshotError> {
-    Ok(match code {
-        0 => ChannelStatus::Init,
-        1 => ChannelStatus::Normal,
-        2 => ChannelStatus::NotConnected,
-        3 => ChannelStatus::ShortToGround,
-        4 => ChannelStatus::ReversePolarity,
-        5 => ChannelStatus::OutOfRange,
-        other => {
-            return Err(SnapshotError::Corrupt {
-                context: format!("unknown channel status code {other}"),
-            })
-        }
+    let status = ChannelStatus::ALL.get(usize::from(code)).copied();
+    status.ok_or_else(|| SnapshotError::Corrupt {
+        context: format!("unknown channel status code {code}"),
     })
 }
 
 fn label_code(label: &str) -> u8 {
-    match label {
-        "init" => 0,
-        "normal" => 1,
-        "not_connected" => 2,
-        "short_to_ground" => 3,
-        "reverse_polarity" => 4,
-        _ => 5,
-    }
+    let code = ChannelStatus::ALL.iter().position(|s| s.label() == label);
+    code.map_or(5, |c| c as u8)
 }
 
 fn code_label(code: u8) -> Result<&'static str, SnapshotError> {
     code_status(code).map(ChannelStatus::label)
-}
-
-/// A measurement a channel scenario performs — the Step DSL's measurement
-/// semantics retargeted to generic channels.
-#[derive(Debug, Clone)]
-pub enum ChannelMeasurement {
-    /// Sweep the stimulus across `points`, fit the conditioned transfer,
-    /// report sensitivity / linearity / offset.
-    StaticTransfer {
-        /// Stimulus points in engineering units.
-        points: Vec<f64>,
-        /// Decimated outputs averaged per point.
-        avg: usize,
-    },
-    /// Hold `at`, collect `samples` decimated outputs, report the in-band
-    /// noise density via Welch's method.
-    NoiseDensity {
-        /// Stimulus hold point, engineering units.
-        at: f64,
-        /// Decimated outputs to collect.
-        samples: usize,
-    },
-    /// Inject one wire fault and measure supervisor detection + recovery.
-    WireFaultResponse {
-        /// The harness fault to inject.
-        fault: WireFault,
-        /// Injection time, seconds.
-        at_s: f64,
-        /// Fault duration, seconds.
-        duration_s: f64,
-    },
-}
-
-/// One generic-channel scenario: a channel factory plus a measurement.
-///
-/// The factory takes the effective seed, so Monte-Carlo-style reseeding
-/// composes the same way [`crate::campaign::derive_seed`] does for
-/// platform scenarios.
-#[derive(Clone)]
-pub struct ChannelScenario {
-    /// Scenario name (report rows).
-    pub name: String,
-    /// Builds the channel for a given effective seed.
-    pub factory: Arc<dyn Fn(u64) -> SensorChannel + Send + Sync>,
-    /// The measurement to perform.
-    pub measurement: ChannelMeasurement,
-    /// Base seed.
-    pub seed: u64,
-}
-
-/// Runs channel scenarios on the shared worker pool and returns campaign
-/// outcomes in input order — bit-identical for any `threads`.
-#[must_use]
-pub fn run_channel_scenarios(
-    scenarios: Vec<ChannelScenario>,
-    threads: usize,
-) -> Vec<ScenarioOutcome> {
-    ascp_sim::campaign::parallel_map(scenarios, threads, |index, sc| {
-        run_channel_scenario(index, &sc)
-    })
-}
-
-fn fault_kind(fault: WireFault) -> FaultKind {
-    match fault {
-        WireFault::NotConnected => FaultKind::WireNotConnected,
-        WireFault::ShortToGround => FaultKind::WireShortToGround,
-        WireFault::ReversePolarity => FaultKind::WireReversePolarity,
-    }
-}
-
-fn expected_status(fault: WireFault) -> ChannelStatus {
-    match fault {
-        WireFault::NotConnected => ChannelStatus::NotConnected,
-        WireFault::ShortToGround => ChannelStatus::ShortToGround,
-        WireFault::ReversePolarity => ChannelStatus::ReversePolarity,
-    }
-}
-
-fn run_channel_scenario(index: usize, sc: &ChannelScenario) -> ScenarioOutcome {
-    let seed = derive_seed(sc.seed, index as u64);
-    let mut ch = (sc.factory)(seed);
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-    let mut series: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut fault_classes: Vec<&'static str> = Vec::new();
-
-    match &sc.measurement {
-        ChannelMeasurement::StaticTransfer { points, avg } => {
-            ch.settle(0.02);
-            let mut eus = Vec::with_capacity(points.len());
-            let mut node_v = Vec::with_capacity(points.len());
-            for &p in points {
-                ch.set_stimulus(p);
-                ch.settle(0.01);
-                let outs = ch.collect(*avg);
-                eus.push(stats::mean(&outs));
-                node_v.push(ch.last_ratio() * ch.frontend().excitation().rail());
-            }
-            let fit_eu = stats::linear_fit(points, &eus);
-            let fit_v = stats::linear_fit(points, &node_v);
-            let (lo, hi) = ch.frontend().range();
-            let span = hi - lo;
-            let offset: f64 =
-                eus.iter().zip(points).map(|(y, x)| y - x).sum::<f64>() / points.len() as f64;
-            metrics.push(("transfer_slope".into(), fit_eu.slope));
-            metrics.push(("sensitivity_v_per_eu".into(), fit_v.slope));
-            metrics.push((
-                "linearity_pct_fs".into(),
-                100.0 * fit_eu.max_residual / span,
-            ));
-            metrics.push(("offset_eu".into(), offset));
-            series.push(("transfer_eu".into(), eus));
-        }
-        ChannelMeasurement::NoiseDensity { at, samples } => {
-            ch.set_stimulus(*at);
-            ch.settle(0.05);
-            let xs = ch.collect(*samples);
-            let m = stats::mean(&xs);
-            let centred: Vec<f64> = xs.iter().map(|x| x - m).collect();
-            let fs_out = ch.output_rate();
-            let seg = (samples / 4).next_power_of_two().clamp(64, 512);
-            let (freqs, psd) = welch_psd(&centred, fs_out, seg, Window::Hann);
-            let density = band_density(&freqs, &psd, 5.0, (fs_out / 4.0).min(200.0));
-            metrics.push(("noise_density_eu_rthz".into(), density));
-            metrics.push(("noise_rms_eu".into(), stats::rms(&centred)));
-        }
-        ChannelMeasurement::WireFaultResponse {
-            fault,
-            at_s,
-            duration_s,
-        } => {
-            let kind = fault_kind(*fault);
-            fault_classes.push(kind.label());
-            let mut plan = FaultPlan::new();
-            plan.one_shot(kind, *at_s, *duration_s);
-            ch.set_fault_plan(plan);
-            let expect = expected_status(*fault);
-            let mut detected_at = None;
-            let mut recovered = false;
-            let end = at_s + duration_s + 0.1;
-            while ch.time() < end {
-                let _ = ch.step();
-                if detected_at.is_none() && ch.status() == expect {
-                    detected_at = Some(ch.time());
-                }
-                if detected_at.is_some()
-                    && ch.time() > at_s + duration_s
-                    && ch.status() == ChannelStatus::Normal
-                {
-                    recovered = true;
-                    break;
-                }
-            }
-            metrics.push((
-                "detected".into(),
-                f64::from(u8::from(detected_at.is_some())),
-            ));
-            metrics.push((
-                "latency_ms".into(),
-                detected_at.map_or(-1.0, |t| (t - at_s) * 1.0e3),
-            ));
-            metrics.push(("recovered".into(), f64::from(u8::from(recovered))));
-        }
-    }
-
-    ScenarioOutcome {
-        name: sc.name.clone(),
-        index,
-        seed,
-        metrics,
-        series,
-        fault_classes,
-        transitions: ch.transitions().to_vec(),
-        capture: None,
-        attempt_errors: Vec::new(),
-        status: ScenarioStatus::Done,
-    }
 }
 
 #[cfg(test)]
@@ -931,14 +749,17 @@ mod tests {
     #[test]
     fn map_wire_faults_classified() {
         for (fault, expect) in [
-            (WireFault::NotConnected, ChannelStatus::NotConnected),
-            (WireFault::ShortToGround, ChannelStatus::ShortToGround),
-            (WireFault::ReversePolarity, ChannelStatus::ReversePolarity),
+            (FaultKind::WireNotConnected, ChannelStatus::NotConnected),
+            (FaultKind::WireShortToGround, ChannelStatus::ShortToGround),
+            (
+                FaultKind::WireReversePolarity,
+                ChannelStatus::ReversePolarity,
+            ),
         ] {
             let mut ch = map_channel(19);
             ch.set_stimulus(200.0);
             let mut plan = FaultPlan::new();
-            plan.one_shot(fault_kind(fault), 0.05, 0.05);
+            plan.one_shot(fault, 0.05, 0.05);
             ch.set_fault_plan(plan);
             ch.settle(0.08);
             assert_eq!(ch.status(), expect, "fault {fault:?}");
@@ -1006,31 +827,34 @@ mod tests {
 
     #[test]
     fn scenarios_are_thread_count_invariant() {
+        use crate::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
         let mk = || {
+            let mut not_connected = FaultPlan::new();
+            not_connected.one_shot(FaultKind::WireNotConnected, 0.05, 0.05);
             vec![
-                ChannelScenario {
-                    name: "map_transfer".into(),
-                    factory: Arc::new(map_channel),
-                    measurement: ChannelMeasurement::StaticTransfer {
-                        points: vec![50.0, 150.0, 250.0],
-                        avg: 16,
+                ScenarioSpec::channel("map_transfer", 7, map_channel).with_step(
+                    Step::MeasureStaticTransfer {
+                        rate_points: vec![50.0, 150.0, 250.0],
+                        samples_per_point: 16,
                     },
-                    seed: 7,
-                },
-                ChannelScenario {
-                    name: "map_nc".into(),
-                    factory: Arc::new(map_channel),
-                    measurement: ChannelMeasurement::WireFaultResponse {
-                        fault: WireFault::NotConnected,
-                        at_s: 0.05,
-                        duration_s: 0.05,
-                    },
-                    seed: 7,
-                },
+                ),
+                ScenarioSpec::channel("map_nc", 7, map_channel)
+                    .with_faults(not_connected)
+                    .with_step(Step::FaultResponse {
+                        t_inject_s: 0.05,
+                        t_clear_s: 0.1,
+                        detect_budget_s: 0.05,
+                        recover_budget_s: 0.1,
+                        measure_recovery: true,
+                    }),
             ]
         };
-        let one = run_channel_scenarios(mk(), 1);
-        let four = run_channel_scenarios(mk(), 4);
+        let runner = |threads| {
+            let options = CampaignOptions::builder().threads(threads).build();
+            CampaignRunner::with_options(options.expect("valid options"))
+        };
+        let one = runner(1).run(mk()).outcomes;
+        let four = runner(4).run(mk()).outcomes;
         assert_eq!(one.len(), four.len());
         for (a, b) in one.iter().zip(&four) {
             assert_eq!(a.metrics, b.metrics);

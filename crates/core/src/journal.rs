@@ -21,8 +21,8 @@
 //!            fault classes, transitions, attempt errors, had-capture flag
 //! ```
 //!
-//! The campaign digest covers every scenario spec (name, config digest,
-//! fault plan, duration, seed, steps, and position), so a journal can
+//! The campaign digest covers every scenario spec (name, device config
+//! digest, fault plan, duration, seed, steps, and position), so a journal can
 //! never be resumed against a different campaign.
 //!
 //! Reading is truncation-tolerant: a final record torn by a crash (short
@@ -40,7 +40,7 @@
 //!
 //! [`CaptureBundle`]: ascp_sim::telemetry::CaptureBundle
 
-use crate::campaign::{ScenarioError, ScenarioOutcome, ScenarioSpec, ScenarioStatus};
+use crate::campaign::{Device, ScenarioError, ScenarioOutcome, ScenarioSpec, ScenarioStatus};
 use crate::checkpoint;
 use ascp_sim::fault::FaultKind;
 use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
@@ -134,18 +134,21 @@ impl From<SnapshotError> for JournalError {
 /// Digest of a whole campaign's scenario list: what binds a journal to
 /// the exact campaign that wrote it.
 ///
-/// Covers each scenario's position, name, configuration (through
-/// [`checkpoint::config_digest`]), extra fault plan, duration floor, seed
-/// override and step list — everything that determines the scenario's
-/// deterministic outcome.
+/// Covers each scenario's position, name, device (a config through
+/// [`checkpoint::config_digest`], a channel through its `config_digest`
+/// at its base seed), extra fault plan, duration floor, seed override and
+/// step list — everything that determines the scenario's outcome.
 #[must_use]
 pub fn campaign_digest(scenarios: &[ScenarioSpec]) -> u64 {
     let mut canon = String::new();
     for (i, s) in scenarios.iter().enumerate() {
+        let device = match &s.device {
+            Device::Platform(config) => checkpoint::config_digest(config),
+            Device::Channel { seed, build } => build(*seed).config_digest(),
+        };
         canon.push_str(&format!(
-            "{i}|{}|{:#018x}|{:?}|{}|{:?}|{:?}\n",
+            "{i}|{}|{device:#018x}|{:?}|{}|{:?}|{:?}\n",
             s.name,
-            checkpoint::config_digest(&s.config),
             s.faults.specs().collect::<Vec<_>>(),
             s.duration_s,
             s.seed,
@@ -530,15 +533,7 @@ mod tests {
         let supervisor = (0..)
             .map_while(SupervisorState::from_tag)
             .map(SupervisorState::label);
-        let channel = [
-            ChannelStatus::Init,
-            ChannelStatus::Normal,
-            ChannelStatus::NotConnected,
-            ChannelStatus::ShortToGround,
-            ChannelStatus::ReversePolarity,
-            ChannelStatus::OutOfRange,
-        ]
-        .map(ChannelStatus::label);
+        let channel = ChannelStatus::ALL.map(ChannelStatus::label);
         for label in supervisor.chain(channel) {
             assert!(STATE_LABELS.contains(&label), "{label} not interned");
         }

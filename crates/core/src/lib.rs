@@ -22,15 +22,16 @@
 //!   (ADXRS300, Gyrostar);
 //! - [`report`] — digital-complexity accounting (the 200 kgate claim).
 //! - [`campaign`] — scenario campaigns on the parallel worker pool
-//!   (declarative experiment sweeps; the bench bins are scenario lists),
+//!   (declarative experiment sweeps over the gyro platform and sensor
+//!   channels; the bench bins are scenario lists),
 //!   executed under a fault-tolerant supervision layer (panic isolation,
 //!   deadline watchdog, deterministic retry, chaos injection).
 //! - [`journal`] — crash-recoverable campaign journal (append-only
 //!   outcome records; `CampaignRunner::resume` merges byte-identically).
 //! - [`frontend`] — the generic sensor-conditioning channel: any
 //!   [`ascp_mems::frontend::SensorFrontEnd`] conditioned from the same IP
-//!   portfolio, with supervisor wire-fault checks, campaign measurements
-//!   and checkpointing.
+//!   portfolio, with supervisor wire-fault checks and checkpointing; a
+//!   campaign device through `ScenarioSpec::channel`.
 //! - [`datasheet`] — the cross-sensor datasheet report generator (the
 //!   paper's Table 1 extended across sensor families).
 pub mod baseline;
@@ -67,10 +68,7 @@ pub mod prelude {
     };
     pub use crate::chain::SenseMode;
     pub use crate::datasheet::CrossSensorReport;
-    pub use crate::frontend::{
-        run_channel_scenarios, ChannelConfig, ChannelMeasurement, ChannelScenario, ChannelStatus,
-        SensorChannel,
-    };
+    pub use crate::frontend::{ChannelConfig, ChannelStatus, SensorChannel};
     pub use crate::journal::JournalError;
     pub use crate::platform::{
         ConfigError, Platform, PlatformConfig, PlatformConfigBuilder, PlatformFleet,

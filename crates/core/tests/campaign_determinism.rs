@@ -3,8 +3,9 @@
 //! worker threads shard it. This is what makes `--threads N` safe to use in
 //! CI — parallelism may change wall clock, never numbers.
 //!
-//! A fixed mixed-scenario list runs unconditionally; a randomized
-//! property-test variant runs under `--features proptest`.
+//! A fixed mixed-scenario list (gyro platform and sensor-channel specs)
+//! runs unconditionally; a randomized property-test variant runs under
+//! `--features proptest`.
 
 use ascp_core::campaign::{
     CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ScenarioSpec, Step,
@@ -20,13 +21,25 @@ fn configured(options: CampaignOptionsBuilder) -> CampaignRunner {
     CampaignRunner::with_options(options.build().expect("valid options"))
 }
 
+use ascp_core::frontend::{ChannelConfig, SensorChannel};
 use ascp_core::platform::PlatformConfig;
-use ascp_sim::fault::{AdcChannel, FaultKind};
+use ascp_mems::pressure::MapSensorFrontEnd;
+use ascp_sim::fault::{AdcChannel, FaultKind, FaultPlan};
+
+/// A MAP sensor channel, as the datasheet campaign builds it.
+fn map_channel(seed: u64) -> SensorChannel {
+    let mut cfg = ChannelConfig::new("map", seed);
+    cfg.adc_vref = 5.0;
+    SensorChannel::new(cfg, Box::new(MapSensorFrontEnd::automotive(seed)))
+}
 
 /// A short but heterogeneous scenario list: distinct configs, explicit and
-/// derived seeds, a fault plan, and both metric- and series-producing steps.
+/// derived seeds, fault plans, both metric- and series-producing steps,
+/// and two sensor-channel specs (a static transfer and a wire fault).
 fn scenario_list() -> Vec<ScenarioSpec> {
     let quiet = || PlatformConfig::builder().quiet();
+    let mut not_connected = FaultPlan::new();
+    not_connected.one_shot(FaultKind::WireNotConnected, 0.05, 0.05);
     vec![
         ScenarioSpec::new("rate_step", quiet().build().expect("valid"))
             .with_step(Step::Run { seconds: 0.01 })
@@ -72,6 +85,21 @@ fn scenario_list() -> Vec<ScenarioSpec> {
                 settle_s: 0.005,
             },
         ),
+        ScenarioSpec::channel("map_transfer", 7, map_channel).with_step(
+            Step::MeasureStaticTransfer {
+                rate_points: vec![50.0, 150.0, 250.0],
+                samples_per_point: 16,
+            },
+        ),
+        ScenarioSpec::channel("map_not_connected", 7, map_channel)
+            .with_faults(not_connected)
+            .with_step(Step::FaultResponse {
+                t_inject_s: 0.05,
+                t_clear_s: 0.1,
+                detect_budget_s: 0.05,
+                recover_budget_s: 0.1,
+                measure_recovery: true,
+            }),
     ]
 }
 
@@ -105,6 +133,11 @@ fn outcomes_are_equal_not_just_rendered_equal() {
     let a = runner(1).run(scenario_list());
     let b = runner(4).run(scenario_list());
     assert_eq!(a.outcomes, b.outcomes);
+    // One engine numbers a mixed campaign: outcome indices are the input
+    // positions, gyro and channel alike.
+    assert!(a.outcomes.iter().map(|o| o.index).eq(0..a.outcomes.len()));
+    assert_eq!(a.metric("map_not_connected", "detected"), Some(1.0));
+    assert!(a.metric("map_transfer", "transfer_slope").is_some());
 }
 
 #[test]

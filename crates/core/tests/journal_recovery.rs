@@ -17,13 +17,18 @@ fn configured(options: CampaignOptionsBuilder) -> CampaignRunner {
     CampaignRunner::with_options(options.build().expect("valid options"))
 }
 
+use ascp_core::frontend::{ChannelConfig, SensorChannel};
 use ascp_core::journal::{self, JournalError, JournalWriter, HEADER_LEN};
 use ascp_core::platform::PlatformConfig;
+use ascp_mems::pressure::MapSensorFrontEnd;
+use ascp_sim::fault::{FaultKind, FaultPlan};
 use std::path::PathBuf;
 
-/// A small deterministic campaign (six cheap scenarios).
+/// A small deterministic campaign: six cheap gyro scenarios, then a MAP
+/// sensor channel through a not-connected wire fault (its channel-status
+/// transitions round-trip through the journal's label catalog).
 fn scenario_list() -> Vec<ScenarioSpec> {
-    (0..6)
+    let mut specs: Vec<ScenarioSpec> = (0..6)
         .map(|i| {
             let config = PlatformConfig::builder().quiet().build().expect("valid");
             ScenarioSpec::new(format!("s{i}"), config)
@@ -36,7 +41,25 @@ fn scenario_list() -> Vec<ScenarioSpec> {
                     window_s: 0.005,
                 })
         })
-        .collect()
+        .collect();
+    let mut fault = FaultPlan::new();
+    fault.one_shot(FaultKind::WireNotConnected, 0.02, 0.02);
+    specs.push(
+        ScenarioSpec::channel("map_nc", 11, |seed| {
+            let mut cfg = ChannelConfig::new("map", seed);
+            cfg.adc_vref = 5.0;
+            SensorChannel::new(cfg, Box::new(MapSensorFrontEnd::automotive(seed)))
+        })
+        .with_faults(fault)
+        .with_step(Step::FaultResponse {
+            t_inject_s: 0.02,
+            t_clear_s: 0.04,
+            detect_budget_s: 0.02,
+            recover_budget_s: 0.05,
+            measure_recovery: true,
+        }),
+    );
+    specs
 }
 
 /// A scratch path under the system temp dir, unique per test.
@@ -181,8 +204,19 @@ fn duplicate_scenario_records_resolve_last_wins() {
 fn partial_journal_resumes_to_byte_identical_merged_report() {
     let baseline = runner(2).run(scenario_list());
     let digest = journal::campaign_digest(&scenario_list());
+    let channel = &baseline.outcomes[6];
+    assert_eq!(channel.metric("detected"), Some(1.0));
+    assert_eq!(
+        channel.transitions,
+        [
+            ("init", "normal"),
+            ("normal", "not_connected"),
+            ("not_connected", "normal")
+        ]
+    );
 
-    for (case, subset) in [vec![0usize, 2, 5], vec![3], (0..6).collect::<Vec<_>>()]
+    let all = (0..scenario_list().len()).collect::<Vec<_>>();
+    for (case, subset) in [vec![0usize, 2, 5, 6], vec![3], all]
         .into_iter()
         .enumerate()
     {
@@ -220,14 +254,15 @@ fn resume_without_a_journal_starts_fresh() {
     let report = runner(2)
         .resume(scenario_list(), &path)
         .expect("fresh start");
+    let n = scenario_list().len();
     assert_eq!(report.resumed, 0);
-    assert_eq!(report.outcomes.len(), 6);
+    assert_eq!(report.outcomes.len(), n);
     assert!(path.exists(), "the fresh run must have journaled");
     // And the journal it wrote immediately resumes to the same report.
     let again = CampaignRunner::new()
         .resume(scenario_list(), &path)
         .expect("resume complete journal");
-    assert_eq!(again.resumed, 6);
+    assert_eq!(again.resumed, n);
     assert_eq!(report.to_csv(), again.to_csv());
     std::fs::remove_file(&path).ok();
 }

@@ -48,14 +48,24 @@ cargo run --release -q -p ascp-bench --bin fault_campaign -- --smoke --threads 4
     --check-coverage COVERAGE_fault_campaign.csv
 cp target/experiments/fault_campaign.csv target/experiments/fault_campaign.reference.csv
 
-echo "== sensor datasheet (smoke: three sensor families + wire-fault coverage) =="
-# One campaign sweeps the gyro, the MAP/IAT pressure/temperature pair and
-# the capacitive accelerometer through the shared conditioning portfolio;
-# fails if a sensor family fails to characterize, a scheduled wire fault
-# (not_connected / short_to_ground / reverse_polarity) goes undetected, or
-# a cell of the committed COVERAGE_sensor_datasheet.csv baseline goes dark.
+echo "== sensor datasheet (smoke: four sensor families + wire-fault coverage) =="
+# One campaign sweeps the gyro, the MAP and IAT pressure/temperature
+# dividers and the capacitive accelerometer through the shared
+# conditioning portfolio; fails if a sensor family fails to characterize,
+# a scheduled wire fault (not_connected / short_to_ground /
+# reverse_polarity) goes undetected, or a cell of the committed
+# COVERAGE_sensor_datasheet.csv baseline goes dark.
 cargo run --release -q -p ascp-bench --bin sensor_datasheet -- --smoke --threads 4 \
     --check-coverage COVERAGE_sensor_datasheet.csv
+
+echo "== datasheet regeneration (a full run must reproduce DATASHEET.md) =="
+# The coverage gate above cannot see a number change. A full run rewrites
+# DATASHEET.md at the repo root; it must match the committed copy byte for
+# byte. On a mismatch the regenerated file stays in the working tree.
+cp DATASHEET.md target/experiments/DATASHEET.committed.md
+cargo run --release -q -p ascp-bench --bin sensor_datasheet -- --threads 4 >/dev/null
+cmp DATASHEET.md target/experiments/DATASHEET.committed.md \
+    || { echo "a full sensor_datasheet run changed DATASHEET.md (git diff DATASHEET.md)" >&2; exit 1; }
 
 echo "== chaos campaign (seeded worker panics + stalls; retry must make it invisible) =="
 # The supervision layer's chaos mode injects worker panics and stalls;
