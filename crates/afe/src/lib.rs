@@ -13,7 +13,7 @@
 //! - [`amp`] — programmable-gain amplifier (gain ladder ×1..×512,
 //!   bandwidth, offset drift, 1/f noise) and charge amplifier;
 //! - [`filter`] — continuous-time anti-alias Butterworth stage;
-//! - [`refs`] — bandgap reference and system oscillator with drift;
+//! - [`refs`] — bandgap voltage reference with drift and droop;
 //! - [`regs`] — the JTAG-visible configuration register bank.
 //!
 //! # Example

@@ -1,14 +1,14 @@
-//! Voltage/current references and the system oscillator.
+//! Voltage references.
 //!
 //! "The front-end ... provides stable power supply and clock to the digital
 //! section" (§4.2). Reference drift feeds straight into ratiometric errors
-//! (sensitivity over temperature), and oscillator drift shifts every
-//! digital filter corner, so both are modelled with first-order temperature
-//! coefficients plus noise.
+//! (sensitivity over temperature), so it is modelled with a first-order
+//! temperature coefficient plus noise. The clock side needs no model: the
+//! platform runs the 8051 at a constant 20 MHz / 12 machine-cycle rate.
 
 use ascp_sim::noise::WhiteNoise;
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
-use ascp_sim::units::{Celsius, Hertz, Volts};
+use ascp_sim::units::{Celsius, Volts};
 
 /// Bandgap voltage reference.
 #[derive(Debug, Clone)]
@@ -108,80 +108,6 @@ impl VoltageReference {
     }
 }
 
-/// System oscillator (the 20 MHz clock of the paper's FPGA prototype).
-#[derive(Debug, Clone)]
-pub struct Oscillator {
-    nominal: Hertz,
-    /// Relative frequency drift per °C.
-    tempco: f64,
-    temperature: Celsius,
-    noise: WhiteNoise,
-}
-
-impl Oscillator {
-    /// Creates an oscillator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nominal` is not positive or `jitter` is negative.
-    #[must_use]
-    pub fn new(nominal: Hertz, tempco: f64, jitter: f64, seed: u64) -> Self {
-        assert!(nominal.0 > 0.0, "oscillator frequency must be positive");
-        assert!(jitter >= 0.0, "jitter must be non-negative");
-        Self {
-            nominal,
-            tempco,
-            temperature: Celsius(25.0),
-            noise: WhiteNoise::new(jitter, seed),
-        }
-    }
-
-    /// The platform's 20 MHz system clock (50 ppm/°C crystal-less RC spec).
-    #[must_use]
-    pub fn system_20mhz(seed: u64) -> Self {
-        Self::new(Hertz(20.0e6), 50.0e-6, 1.0e-5, seed)
-    }
-
-    /// Nominal frequency.
-    #[must_use]
-    pub fn nominal(&self) -> Hertz {
-        self.nominal
-    }
-
-    /// Sets die temperature.
-    pub fn set_temperature(&mut self, t: Celsius) {
-        self.temperature = t;
-    }
-
-    /// Effective frequency at the current temperature (no jitter).
-    #[must_use]
-    pub fn frequency(&self) -> Hertz {
-        Hertz(self.nominal.0 * (1.0 + self.tempco * (self.temperature.0 - 25.0)))
-    }
-
-    /// One clock period including jitter (seconds).
-    pub fn period(&mut self) -> f64 {
-        let f = self.frequency().0;
-        (1.0 / f) * (1.0 + self.noise.sample())
-    }
-
-    /// Serializes temperature and the jitter generator.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.temperature.0);
-        self.noise.save_state(w);
-    }
-
-    /// Restores state saved by [`Oscillator::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.temperature = Celsius(r.take_f64()?);
-        self.noise.load_state(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,33 +129,6 @@ mod tests {
         let hot = r.output().0;
         // 25 ppm/°C over 165 °C ≈ 0.41 %.
         assert!((hot - cold).abs() / 2.5 < 0.006);
-    }
-
-    #[test]
-    fn oscillator_nominal_period() {
-        let mut o = Oscillator::new(Hertz(20.0e6), 0.0, 0.0, 1);
-        assert!((o.period() - 50.0e-9).abs() < 1e-18);
-    }
-
-    #[test]
-    fn oscillator_temperature_drift() {
-        let mut o = Oscillator::system_20mhz(1);
-        o.set_temperature(Celsius(125.0));
-        let f = o.frequency().0;
-        assert!((f / 20.0e6 - 1.005).abs() < 1e-6, "drifted to {f}");
-    }
-
-    #[test]
-    fn jitter_varies_period() {
-        let mut o = Oscillator::new(Hertz(1.0e6), 0.0, 1.0e-3, 3);
-        let a = o.period();
-        let mut differs = false;
-        for _ in 0..20 {
-            if (o.period() - a).abs() > 1e-15 {
-                differs = true;
-            }
-        }
-        assert!(differs, "jitter missing");
     }
 
     #[test]

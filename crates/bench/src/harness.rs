@@ -142,16 +142,13 @@ pub fn check_coverage(
 pub const USAGE: &str = "\
 Shared campaign-bin options:
   --threads N           campaign worker threads (default: available parallelism)
-  --seed N              base noise-seed override
   --smoke               CI smoke mode: skip the slow measurement arms
-  --short               shrunken bench measurement protocol (~10x faster)
   --chaos               enable seeded chaos injection (worker panics/stalls)
   --chaos-seed N        chaos plan seed (default: bin-specific)
   --deadline S          per-scenario wall-clock watchdog, in seconds
   --journal PATH        crash-recoverable campaign journal (resumes if present)
   --checkpoint PATH     save a settled platform checkpoint after bring-up
   --resume PATH         restore a settled platform checkpoint
-  --check PATH          bench-trajectory baseline to check against
   --check-coverage PATH coverage-matrix baseline to check against
   --help                print this help and exit";
 
@@ -172,12 +169,8 @@ Shared campaign-bin options:
 pub struct Args {
     /// `--threads N`: campaign worker threads, clamped to ≥ 1.
     pub threads: usize,
-    /// `--seed N`: base noise-seed override.
-    pub seed: Option<u64>,
     /// `--smoke`: CI smoke mode (skip slow measurement arms).
     pub smoke: bool,
-    /// `--short`: shrunken bench measurement protocol.
-    pub short: bool,
     /// `--chaos`: enable seeded chaos injection.
     pub chaos: bool,
     /// `--chaos-seed N`: chaos plan seed.
@@ -190,8 +183,6 @@ pub struct Args {
     pub checkpoint: Option<String>,
     /// `--resume PATH`: restore a settled platform checkpoint.
     pub resume: Option<String>,
-    /// `--check PATH`: bench-trajectory baseline, repo-root relative.
-    pub check: Option<PathBuf>,
     /// `--check-coverage PATH`: coverage-matrix baseline.
     pub check_coverage: Option<String>,
 }
@@ -200,16 +191,13 @@ impl Default for Args {
     fn default() -> Self {
         Self {
             threads: ascp_sim::campaign::available_parallelism(),
-            seed: None,
             smoke: false,
-            short: false,
             chaos: false,
             chaos_seed: None,
             deadline_s: None,
             journal: None,
             checkpoint: None,
             resume: None,
-            check: None,
             check_coverage: None,
         }
     }
@@ -267,7 +255,6 @@ impl Args {
             match flag.as_str() {
                 "help" => return Ok(None),
                 "smoke" => out.smoke = true,
-                "short" => out.short = true,
                 "chaos" => out.chaos = true,
                 "threads" => {
                     let v = next_value("threads", inline, &mut args)?;
@@ -275,13 +262,6 @@ impl Args {
                         .parse()
                         .map_err(|_| format!("--threads: not a number: `{v}`"))?;
                     out.threads = n.max(1);
-                }
-                "seed" => {
-                    let v = next_value("seed", inline, &mut args)?;
-                    out.seed = Some(
-                        v.parse()
-                            .map_err(|_| format!("--seed: not a number: `{v}`"))?,
-                    );
                 }
                 "chaos-seed" => {
                     let v = next_value("chaos-seed", inline, &mut args)?;
@@ -305,9 +285,6 @@ impl Args {
                     out.checkpoint = Some(next_value("checkpoint", inline, &mut args)?);
                 }
                 "resume" => out.resume = Some(next_value("resume", inline, &mut args)?),
-                "check" => {
-                    out.check = Some(repo_root_path(next_value("check", inline, &mut args)?));
-                }
                 "check-coverage" => {
                     out.check_coverage = Some(next_value("check-coverage", inline, &mut args)?);
                 }
@@ -597,8 +574,6 @@ mod tests {
     fn args_parse_the_full_shared_vocabulary() {
         let args = parse(&[
             "--threads=4",
-            "--seed",
-            "7",
             "--smoke",
             "--chaos",
             "--chaos-seed=99",
@@ -615,8 +590,7 @@ mod tests {
         .expect("valid")
         .expect("not help");
         assert_eq!(args.threads, 4);
-        assert_eq!(args.seed, Some(7));
-        assert!(args.smoke && args.chaos && !args.short);
+        assert!(args.smoke && args.chaos);
         assert_eq!(args.chaos_seed, Some(99));
         assert_eq!(args.deadline_s, Some(2.5));
         assert_eq!(args.journal.as_deref(), Some("j.bin"));
@@ -658,27 +632,31 @@ mod tests {
         assert!(parse(&["--deadline", "-1"])
             .expect_err("bad deadline")
             .contains("deadline"));
+        // No bin reads a noise-seed override, so the flag is not accepted.
+        assert!(parse(&["--seed", "5"])
+            .expect_err("no --seed flag")
+            .contains("--seed"));
         assert!(parse(&["--help"]).expect("help is valid").is_none());
     }
 
     #[test]
     fn args_check_resolves_against_the_repo_root() {
-        let args = parse(&["--check", "BENCH_x.json"])
+        // A relative `--check-coverage` baseline names a committed file at
+        // the repo root, whatever the working directory.
+        let args = parse(&["--check-coverage", "COVERAGE_fault_campaign.csv"])
             .expect("valid")
             .expect("not help");
-        assert_eq!(args.check, Some(repo_root_path("BENCH_x.json")));
+        let baseline = args.check_coverage.expect("baseline");
+        assert!(repo_root_path(&baseline).is_file(), "{baseline}");
         let usage_flags = [
             "--threads",
-            "--seed",
             "--smoke",
-            "--short",
             "--chaos",
             "--chaos-seed",
             "--deadline",
             "--journal",
             "--checkpoint",
             "--resume",
-            "--check",
             "--check-coverage",
             "--help",
         ];

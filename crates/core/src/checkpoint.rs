@@ -56,7 +56,7 @@
 //! ```
 
 use crate::platform::{Platform, PlatformConfig};
-use ascp_sim::snapshot::{dump_sections_json, fnv1a64, SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -281,37 +281,6 @@ pub fn restore_from_file(
     restore(config, &bytes)
 }
 
-/// Renders a checkpoint's section tree as indented JSON for debugging:
-/// header fields plus every section's tag and byte length.
-///
-/// # Errors
-///
-/// Returns a [`CheckpointError`] on a bad header or a structurally
-/// invalid section tree.
-pub fn dump_json(bytes: &[u8]) -> Result<String, CheckpointError> {
-    let (digest, payload) = split(bytes)?;
-    let sections = dump_sections_json(payload)?;
-    Ok(format!(
-        "{{\n  \"magic\": \"ASCPCKPT\",\n  \"version\": {FORMAT_VERSION},\n  \"config_digest\": \"{digest:#018x}\",\n  \"payload_bytes\": {},\n  \"sections\": {}\n}}",
-        payload.len(),
-        indent_tail(&sections),
-    ))
-}
-
-/// Re-indents every line after the first by two spaces so a nested JSON
-/// fragment sits correctly inside the wrapper object.
-fn indent_tail(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for (i, line) in s.lines().enumerate() {
-        if i > 0 {
-            out.push('\n');
-            out.push_str("  ");
-        }
-        out.push_str(line);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,18 +398,70 @@ mod tests {
         ));
     }
 
+    /// `(start, end)` of each top-level payload section: a 4-byte tag, a
+    /// kind byte and a `u32` length, then the section's own bytes.
+    fn top_level_sections(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut sections = Vec::new();
+        let mut at = HEADER_LEN;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 5..at + 9].try_into().expect("4 bytes"));
+            sections.push((at, at + 9 + len as usize));
+            at += 9 + len as usize;
+        }
+        sections
+    }
+
+    /// Mutated checkpoints restore or fail with a typed error, never a
+    /// panic, with the CPU off and on: XOR masks across the payload, each
+    /// top-level section's length field overwritten, and each section
+    /// duplicated.
     #[test]
     fn corrupt_interior_never_panics() {
-        let config = quiet_config(7);
-        let mut platform = Platform::new(config.clone());
-        platform.step_block(32);
-        let bytes = save(&platform);
-        for pos in (HEADER_LEN..bytes.len()).step_by(211) {
-            let mut bad = bytes.clone();
-            bad[pos] ^= 0x5a;
-            // Any outcome but a panic is acceptable; a flipped byte deep in
-            // some f64 may still decode. Errors must be typed.
-            let _ = restore(config.clone(), &bad);
+        for (cpu, stride) in [(false, 211), (true, 844)] {
+            let config = PlatformConfig::builder()
+                .quiet()
+                .cpu_enabled(cpu)
+                .seed(7)
+                .build()
+                .expect("valid config");
+            let mut platform = Platform::new(config.clone());
+            platform.step_block(32);
+            let bytes = save(&platform);
+            let masks = [0x5a, 0x01, 0x80, 0xff];
+            for (i, pos) in (HEADER_LEN..bytes.len()).step_by(stride).enumerate() {
+                let mut bad = bytes.clone();
+                bad[pos] ^= masks[i % masks.len()];
+                // Any outcome but a panic is acceptable; a flipped byte deep
+                // in some f64 may still decode. Errors must be typed.
+                let _ = restore(config.clone(), &bad);
+            }
+            let sections = top_level_sections(&bytes);
+            assert!(
+                sections.len() > 20,
+                "cpu {cpu}: {} sections",
+                sections.len()
+            );
+            for (start, end) in sections {
+                let len = (end - start - 9) as u32;
+                let mut cases: Vec<Vec<u8>> = [len + 1, u32::MAX]
+                    .into_iter()
+                    .map(|claimed| {
+                        let mut bad = bytes.clone();
+                        bad[start + 5..start + 9].copy_from_slice(&claimed.to_le_bytes());
+                        bad
+                    })
+                    .collect();
+                cases.push([&bytes[..end], &bytes[start..]].concat());
+                for bad in cases {
+                    assert!(
+                        matches!(
+                            restore(config.clone(), &bad),
+                            Err(CheckpointError::Snapshot(_))
+                        ),
+                        "cpu {cpu}: section at byte {start}"
+                    );
+                }
+            }
         }
     }
 
@@ -471,16 +492,6 @@ mod tests {
                 Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
             ));
         }
-    }
-
-    #[test]
-    fn json_dump_lists_sections() {
-        let platform = Platform::new(quiet_config(8));
-        let dump = dump_json(&save(&platform)).expect("dump");
-        for tag in ["gyro", "chan", "cpu ", "supv", "kern"] {
-            assert!(dump.contains(tag), "dump must list section {tag:?}");
-        }
-        assert!(dump.contains("config_digest"));
     }
 
     #[test]

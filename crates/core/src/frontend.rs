@@ -23,11 +23,7 @@
 //!   transfer, noise density and fault response have channel meanings, so
 //!   channel scenarios run on the same supervised
 //!   [`crate::campaign::CampaignRunner`] as gyro scenarios and flow
-//!   through the same CSV/coverage/telemetry artifacts;
-//! - **checkpointing**: [`SensorChannel::save_state`] /
-//!   [`SensorChannel::load_state`] snapshot every component bit-exactly and
-//!   refuse restores across configuration changes via a config digest that
-//!   folds in [`SensorFrontEnd::config_digest`].
+//!   through the same CSV/coverage/telemetry artifacts.
 //!
 //! # Example
 //!
@@ -51,10 +47,10 @@ use ascp_dsp::cic::CicDecimator;
 use ascp_dsp::demod::Demodulator;
 use ascp_dsp::nco::Nco;
 use ascp_mems::frontend::{
-    Excitation, NodeObservation, PlausibilityBands, SensorFrontEnd, WireFault, WireStatus,
+    Excitation, NodeObservation, PlausibilityBands, SensorFrontEnd, WireFault,
 };
 use ascp_sim::fault::{FaultEdge, FaultKind, FaultPlan};
-use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::{fnv1a64, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::units::{Celsius, Volts};
 
@@ -134,8 +130,8 @@ pub enum ChannelStatus {
 }
 
 impl ChannelStatus {
-    /// Every status in declaration order; a status's position (its
-    /// discriminant) is its checkpoint code.
+    /// Every status in declaration order.
+    #[cfg(test)]
     pub(crate) const ALL: [Self; 6] = [
         Self::Init,
         Self::Normal,
@@ -169,12 +165,12 @@ impl ChannelStatus {
         })
     }
 
-    fn from_wire(ws: WireStatus) -> Self {
-        match ws {
-            WireStatus::Ok => Self::Normal,
-            WireStatus::NotConnected => Self::NotConnected,
-            WireStatus::ShortToGround => Self::ShortToGround,
-            WireStatus::ReversePolarity => Self::ReversePolarity,
+    fn from_wire(fault: Option<WireFault>) -> Self {
+        match fault {
+            None => Self::Normal,
+            Some(WireFault::NotConnected) => Self::NotConnected,
+            Some(WireFault::ShortToGround) => Self::ShortToGround,
+            Some(WireFault::ReversePolarity) => Self::ReversePolarity,
         }
     }
 }
@@ -220,7 +216,6 @@ pub struct SensorChannel {
     bands: PlausibilityBands,
     /// Simulation time, seconds.
     t: f64,
-    ticks: u64,
     /// Monitor-window accumulators over raw node samples.
     win_sum: f64,
     win_sq: f64,
@@ -306,7 +301,6 @@ impl SensorChannel {
             wire_fault: None,
             bands,
             t: 0.0,
-            ticks: 0,
             win_sum: 0.0,
             win_sq: 0.0,
             win_n: 0,
@@ -384,8 +378,8 @@ impl SensorChannel {
     }
 
     /// Combined configuration digest: channel parameters + front-end
-    /// construction parameters. Snapshots refuse to restore across digest
-    /// mismatches.
+    /// construction parameters. The campaign journal keys channel
+    /// scenarios by it.
     #[must_use]
     pub fn config_digest(&self) -> u64 {
         let mut w = StateWriter::new();
@@ -420,7 +414,6 @@ impl SensorChannel {
     pub fn step(&mut self) -> Option<f64> {
         let dt = 1.0 / self.config.fs_hz;
         self.t += dt;
-        self.ticks += 1;
         if !self.faults.is_empty() {
             self.fault_edges.clear();
             self.faults.poll(self.t, &mut self.fault_edges);
@@ -549,150 +542,6 @@ impl SensorChannel {
     pub fn read(&mut self, n: usize) -> f64 {
         stats::mean(&self.collect(n))
     }
-
-    /// Serializes the complete channel state (front-end, excitation, PGA,
-    /// converters, decimators, fault cursors, supervisor) behind the
-    /// config digest.
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.leaf("SCHN", |w| {
-            w.put_u64(self.config_digest());
-            w.put_f64(self.t);
-            w.put_u64(self.ticks);
-            w.put_f64(self.win_sum);
-            w.put_f64(self.win_sq);
-            w.put_u32(self.win_n);
-            w.put_u8(self.status as u8);
-            w.put_u8(self.candidate as u8);
-            w.put_u32(self.candidate_count);
-            w.put_u32(self.transitions.len() as u32);
-            for &(from, to) in &self.transitions {
-                w.put_u8(label_code(from));
-                w.put_u8(label_code(to));
-            }
-            w.put_u8(match self.wire_fault {
-                None => 0,
-                Some(WireFault::NotConnected) => 1,
-                Some(WireFault::ShortToGround) => 2,
-                Some(WireFault::ReversePolarity) => 3,
-            });
-            w.put_f64(self.last_eu);
-            w.put_f64(self.last_ratio);
-            self.frontend.save_state(w);
-            self.excitation.save_state(w);
-            self.pga.save_state(w);
-            self.adc.save_state(w);
-            self.monitor_adc.save_state(w);
-            match &self.path {
-                SignalPath::Dc(p) => p.cic.save_state(w),
-                SignalPath::Carrier(cp) => {
-                    cp.nco.save_state(w);
-                    cp.demod.save_state(w);
-                    w.put_f64(cp.pilot_filt);
-                }
-            }
-            self.faults.save_state(w);
-        });
-    }
-
-    /// Restores state saved by [`SensorChannel::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Corrupt`] if the snapshot's config digest does not
-    /// match this channel's configuration, plus the underlying decode
-    /// errors.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let digest = self.config_digest();
-        let (frontend, excitation, pga, adc, monitor_adc, path, faults) = (
-            &mut self.frontend,
-            &mut self.excitation,
-            &mut self.pga,
-            &mut self.adc,
-            &mut self.monitor_adc,
-            &mut self.path,
-            &mut self.faults,
-        );
-        let mut t = 0.0;
-        let mut ticks = 0;
-        let mut win = (0.0, 0.0, 0u32);
-        let mut codes = (0u8, 0u8, 0u32);
-        let mut transitions = Vec::new();
-        let mut wire = 0u8;
-        let mut last = (0.0, 0.0);
-        r.leaf("SCHN", |r| {
-            let saved = r.take_u64()?;
-            if saved != digest {
-                return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "channel config digest mismatch: snapshot {saved:#x}, channel {digest:#x}"
-                    ),
-                });
-            }
-            t = r.take_f64()?;
-            ticks = r.take_u64()?;
-            win = (r.take_f64()?, r.take_f64()?, r.take_u32()?);
-            codes = (r.take_u8()?, r.take_u8()?, r.take_u32()?);
-            let n = r.take_count(2, "channel transition")?;
-            transitions.reserve(n);
-            for _ in 0..n {
-                let from = code_label(r.take_u8()?)?;
-                let to = code_label(r.take_u8()?)?;
-                transitions.push((from, to));
-            }
-            wire = r.take_u8()?;
-            last = (r.take_f64()?, r.take_f64()?);
-            frontend.load_state(r)?;
-            excitation.load_state(r)?;
-            pga.load_state(r)?;
-            adc.load_state(r)?;
-            monitor_adc.load_state(r)?;
-            match path {
-                SignalPath::Dc(p) => p.cic.load_state(r)?,
-                SignalPath::Carrier(cp) => {
-                    cp.nco.load_state(r)?;
-                    cp.demod.load_state(r)?;
-                    cp.pilot_filt = r.take_f64()?;
-                }
-            }
-            faults.load_state(r)
-        })?;
-        self.t = t;
-        self.ticks = ticks;
-        (self.win_sum, self.win_sq, self.win_n) = win;
-        self.status = code_status(codes.0)?;
-        self.candidate = code_status(codes.1)?;
-        self.candidate_count = codes.2;
-        self.transitions = transitions;
-        self.wire_fault = match wire {
-            0 => None,
-            1 => Some(WireFault::NotConnected),
-            2 => Some(WireFault::ShortToGround),
-            3 => Some(WireFault::ReversePolarity),
-            other => {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("unknown wire-fault code {other}"),
-                })
-            }
-        };
-        (self.last_eu, self.last_ratio) = last;
-        Ok(())
-    }
-}
-
-fn code_status(code: u8) -> Result<ChannelStatus, SnapshotError> {
-    let status = ChannelStatus::ALL.get(usize::from(code)).copied();
-    status.ok_or_else(|| SnapshotError::Corrupt {
-        context: format!("unknown channel status code {code}"),
-    })
-}
-
-fn label_code(label: &str) -> u8 {
-    let code = ChannelStatus::ALL.iter().position(|s| s.label() == label);
-    code.map_or(5, |c| c as u8)
-}
-
-fn code_label(code: u8) -> Result<&'static str, SnapshotError> {
-    code_status(code).map(ChannelStatus::label)
 }
 
 #[cfg(test)]
@@ -777,89 +626,5 @@ mod tests {
         ch.set_fault_plan(plan);
         ch.settle(0.1);
         assert_eq!(ch.status(), ChannelStatus::ReversePolarity);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_is_bit_exact() {
-        let mut ch = map_channel(29);
-        ch.set_stimulus(120.0);
-        ch.settle(0.013);
-        let mut w = StateWriter::new();
-        ch.save_state(&mut w);
-        let bytes = w.bytes().to_vec();
-        let mut twin = map_channel(29);
-        let mut r = StateReader::new(&bytes);
-        twin.load_state(&mut r).unwrap();
-        let a = ch.collect(40);
-        let b = twin.collect(40);
-        assert_eq!(a, b, "post-restore outputs must be bit-identical");
-    }
-
-    #[test]
-    fn checkpoint_refuses_config_mismatch() {
-        let mut ch = map_channel(31);
-        ch.settle(0.01);
-        let mut w = StateWriter::new();
-        ch.save_state(&mut w);
-        let bytes = w.bytes().to_vec();
-        let mut other = map_channel(32); // different seed -> different digest
-        let mut r = StateReader::new(&bytes);
-        assert!(other.load_state(&mut r).is_err());
-    }
-
-    #[test]
-    fn checkpoint_rejects_impossible_transition_count() {
-        let ch = map_channel(33);
-        let mut w = StateWriter::new();
-        ch.save_state(&mut w);
-        let mut bytes = w.into_bytes();
-        // Section header (9 bytes), then digest, t, ticks, the window
-        // (f64, f64, u32) and the status codes (u8, u8, u32): the
-        // transition count sits at byte 59.
-        bytes[59..63].copy_from_slice(&u32::MAX.to_le_bytes());
-        let mut twin = map_channel(33);
-        let mut r = StateReader::new(&bytes);
-        assert!(matches!(
-            twin.load_state(&mut r),
-            Err(SnapshotError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn scenarios_are_thread_count_invariant() {
-        use crate::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
-        let mk = || {
-            let mut not_connected = FaultPlan::new();
-            not_connected.one_shot(FaultKind::WireNotConnected, 0.05, 0.05);
-            vec![
-                ScenarioSpec::channel("map_transfer", 7, map_channel).with_step(
-                    Step::MeasureStaticTransfer {
-                        rate_points: vec![50.0, 150.0, 250.0],
-                        samples_per_point: 16,
-                    },
-                ),
-                ScenarioSpec::channel("map_nc", 7, map_channel)
-                    .with_faults(not_connected)
-                    .with_step(Step::FaultResponse {
-                        t_inject_s: 0.05,
-                        t_clear_s: 0.1,
-                        detect_budget_s: 0.05,
-                        recover_budget_s: 0.1,
-                        measure_recovery: true,
-                    }),
-            ]
-        };
-        let runner = |threads| {
-            let options = CampaignOptions::builder().threads(threads).build();
-            CampaignRunner::with_options(options.expect("valid options"))
-        };
-        let one = runner(1).run(mk()).outcomes;
-        let four = runner(4).run(mk()).outcomes;
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.transitions, b.transitions);
-        }
-        assert_eq!(one[1].metric("detected"), Some(1.0));
     }
 }

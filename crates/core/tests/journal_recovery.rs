@@ -22,6 +22,7 @@ use ascp_core::journal::{self, JournalError, JournalWriter, HEADER_LEN};
 use ascp_core::platform::PlatformConfig;
 use ascp_mems::pressure::MapSensorFrontEnd;
 use ascp_sim::fault::{FaultKind, FaultPlan};
+use ascp_sim::snapshot::fnv1a64;
 use std::path::PathBuf;
 
 /// A small deterministic campaign: six cheap gyro scenarios, then a MAP
@@ -160,6 +161,71 @@ fn non_journal_file_is_rejected() {
         .resume(scenario_list(), &path)
         .expect_err("garbage must not parse");
     assert!(matches!(err, JournalError::BadMagic), "{err:?}");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Mutated record payloads decode to outcomes or a typed error, never a
+/// panic: every payload byte flipped under three XOR masks, the head of
+/// one record spliced onto the tail of the next, and a duplicated record.
+/// Each record's FNV-1a checksum is recomputed after the mutation, so the
+/// bytes reach the record decoder instead of stopping at the checksum.
+#[test]
+fn mutated_records_decode_or_fail_typed() {
+    let path = scratch("mutated.journal");
+    let report = runner(2)
+        .run_with_journal(scenario_list(), &path)
+        .expect("journaled run");
+    let digest = journal::campaign_digest(&scenario_list());
+    let full = std::fs::read(&path).expect("journal bytes");
+    let payloads: Vec<Vec<u8>> = record_boundaries(&full)
+        .windows(2)
+        .map(|w| full[w[0] + 4..w[1] - 8].to_vec())
+        .collect();
+    assert_eq!(payloads.len(), report.outcomes.len());
+    let frame = |records: &[Vec<u8>]| {
+        let mut bytes = full[..HEADER_LEN].to_vec();
+        for payload in records {
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+        }
+        bytes
+    };
+
+    let mut mutants = Vec::new();
+    for (r, payload) in payloads.iter().enumerate() {
+        let next = &payloads[(r + 1) % payloads.len()];
+        for at in 0..payload.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut records = payloads.clone();
+                records[r][at] ^= mask;
+                mutants.push(frame(&records));
+            }
+            let mut records = payloads.clone();
+            records[r].truncate(at);
+            records[r].extend_from_slice(&next[at.min(next.len())..]);
+            mutants.push(frame(&records));
+        }
+        let mut records = payloads.clone();
+        records.insert(r, payload.clone());
+        mutants.push(frame(&records));
+    }
+
+    let (mut decoded, mut rejected) = (0, 0);
+    for (case, bytes) in mutants.iter().enumerate() {
+        std::fs::write(&path, bytes).expect("write mutant");
+        match std::panic::catch_unwind(|| journal::read(&path, digest)) {
+            Ok(Ok(_)) => decoded += 1,
+            Ok(Err(JournalError::Record(_))) => rejected += 1,
+            Ok(Err(e)) => panic!("mutant {case}: the header is intact, got {e}"),
+            Err(_) => panic!("mutant {case}: journal::read panicked"),
+        }
+    }
+    // Both outcomes occur, so the mutations do reach the decoder.
+    assert!(
+        decoded > 0 && rejected > 0,
+        "{decoded} decoded, {rejected} rejected"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -6,7 +6,6 @@
 //! the ADC runs far above the signal band.
 
 use crate::fixed::Q15;
-use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 
 /// N-stage CIC decimator with unity DC gain restored at the output.
 ///
@@ -94,49 +93,6 @@ impl CicDecimator {
         self.integrators.fill(0);
         self.combs.fill(0);
         self.counter = 0;
-    }
-
-    /// Serializes the integrator/comb registers and decimation phase
-    /// (stage count, factor, and gain are configuration).
-    pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_i64_slice(&self.integrators);
-        w.put_i64_slice(&self.combs);
-        w.put_u32(self.counter);
-    }
-
-    /// Restores state saved by [`CicDecimator::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Corrupt`] if the register counts do not
-    /// match this decimator's stage count or the phase counter is out of
-    /// range; propagates other [`SnapshotError`]s on malformed input.
-    pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let integrators = r.take_i64_vec()?;
-        let combs = r.take_i64_vec()?;
-        if integrators.len() != self.integrators.len() || combs.len() != self.combs.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "CIC snapshot has {}/{} registers, decimator has {} stages",
-                    integrators.len(),
-                    combs.len(),
-                    self.stages
-                ),
-            });
-        }
-        let counter = r.take_u32()?;
-        if counter >= self.factor {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "CIC phase counter {counter} out of range for factor {}",
-                    self.factor
-                ),
-            });
-        }
-        self.integrators = integrators;
-        self.combs = combs;
-        self.counter = counter;
-        Ok(())
     }
 }
 

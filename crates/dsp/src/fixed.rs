@@ -34,8 +34,6 @@ pub struct Fx<const FRAC: u32>(i32);
 pub type Q15 = Fx<15>;
 /// 32-bit word with 30 fractional bits (loop-filter integrators; ±2 range).
 pub type Q30 = Fx<30>;
-/// 32-bit word with 20 fractional bits (filter coefficients with headroom).
-pub type Q20 = Fx<20>;
 
 // `mul`/`shl`/`shr` are the DSP-datapath names (explicit, saturating,
 // rounding variants) — deliberately distinct from the wrapping `std::ops`

@@ -215,46 +215,6 @@ impl Biquad {
     }
 }
 
-/// Cascade of biquad sections (higher-order filters).
-#[derive(Debug, Clone, Default)]
-pub struct BiquadCascade {
-    sections: Vec<Biquad>,
-}
-
-impl BiquadCascade {
-    /// Builds a cascade from per-section coefficients.
-    #[must_use]
-    pub fn new(sections: &[BiquadCoeffs]) -> Self {
-        Self {
-            sections: sections.iter().copied().map(Biquad::new).collect(),
-        }
-    }
-
-    /// Number of sections.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sections.len()
-    }
-
-    /// `true` if there are no sections (the cascade is then a wire).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sections.is_empty()
-    }
-
-    /// Clears all sections.
-    pub fn reset(&mut self) {
-        for s in &mut self.sections {
-            s.reset();
-        }
-    }
-
-    /// Processes one sample through every section in order.
-    pub fn process(&mut self, x: Q15) -> Q15 {
-        self.sections.iter_mut().fold(x, |v, s| s.process(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,39 +292,6 @@ mod tests {
             (measured - designed).abs() < 0.02,
             "measured {measured} vs designed {designed}"
         );
-    }
-
-    #[test]
-    fn cascade_multiplies_attenuation() {
-        let c = BiquadCoeffs::lowpass(0.05, 0.707);
-        let mut single = BiquadCascade::new(&[c]);
-        let mut double = BiquadCascade::new(&[c, c]);
-        let f = 0.2;
-        let w = 2.0 * std::f64::consts::PI * f;
-        let mut s1 = 0.0;
-        let mut s2 = 0.0;
-        for k in 0..4000 {
-            let x = Q15::from_f64(0.4 * (w * k as f64).sin());
-            let y1 = single.process(x).to_f64();
-            let y2 = double.process(x).to_f64();
-            if k > 2000 {
-                s1 += y1 * y1;
-                s2 += y2 * y2;
-            }
-        }
-        assert!(s2 < s1 / 4.0, "cascade not steeper: {s1} vs {s2}");
-    }
-
-    #[test]
-    fn reset_clears_cascade() {
-        let mut c = BiquadCascade::new(&[BiquadCoeffs::lowpass(0.1, 0.707)]);
-        for _ in 0..10 {
-            c.process(Q15::ONE);
-        }
-        c.reset();
-        // First output after reset of a DF1 lowpass with zero state is b0*x.
-        let y = c.process(Q15::ZERO);
-        assert_eq!(y, Q15::ZERO);
     }
 
     #[test]

@@ -10,14 +10,13 @@
 //! |---|---|
 //! | fixed-point datapath | [`fixed`] (Q-format arithmetic with saturation) |
 //! | FIR filters | [`fir`] (windowed-sinc design + MAC datapath) |
-//! | IIR filters | [`iir`] (RBJ biquads, cascades) |
+//! | IIR filters | [`iir`] (RBJ biquads) |
 //! | decimators | [`cic`] (multiplier-free CIC) |
 //! | PLL for primary drive | [`pll`] (phase detector + PI + NCO) |
 //! | AGC for drive amplitude | [`agc`] |
 //! | demodulator / modulator | [`demod`] |
 //! | temperature/offset compensation | [`comp`] |
 //! | oscillator reference | [`nco`], [`cordic`] |
-//! | ΔΣ drive-DAC option | [`sigma_delta`] |
 //! | bench-side spectrum analysis | [`fft`] (f64 FFT + Welch PSD) |
 //!
 //! # Example: demodulating a rate signal
@@ -51,4 +50,3 @@ pub mod fixed;
 pub mod iir;
 pub mod nco;
 pub mod pll;
-pub mod sigma_delta;

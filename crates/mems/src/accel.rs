@@ -19,7 +19,7 @@
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
 use crate::resonator::Resonator;
 use ascp_sim::noise::WhiteNoise;
-use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::{fnv1a64, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
 /// Standard gravity, m/s² per g.
@@ -156,20 +156,6 @@ impl SensorFrontEnd for CapacitiveAccelFrontEnd {
         Volts(excitation.0 * ratio)
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.accel_g);
-        w.put_f64(self.temperature.0);
-        self.proof_mass.save_state(w);
-        self.noise.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.accel_g = r.take_f64()?;
-        self.temperature = Celsius(r.take_f64()?);
-        self.proof_mass.load_state(r)?;
-        self.noise.load_state(r)
-    }
-
     fn config_digest(&self) -> u64 {
         let mut w = StateWriter::new();
         w.put_u8_slice(b"capacitive-accel/v1");
@@ -229,26 +215,5 @@ mod tests {
         let r = settled_ratio(&mut fe, 4000);
         let eu = cond.apply(r);
         assert!((eu - (-20.0)).abs() < 1.0, "recovered {eu} g");
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_exact() {
-        let mut fe = CapacitiveAccelFrontEnd::crash_50g(9);
-        fe.set_stimulus(10.0);
-        for _ in 0..500 {
-            let _ = fe.sense(Volts(1.0), 1.0e-5);
-        }
-        let mut w = StateWriter::new();
-        fe.save_state(&mut w);
-        let mut twin = CapacitiveAccelFrontEnd::crash_50g(9);
-        let bytes = w.bytes().to_vec();
-        let mut r = StateReader::new(&bytes);
-        twin.load_state(&mut r).unwrap();
-        for _ in 0..100 {
-            assert_eq!(
-                fe.sense(Volts(1.0), 1.0e-5).0,
-                twin.sense(Volts(1.0), 1.0e-5).0
-            );
-        }
     }
 }

@@ -9,14 +9,12 @@
 //! its *plausibility bands* ([`PlausibilityBands`]) and its *wire-fault
 //! electrical signatures* ([`SensorFrontEnd::wire_fault_node`]), and the
 //! platform channel in `ascp_core::frontend` composes the rest — PGA, SAR
-//! ADC, decimation or synchronous demodulation, compensation, supervisor
-//! checks and checkpointing — from the shared portfolio.
+//! ADC, decimation or synchronous demodulation, compensation and supervisor
+//! checks — from the shared portfolio.
 //!
-//! Every front-end also carries the platform's two persistence
-//! obligations: bit-exact [`SensorFrontEnd::save_state`] /
-//! [`SensorFrontEnd::load_state`] snapshots of its dynamic state, and a
-//! [`SensorFrontEnd::config_digest`] over its construction parameters so a
-//! checkpoint can refuse to restore into a differently-built channel.
+//! Every front-end also declares a [`SensorFrontEnd::config_digest`] over
+//! its construction parameters; the campaign journal keys channel
+//! scenarios by it, so a resume never mixes differently-built channels.
 //!
 //! # Implementing a minimal custom front-end
 //!
@@ -25,7 +23,7 @@
 //!
 //! ```
 //! use ascp_mems::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
-//! use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
+//! use ascp_sim::snapshot::fnv1a64;
 //! use ascp_sim::units::{Celsius, Volts};
 //!
 //! struct StrainGauge {
@@ -65,13 +63,6 @@
 //!     fn sense(&mut self, excitation: Volts, _dt: f64) -> Volts {
 //!         Volts(excitation.0 * (0.15 + 5.0e-7 * self.microstrain))
 //!     }
-//!     fn save_state(&self, w: &mut StateWriter) {
-//!         w.put_f64(self.microstrain);
-//!     }
-//!     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-//!         self.microstrain = r.take_f64()?;
-//!         Ok(())
-//!     }
 //!     fn config_digest(&self) -> u64 {
 //!         fnv1a64(b"strain-gauge/v1")
 //!     }
@@ -83,7 +74,7 @@
 //! assert!(v.0 > 0.75);
 //! ```
 
-use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::StateWriter;
 use ascp_sim::units::{Celsius, Volts};
 
 /// The excitation a front-end needs from the platform's reference IP.
@@ -219,32 +210,6 @@ impl WireFault {
     }
 }
 
-/// The channel supervisor's verdict on the sensor node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireStatus {
-    /// Node inside the valid band.
-    Ok,
-    /// Node at the pull-up rail: harness open.
-    NotConnected,
-    /// Node at ground with no signal: harness shorted.
-    ShortToGround,
-    /// Node in the protection-diode band / pilot inverted.
-    ReversePolarity,
-}
-
-impl WireStatus {
-    /// Stable label for supervisor transitions and coverage rows.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Ok => "normal",
-            Self::NotConnected => "not_connected",
-            Self::ShortToGround => "short_to_ground",
-            Self::ReversePolarity => "reverse_polarity",
-        }
-    }
-}
-
 /// What the channel's monitor path observed over one supervision window,
 /// all normalized by the excitation rail.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -303,9 +268,13 @@ impl PlausibilityBands {
         }
     }
 
-    /// Classifies one supervision window's observation.
+    /// Classifies one supervision window's observation: the wire fault the
+    /// node reads as, `None` when it sits inside the valid band. Open
+    /// harness: node at the pull-up rail. Short: node at ground, or the
+    /// carrier gone. Reverse polarity: node in the protection-diode band,
+    /// or the pilot inverted.
     #[must_use]
-    pub fn classify(&self, obs: &NodeObservation) -> WireStatus {
+    pub fn classify(&self, obs: &NodeObservation) -> Option<WireFault> {
         match *self {
             Self::Ratiometric {
                 short_below,
@@ -313,17 +282,13 @@ impl PlausibilityBands {
                 open_above,
             } => {
                 if obs.dc_ratio >= open_above {
-                    WireStatus::NotConnected
+                    Some(WireFault::NotConnected)
                 } else if obs.dc_ratio <= short_below {
-                    WireStatus::ShortToGround
-                } else if let Some((lo, hi)) = reverse {
-                    if obs.dc_ratio >= lo && obs.dc_ratio <= hi {
-                        WireStatus::ReversePolarity
-                    } else {
-                        WireStatus::Ok
-                    }
+                    Some(WireFault::ShortToGround)
                 } else {
-                    WireStatus::Ok
+                    reverse
+                        .filter(|&(lo, hi)| obs.dc_ratio >= lo && obs.dc_ratio <= hi)
+                        .map(|_| WireFault::ReversePolarity)
                 }
             }
             Self::Carrier {
@@ -332,13 +297,13 @@ impl PlausibilityBands {
                 reverse_below,
             } => {
                 if obs.dc_ratio >= open_above {
-                    WireStatus::NotConnected
+                    Some(WireFault::NotConnected)
                 } else if obs.ac_ratio < ac_floor {
-                    WireStatus::ShortToGround
+                    Some(WireFault::ShortToGround)
                 } else if obs.pilot_ratio <= reverse_below {
-                    WireStatus::ReversePolarity
+                    Some(WireFault::ReversePolarity)
                 } else {
-                    WireStatus::Ok
+                    None
                 }
             }
         }
@@ -440,22 +405,12 @@ pub trait SensorFrontEnd {
         }
     }
 
-    /// Serializes the front-end's dynamic state (stimulus, internal
-    /// dynamics, noise generators) bit-exactly.
-    fn save_state(&self, w: &mut StateWriter);
-
-    /// Restores state saved by [`SensorFrontEnd::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SnapshotError`] on malformed input.
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError>;
-
     /// Digest over the construction parameters (not the dynamic state):
-    /// two front-ends with equal digests must accept each other's
-    /// snapshots. Fold [`Conditioning::digest_into`] /
-    /// [`PlausibilityBands::digest_into`] plus every constructor argument
-    /// through [`ascp_sim::snapshot::fnv1a64`].
+    /// two front-ends with equal digests must be built alike, and the
+    /// campaign journal keys channel scenarios by it. Fold
+    /// [`Conditioning::digest_into`] / [`PlausibilityBands::digest_into`]
+    /// plus every constructor argument through
+    /// [`ascp_sim::snapshot::fnv1a64`].
     fn config_digest(&self) -> u64;
 }
 
@@ -492,10 +447,10 @@ mod tests {
             ac_ratio: 0.0,
             pilot_ratio: dc,
         };
-        assert_eq!(b.classify(&obs(0.5)), WireStatus::Ok);
-        assert_eq!(b.classify(&obs(0.99)), WireStatus::NotConnected);
-        assert_eq!(b.classify(&obs(0.01)), WireStatus::ShortToGround);
-        assert_eq!(b.classify(&obs(0.20)), WireStatus::ReversePolarity);
+        assert_eq!(b.classify(&obs(0.5)), None);
+        assert_eq!(b.classify(&obs(0.99)), Some(WireFault::NotConnected));
+        assert_eq!(b.classify(&obs(0.01)), Some(WireFault::ShortToGround));
+        assert_eq!(b.classify(&obs(0.20)), Some(WireFault::ReversePolarity));
     }
 
     #[test]
@@ -510,7 +465,7 @@ mod tests {
             ac_ratio: 0.0,
             pilot_ratio: 0.20,
         };
-        assert_eq!(b.classify(&obs), WireStatus::Ok);
+        assert_eq!(b.classify(&obs), None);
     }
 
     #[test]
@@ -525,25 +480,25 @@ mod tests {
             ac_ratio: 0.06,
             pilot_ratio: 0.08,
         };
-        assert_eq!(b.classify(&ok), WireStatus::Ok);
+        assert_eq!(b.classify(&ok), None);
         let open = NodeObservation {
             dc_ratio: 0.97,
             ac_ratio: 0.0,
             pilot_ratio: 0.0,
         };
-        assert_eq!(b.classify(&open), WireStatus::NotConnected);
+        assert_eq!(b.classify(&open), Some(WireFault::NotConnected));
         let short = NodeObservation {
             dc_ratio: 0.0,
             ac_ratio: 0.001,
             pilot_ratio: 0.0,
         };
-        assert_eq!(b.classify(&short), WireStatus::ShortToGround);
+        assert_eq!(b.classify(&short), Some(WireFault::ShortToGround));
         let rev = NodeObservation {
             dc_ratio: 0.0,
             ac_ratio: 0.06,
             pilot_ratio: -0.08,
         };
-        assert_eq!(b.classify(&rev), WireStatus::ReversePolarity);
+        assert_eq!(b.classify(&rev), Some(WireFault::ReversePolarity));
     }
 
     #[test]
@@ -551,9 +506,5 @@ mod tests {
         assert_eq!(WireFault::NotConnected.label(), "wire_not_connected");
         assert_eq!(WireFault::ShortToGround.label(), "wire_short_to_ground");
         assert_eq!(WireFault::ReversePolarity.label(), "wire_reverse_polarity");
-        assert_eq!(WireStatus::Ok.label(), "normal");
-        assert_eq!(WireStatus::NotConnected.label(), "not_connected");
-        assert_eq!(WireStatus::ShortToGround.label(), "short_to_ground");
-        assert_eq!(WireStatus::ReversePolarity.label(), "reverse_polarity");
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
 use ascp_sim::noise::WhiteNoise;
-use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::{fnv1a64, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
 /// Capacitive pressure sensor in a half-bridge with a fixed reference
@@ -115,18 +115,6 @@ impl SensorFrontEnd for CapacitivePressureSensor {
         Volts(excitation.0 * (ratio + drift) + self.noise.sample())
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.pressure_kpa);
-        w.put_f64(self.temperature.0);
-        self.noise.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.pressure_kpa = r.take_f64()?;
-        self.temperature = Celsius(r.take_f64()?);
-        self.noise.load_state(r)
-    }
-
     fn config_digest(&self) -> u64 {
         let mut w = StateWriter::new();
         w.put_u8_slice(b"capacitive-pressure/v1");
@@ -224,16 +212,6 @@ impl SensorFrontEnd for InductivePositionSensor {
         // 2 % cubic compression near the stroke ends.
         let ratio = self.sensitivity * self.position_mm * (1.0 - 0.02 * u * u);
         Volts(excitation.0 * ratio + self.noise.sample())
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.position_mm);
-        self.noise.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.position_mm = r.take_f64()?;
-        self.noise.load_state(r)
     }
 
     fn config_digest(&self) -> u64 {

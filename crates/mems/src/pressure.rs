@@ -22,7 +22,7 @@
 
 use crate::frontend::{Conditioning, Excitation, PlausibilityBands, SensorFrontEnd};
 use ascp_sim::noise::WhiteNoise;
-use ascp_sim::snapshot::{fnv1a64, SnapshotError, StateReader, StateWriter};
+use ascp_sim::snapshot::{fnv1a64, StateWriter};
 use ascp_sim::units::{Celsius, Volts};
 
 /// Conditioned MAP transmitter: ratio `0.3 + 0.6·(p − min)/(max − min)`
@@ -123,18 +123,6 @@ impl SensorFrontEnd for MapSensorFrontEnd {
         // The transmitter is ratiometric: its output scales with the
         // actual (possibly drooped) excitation, not the nominal rail.
         Volts(excitation.0 * ratio + self.noise.sample())
-    }
-
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.pressure_kpa);
-        w.put_f64(self.temperature.0);
-        self.noise.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.pressure_kpa = r.take_f64()?;
-        self.temperature = Celsius(r.take_f64()?);
-        self.noise.load_state(r)
     }
 
     fn config_digest(&self) -> u64 {
@@ -282,16 +270,6 @@ impl SensorFrontEnd for IatThermistorFrontEnd {
         Volts(excitation.0 * ratio + self.noise.sample())
     }
 
-    fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.measured.0);
-        self.noise.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.measured = Celsius(r.take_f64()?);
-        self.noise.load_state(r)
-    }
-
     fn config_digest(&self) -> u64 {
         let mut w = StateWriter::new();
         w.put_u8_slice(b"iat-thermistor/v1");
@@ -364,23 +342,5 @@ mod tests {
         let c = MapSensorFrontEnd::new(20.0, 400.0, 5.0, 1);
         assert_eq!(a.config_digest(), b.config_digest());
         assert_ne!(a.config_digest(), c.config_digest());
-    }
-
-    #[test]
-    fn snapshot_roundtrip_is_bit_exact() {
-        let mut fe = IatThermistorFrontEnd::automotive(7);
-        fe.set_stimulus(80.0);
-        for _ in 0..13 {
-            let _ = fe.sense(Volts(5.0), 1e-5);
-        }
-        let mut w = StateWriter::new();
-        fe.save_state(&mut w);
-        let mut twin = IatThermistorFrontEnd::automotive(7);
-        let bytes = w.bytes().to_vec();
-        let mut r = StateReader::new(&bytes);
-        twin.load_state(&mut r).unwrap();
-        for _ in 0..50 {
-            assert_eq!(fe.sense(Volts(5.0), 1e-5).0, twin.sense(Volts(5.0), 1e-5).0);
-        }
     }
 }

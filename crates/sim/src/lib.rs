@@ -6,11 +6,10 @@
 //!
 //! The paper's design flow co-simulates a MATLAB system model, VHDL-AMS
 //! analog models and VHDL digital hardware. This crate provides the common
-//! ground those environments share:
+//! ground those environments share. The multi-rate schedule itself (analog
+//! substeps per DSP tick, fractional CPU machine cycles per tick) is the
+//! platform's own loop in `ascp-core`; this crate supplies:
 //!
-//! - a fixed-step [`TimeBase`] with multi-rate clock division
-//!   ([`RateDivider`]) so that a 1 MHz "analog" solver, a 250 kHz DSP clock
-//!   and a 20 MHz CPU clock can be driven from one loop;
 //! - strongly-typed physical [`units`] (volts, hertz, seconds, °/s, °C);
 //! - waveform recording ([`trace`]) with CSV export, the stand-in for the
 //!   paper's MATLAB plots and AC-probe screenshots (Figs. 5 and 6);
@@ -30,12 +29,12 @@
 //! # Example
 //!
 //! ```
-//! use ascp_sim::{TimeBase, trace::Trace, units::Hertz};
+//! use ascp_sim::trace::Trace;
 //!
-//! let tb = TimeBase::new(Hertz(1.0e6));
+//! let dt = 1.0e-6; // a 1 MHz analog solver step
 //! let mut tr = Trace::new("sine");
 //! for k in 0..1000 {
-//!     let t = tb.time_at(k);
+//!     let t = f64::from(k) * dt;
 //!     tr.push(t, (2.0 * std::f64::consts::PI * 1.0e3 * t).sin());
 //! }
 //! assert_eq!(tr.len(), 1000);
@@ -52,176 +51,3 @@ pub mod telemetry;
 pub mod trace;
 pub mod units;
 pub mod vcd;
-
-use units::Hertz;
-
-/// Fixed-step simulation time base.
-///
-/// All ASCP simulations advance in integer ticks of a master clock; slower
-/// clocks are derived with [`RateDivider`]. Keeping time integral avoids
-/// floating-point drift over the multi-second runs needed for turn-on-time
-/// and temperature experiments.
-///
-/// # Example
-///
-/// ```
-/// use ascp_sim::{TimeBase, units::Hertz};
-/// let tb = TimeBase::new(Hertz(1.0e6));
-/// assert_eq!(tb.dt(), 1.0e-6);
-/// assert_eq!(tb.ticks_for(1.0e-3), 1000);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeBase {
-    rate: Hertz,
-    dt: f64,
-}
-
-impl TimeBase {
-    /// Creates a time base running at `rate` samples per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not finite and strictly positive.
-    #[must_use]
-    pub fn new(rate: Hertz) -> Self {
-        assert!(
-            rate.0.is_finite() && rate.0 > 0.0,
-            "time base rate must be finite and positive, got {}",
-            rate.0
-        );
-        Self {
-            rate,
-            dt: 1.0 / rate.0,
-        }
-    }
-
-    /// Master sample rate.
-    #[must_use]
-    pub fn rate(&self) -> Hertz {
-        self.rate
-    }
-
-    /// Step duration in seconds.
-    #[must_use]
-    pub fn dt(&self) -> f64 {
-        self.dt
-    }
-
-    /// Simulation time (seconds) at tick index `k`.
-    #[must_use]
-    pub fn time_at(&self, k: u64) -> f64 {
-        k as f64 * self.dt
-    }
-
-    /// Number of ticks needed to cover `seconds` (rounded up).
-    #[must_use]
-    pub fn ticks_for(&self, seconds: f64) -> u64 {
-        (seconds * self.rate.0).ceil() as u64
-    }
-}
-
-/// Derives a slower clock from the master tick stream.
-///
-/// `tick()` is called once per master tick and returns `true` on the master
-/// ticks where the derived clock fires (every `divisor` ticks, starting at
-/// the first tick). This is how the DSP clock (e.g. 250 kHz) and the CPU
-/// clock are scheduled inside a 1 MHz analog solver loop.
-///
-/// # Example
-///
-/// ```
-/// use ascp_sim::RateDivider;
-/// let mut div = RateDivider::new(4);
-/// let fired: Vec<bool> = (0..8).map(|_| div.tick()).collect();
-/// assert_eq!(fired, [true, false, false, false, true, false, false, false]);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RateDivider {
-    divisor: u32,
-    counter: u32,
-}
-
-impl RateDivider {
-    /// Creates a divider firing every `divisor` master ticks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    #[must_use]
-    pub fn new(divisor: u32) -> Self {
-        assert!(divisor > 0, "rate divider divisor must be non-zero");
-        Self {
-            divisor,
-            counter: 0,
-        }
-    }
-
-    /// Advances one master tick; returns `true` when the derived clock fires.
-    pub fn tick(&mut self) -> bool {
-        let fire = self.counter == 0;
-        self.counter += 1;
-        if self.counter == self.divisor {
-            self.counter = 0;
-        }
-        fire
-    }
-
-    /// The division ratio.
-    #[must_use]
-    pub fn divisor(&self) -> u32 {
-        self.divisor
-    }
-
-    /// Resets the phase so the next tick fires.
-    pub fn reset(&mut self) {
-        self.counter = 0;
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timebase_dt_and_ticks() {
-        let tb = TimeBase::new(Hertz(250_000.0));
-        assert!((tb.dt() - 4.0e-6).abs() < 1e-18);
-        assert_eq!(tb.ticks_for(1.0), 250_000);
-        assert_eq!(tb.ticks_for(0.0), 0);
-    }
-
-    #[test]
-    fn timebase_time_at_is_linear() {
-        let tb = TimeBase::new(Hertz(1.0e6));
-        assert_eq!(tb.time_at(0), 0.0);
-        assert!((tb.time_at(1_000_000) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn timebase_rejects_zero_rate() {
-        let _ = TimeBase::new(Hertz(0.0));
-    }
-
-    #[test]
-    fn divider_of_one_fires_every_tick() {
-        let mut d = RateDivider::new(1);
-        assert!((0..10).all(|_| d.tick()));
-    }
-
-    #[test]
-    fn divider_reset_realigns_phase() {
-        let mut d = RateDivider::new(3);
-        assert!(d.tick());
-        assert!(!d.tick());
-        d.reset();
-        assert!(d.tick());
-    }
-
-    #[test]
-    fn divider_duty_cycle() {
-        let mut d = RateDivider::new(5);
-        let fires = (0..100).filter(|_| d.tick()).count();
-        assert_eq!(fires, 20);
-    }
-}

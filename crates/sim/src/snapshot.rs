@@ -242,14 +242,6 @@ impl StateWriter {
         }
     }
 
-    /// Appends an `i64` slice with a `u32` element-count prefix.
-    pub fn put_i64_slice(&mut self, v: &[i64]) {
-        self.put_u32(v.len() as u32);
-        for &x in v {
-            self.put_i64(x);
-        }
-    }
-
     /// Appends an `f64` slice with a `u32` element-count prefix.
     pub fn put_f64_slice(&mut self, v: &[f64]) {
         self.put_u32(v.len() as u32);
@@ -509,17 +501,6 @@ impl<'a> StateReader<'a> {
         (0..n).map(|_| self.take_i32()).collect()
     }
 
-    /// Reads a length-prefixed `i64` vector.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Truncated`] / [`SnapshotError::Corrupt`] on
-    /// malformed input.
-    pub fn take_i64_vec(&mut self) -> Result<Vec<i64>, SnapshotError> {
-        let n = self.take_count(8, "i64 slice")?;
-        (0..n).map(|_| self.take_i64()).collect()
-    }
-
     /// Reads a length-prefixed `f64` vector.
     ///
     /// # Errors
@@ -529,14 +510,6 @@ impl<'a> StateReader<'a> {
     pub fn take_f64_vec(&mut self) -> Result<Vec<f64>, SnapshotError> {
         let n = self.take_count(8, "f64 slice")?;
         (0..n).map(|_| self.take_f64()).collect()
-    }
-
-    /// Tag of the next section without consuming it, or `None` at the end
-    /// of the buffer.
-    #[must_use]
-    pub fn peek_tag(&self) -> Option<String> {
-        let rest = &self.buf[self.pos..];
-        (rest.len() >= TAG_LEN).then(|| tag_string(&rest[..TAG_LEN]))
     }
 
     /// Decodes a **leaf** section written by [`StateWriter::leaf`].
@@ -627,69 +600,6 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Renders a snapshot byte stream (a sequence of sections) as indented
-/// JSON for debugging: container sections recurse, leaf payloads show
-/// their length and a hex prefix.
-///
-/// # Errors
-///
-/// Returns the underlying [`SnapshotError`] if the stream is malformed.
-pub fn dump_sections_json(bytes: &[u8]) -> Result<String, SnapshotError> {
-    let mut out = String::from("[");
-    dump_level(bytes, 1, &mut out)?;
-    out.push_str("\n]");
-    Ok(out)
-}
-
-fn dump_level(bytes: &[u8], depth: usize, out: &mut String) -> Result<(), SnapshotError> {
-    let mut r = StateReader::new(bytes);
-    let indent = "  ".repeat(depth);
-    let mut first = true;
-    while !r.is_exhausted() {
-        let tag_bytes = r.take_bytes(TAG_LEN, "section tag")?;
-        let tag = tag_string(tag_bytes);
-        let kind = r.take_u8()?;
-        let len = r.take_u32()? as usize;
-        let payload = r.take_bytes(len, "section payload")?;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push('\n');
-        out.push_str(&indent);
-        match kind {
-            1 => {
-                out.push_str(&format!(
-                    "{{\"section\": {:?}, \"len\": {len}, \"children\": [",
-                    tag
-                ));
-                dump_level(payload, depth + 1, out)?;
-                out.push('\n');
-                out.push_str(&indent);
-                out.push_str("]}");
-            }
-            0 => {
-                let prefix: String = payload
-                    .iter()
-                    .take(24)
-                    .map(|b| format!("{b:02x}"))
-                    .collect();
-                let ellipsis = if len > 24 { "…" } else { "" };
-                out.push_str(&format!(
-                    "{{\"section\": {:?}, \"len\": {len}, \"data\": \"{prefix}{ellipsis}\"}}",
-                    tag
-                ));
-            }
-            k => {
-                return Err(SnapshotError::Corrupt {
-                    context: format!("section {tag:?} kind byte {k}"),
-                })
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -730,14 +640,12 @@ mod tests {
         w.put_u8_slice(&[1, 2, 3]);
         w.put_u16_slice(&[10, 20]);
         w.put_i32_slice(&[-1, 0, 1]);
-        w.put_i64_slice(&[i64::MAX]);
         w.put_f64_slice(&[1.25, -3.5]);
         let bytes = w.into_bytes();
         let mut r = StateReader::new(&bytes);
         assert_eq!(r.take_u8_vec().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.take_u16_vec().unwrap(), vec![10, 20]);
         assert_eq!(r.take_i32_vec().unwrap(), vec![-1, 0, 1]);
-        assert_eq!(r.take_i64_vec().unwrap(), vec![i64::MAX]);
         assert_eq!(r.take_f64_vec().unwrap(), vec![1.25, -3.5]);
     }
 
@@ -819,18 +727,6 @@ mod tests {
             r.take_f64_vec().unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
-    }
-
-    #[test]
-    fn json_dump_walks_tree() {
-        let mut w = StateWriter::new();
-        w.container("PLAT", |w| {
-            w.leaf("RNG0", |w| w.put_u64(42));
-        });
-        let json = dump_sections_json(&w.into_bytes()).unwrap();
-        assert!(json.contains("\"PLAT\""));
-        assert!(json.contains("\"RNG0\""));
-        assert!(json.contains("children"));
     }
 
     #[test]

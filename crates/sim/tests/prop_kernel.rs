@@ -5,7 +5,6 @@ use ascp_sim::noise::{PinkNoise, RandomWalk, WhiteNoise};
 use ascp_sim::snapshot::{StateReader, StateWriter};
 use ascp_sim::stats;
 use ascp_sim::trace::Trace;
-use ascp_sim::{RateDivider, TimeBase};
 use proptest::prelude::*;
 
 proptest! {
@@ -102,13 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn rate_divider_fires_exact_fraction(div in 1u32..64, n in 1u32..1000) {
-        let mut d = RateDivider::new(div);
-        let fires = (0..n * div).filter(|_| d.tick()).count();
-        prop_assert_eq!(fires as u32, n);
-    }
-
-    #[test]
     fn trace_decimation_keeps_every_nth(dec in 1u32..16, n in 0u32..200) {
         let mut t = Trace::with_decimation("x", dec);
         for k in 0..n {
@@ -118,13 +110,6 @@ proptest! {
         for (i, &v) in t.values().iter().enumerate() {
             prop_assert_eq!(v, (i as u32 * dec) as f64);
         }
-    }
-
-    #[test]
-    fn timebase_ticks_cover_duration(rate in 1.0f64..1.0e7, secs in 0.0f64..10.0) {
-        let tb = TimeBase::new(ascp_sim::units::Hertz(rate));
-        let ticks = tb.ticks_for(secs);
-        prop_assert!(tb.time_at(ticks) >= secs - tb.dt());
     }
 
     #[test]

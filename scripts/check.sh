@@ -1,26 +1,14 @@
 #!/usr/bin/env sh
-# Repository gate: formatting, lints, build, tests, campaign smokes and perf
-# smoke. CI runs exactly this script. Everything runs offline (no registry
-# access — the only external crate, proptest, is vendored as a shim under
-# vendor/ behind an off-by-default feature).
+# Repository gate: formatting, lints, build, tests, campaign smokes, API
+# docs and perf smoke. CI runs exactly this script, so a local run is the CI
+# gate. Everything runs offline (no registry access — the only external
+# crate, proptest, is vendored as a shim under vendor/ behind an
+# off-by-default feature).
 #
-# Usage: scripts/check.sh [--docs]
-#   --docs   additionally build the API docs with rustdoc warnings denied
-#            (CI passes it; catches broken intra-doc links).
+# Usage: scripts/check.sh
 set -eu
 
 cd "$(dirname "$0")/.."
-
-RUN_DOCS=0
-for arg in "$@"; do
-    case "$arg" in
-    --docs) RUN_DOCS=1 ;;
-    *)
-        echo "unknown flag: $arg (supported: --docs)" >&2
-        exit 2
-        ;;
-    esac
-done
 
 echo "== cargo fmt --check =="
 cargo fmt --all --check
@@ -121,10 +109,9 @@ cargo bench -p ascp-bench --bench campaign_warmstart -- --short
 cargo bench -p ascp-bench --bench campaign_supervised -- --short
 cargo bench -p ascp-bench --bench campaign_montecarlo -- --short
 
-if [ "$RUN_DOCS" = 1 ]; then
-    echo "== cargo doc (rustdoc warnings are errors) =="
-    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-fi
+echo "== cargo doc (rustdoc warnings are errors) =="
+# Catches intra-doc links to items that no longer exist.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== kernel perf guard (platform_sim, short mode, vs committed baseline) =="
 # --check compares the committed baseline and fails only on a >50% min-ns
