@@ -12,12 +12,12 @@
 //! Each resolution is one scenario on the campaign runner, so the sweep
 //! shards across worker threads.
 
-use ascp_bench::harness::Args;
+use ascp_bench::harness::{Args, Flag};
 use ascp_bench::write_metrics;
 use ascp_core::prelude::*;
 
 fn main() -> std::io::Result<()> {
-    let threads = Args::parse("ablation_adc_bits").threads;
+    let threads = Args::parse("ablation_adc_bits", &[Flag::Threads]).threads;
     println!("ablation: ADC resolution sweep ({threads} worker thread(s))");
     println!(
         "  {:>5} {:>14} {:>14} {:>12}",

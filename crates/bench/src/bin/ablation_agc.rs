@@ -13,7 +13,7 @@
 //! The two arms are campaign scenarios, so they run concurrently when a
 //! second worker thread is available.
 
-use ascp_bench::harness::Args;
+use ascp_bench::harness::{Args, Flag};
 use ascp_bench::write_metrics;
 use ascp_core::prelude::*;
 use ascp_sim::stats;
@@ -46,7 +46,7 @@ fn spread(vals: &[f64]) -> f64 {
 }
 
 fn main() -> std::io::Result<()> {
-    let threads = Args::parse("ablation_agc").threads;
+    let threads = Args::parse("ablation_agc", &[Flag::Threads]).threads;
     println!(
         "ablation: AGC on vs off (scale factor across -40/25/85 degC, {threads} worker thread(s))"
     );

@@ -18,7 +18,7 @@
 //! The six (mode × electrode) cells are campaign scenarios, sharded
 //! across worker threads.
 
-use ascp_bench::harness::Args;
+use ascp_bench::harness::{Args, Flag};
 use ascp_bench::write_metrics;
 use ascp_core::prelude::*;
 
@@ -57,7 +57,7 @@ fn scenario(mode: SenseMode, pickoff_nl: f64) -> ScenarioSpec {
 }
 
 fn main() -> std::io::Result<()> {
-    let threads = Args::parse("ablation_loop_mode").threads;
+    let threads = Args::parse("ablation_loop_mode", &[Flag::Threads]).threads;
     println!(
         "ablation: open loop vs force rebalance across electrode quality ({threads} worker thread(s))"
     );

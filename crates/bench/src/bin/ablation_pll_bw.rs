@@ -14,7 +14,7 @@
 //! configurations, not platforms); the platform spot check is a one-entry
 //! scenario campaign.
 
-use ascp_bench::harness::Args;
+use ascp_bench::harness::{Args, Flag};
 use ascp_bench::write_metrics;
 use ascp_core::prelude::*;
 use ascp_core::system::{SystemModel, SystemModelConfig};
@@ -22,7 +22,7 @@ use ascp_sim::campaign::parallel_map;
 use ascp_sim::stats;
 
 fn main() -> std::io::Result<()> {
-    let threads = Args::parse("ablation_pll_bw").threads;
+    let threads = Args::parse("ablation_pll_bw", &[Flag::Threads]).threads;
     println!(
         "ablation: PLL loop gain sweep (float model for speed, platform spot check, {threads} worker thread(s))"
     );

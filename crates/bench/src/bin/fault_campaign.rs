@@ -41,7 +41,7 @@
 //! unreadable or malformed coverage baseline).
 
 use ascp_bench::harness::{
-    check_coverage, run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE,
+    check_coverage, run_to_exit, Args, Flag, ProgressLines, EXIT_SCENARIO_FAILURE,
 };
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::prelude::*;
@@ -175,7 +175,18 @@ fn main() {
 
 #[allow(clippy::too_many_lines)]
 fn run() -> Result<i32, Box<dyn std::error::Error>> {
-    let args = Args::parse("fault_campaign");
+    let args = Args::parse(
+        "fault_campaign",
+        &[
+            Flag::Threads,
+            Flag::Smoke,
+            Flag::Chaos,
+            Flag::ChaosSeed,
+            Flag::Deadline,
+            Flag::Journal,
+            Flag::CheckCoverage,
+        ],
+    );
     let smoke = args.smoke;
     let chaos = args.chaos;
     let threads = args.threads;

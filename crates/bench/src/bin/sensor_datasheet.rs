@@ -29,7 +29,7 @@
 //! coverage cell goes dark.
 
 use ascp_bench::harness::{
-    check_coverage, repo_root_path, run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE,
+    check_coverage, repo_root_path, run_to_exit, Args, Flag, ProgressLines, EXIT_SCENARIO_FAILURE,
 };
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::campaign::derive_seed;
@@ -287,7 +287,10 @@ fn main() {
 
 #[allow(clippy::too_many_lines)]
 fn run() -> Result<i32, Box<dyn std::error::Error>> {
-    let args = Args::parse("sensor_datasheet");
+    let args = Args::parse(
+        "sensor_datasheet",
+        &[Flag::Smoke, Flag::Threads, Flag::CheckCoverage],
+    );
     let smoke = args.smoke;
     let threads = args.threads;
     let chans = channels(smoke);

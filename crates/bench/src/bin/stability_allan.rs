@@ -30,7 +30,7 @@
 //! produces byte-identical samples to the run that saved the checkpoint
 //! continuing past it.
 
-use ascp_bench::harness::{run_to_exit, Args, ProgressLines, EXIT_SCENARIO_FAILURE};
+use ascp_bench::harness::{run_to_exit, Args, Flag, ProgressLines, EXIT_SCENARIO_FAILURE};
 use ascp_bench::{experiments_dir, write_metrics};
 use ascp_core::characterize::RateSensor;
 use ascp_core::checkpoint;
@@ -51,7 +51,10 @@ fn main() {
 }
 
 fn run() -> Result<i32, Box<dyn std::error::Error>> {
-    let args = Args::parse("stability_allan");
+    let args = Args::parse(
+        "stability_allan",
+        &[Flag::Threads, Flag::Checkpoint, Flag::Resume],
+    );
     let threads = args.threads;
     let save_path = args.checkpoint.clone();
     let resume_path = args.resume.clone();

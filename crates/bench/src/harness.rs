@@ -137,29 +137,102 @@ pub fn check_coverage(
     Ok(false)
 }
 
-/// Usage text answered to `--help` (and appended to flag errors) by
-/// [`Args::parse`].
-pub const USAGE: &str = "\
-Shared campaign-bin options:
-  --threads N           campaign worker threads (default: available parallelism)
-  --smoke               CI smoke mode: skip the slow measurement arms
-  --chaos               enable seeded chaos injection (worker panics/stalls)
-  --chaos-seed N        chaos plan seed (default: bin-specific)
-  --deadline S          per-scenario wall-clock watchdog, in seconds
-  --journal PATH        crash-recoverable campaign journal (resumes if present)
-  --checkpoint PATH     save a settled platform checkpoint after bring-up
-  --resume PATH         restore a settled platform checkpoint
-  --check-coverage PATH coverage-matrix baseline to check against
-  --help                print this help and exit";
+/// A shared campaign-bin option. Each bin passes [`Args::parse`] the
+/// flags it reads; any other shared flag is a usage error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--threads N`: campaign worker threads.
+    Threads,
+    /// `--smoke`: CI smoke mode.
+    Smoke,
+    /// `--chaos`: seeded chaos injection.
+    Chaos,
+    /// `--chaos-seed N`: chaos plan seed.
+    ChaosSeed,
+    /// `--deadline S`: per-scenario wall-clock watchdog.
+    Deadline,
+    /// `--journal PATH`: crash-recoverable campaign journal.
+    Journal,
+    /// `--checkpoint PATH`: save a settled platform checkpoint.
+    Checkpoint,
+    /// `--resume PATH`: restore a settled platform checkpoint.
+    Resume,
+    /// `--check-coverage PATH`: coverage-matrix baseline.
+    CheckCoverage,
+}
+
+impl Flag {
+    /// Every shared flag, in `--help` order.
+    const ALL: [Self; 9] = [
+        Self::Threads,
+        Self::Smoke,
+        Self::Chaos,
+        Self::ChaosSeed,
+        Self::Deadline,
+        Self::Journal,
+        Self::Checkpoint,
+        Self::Resume,
+        Self::CheckCoverage,
+    ];
+
+    /// The flag as typed, without the leading `--`.
+    fn name(self) -> &'static str {
+        match self {
+            Self::Threads => "threads",
+            Self::Smoke => "smoke",
+            Self::Chaos => "chaos",
+            Self::ChaosSeed => "chaos-seed",
+            Self::Deadline => "deadline",
+            Self::Journal => "journal",
+            Self::Checkpoint => "checkpoint",
+            Self::Resume => "resume",
+            Self::CheckCoverage => "check-coverage",
+        }
+    }
+
+    /// The value placeholder (empty for a switch) and the `--help` line.
+    fn help(self) -> (&'static str, &'static str) {
+        match self {
+            Self::Threads => (
+                "N",
+                "campaign worker threads (default: available parallelism)",
+            ),
+            Self::Smoke => ("", "CI smoke mode: skip the slow measurement arms"),
+            Self::Chaos => ("", "enable seeded chaos injection (worker panics/stalls)"),
+            Self::ChaosSeed => ("N", "chaos plan seed (default: bin-specific)"),
+            Self::Deadline => ("S", "per-scenario wall-clock watchdog, in seconds"),
+            Self::Journal => (
+                "PATH",
+                "crash-recoverable campaign journal (resumes if present)",
+            ),
+            Self::Checkpoint => ("PATH", "save a settled platform checkpoint after bring-up"),
+            Self::Resume => ("PATH", "restore a settled platform checkpoint"),
+            Self::CheckCoverage => ("PATH", "coverage-matrix baseline to check against"),
+        }
+    }
+}
+
+/// Usage text for a bin that reads `flags`, answered to `--help` (and
+/// appended to flag errors) by [`Args::parse`].
+fn usage(flags: &[Flag]) -> String {
+    let mut out = String::from("Options:\n");
+    for flag in Flag::ALL.into_iter().filter(|f| flags.contains(f)) {
+        let (value, about) = flag.help();
+        let spelled = format!("--{} {value}", flag.name());
+        out.push_str(&format!("  {:<21} {about}\n", spelled.trim_end()));
+    }
+    out.push_str("  --help                print this help and exit");
+    out
+}
 
 /// Typed command-line arguments shared by the campaign bins
-/// (`fault_campaign`, `stability_allan`, the `ablation_*` family).
+/// (`fault_campaign`, `sensor_datasheet`, `stability_allan`, the
+/// `ablation_*` family).
 ///
-/// [`Args::parse`] recognises the full shared vocabulary — individual
-/// bins simply ignore fields they have no use for — so every bin accepts
-/// a uniform flag set, `--help` is answered consistently, and an unknown
-/// flag (or a malformed value) is a usage error that exits with
-/// [`EXIT_INFRA_ERROR`] instead of being silently ignored.
+/// Each bin names the [`Flag`]s it reads, so `--help` lists exactly
+/// those, and a flag the bin would ignore, an unknown flag or a malformed
+/// value is a usage error that exits with [`EXIT_INFRA_ERROR`]. Fields of
+/// flags a bin does not accept keep their defaults.
 ///
 /// Not for `cargo bench` harness benches: libtest passes its own flags
 /// (`--bench`, filter strings), which this parser would reject — benches
@@ -204,32 +277,36 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses the process arguments; answers `--help` with [`USAGE`] on
-    /// stdout (exit 0) and any parse error on stderr (exit
-    /// [`EXIT_INFRA_ERROR`]).
+    /// Parses the process arguments of `bin`, which reads `flags`;
+    /// answers `--help` with a usage text listing them on stdout (exit 0)
+    /// and any parse error on stderr (exit [`EXIT_INFRA_ERROR`]).
     #[must_use]
-    pub fn parse(bin: &str) -> Self {
-        match Self::try_parse(std::env::args().skip(1)) {
+    pub fn parse(bin: &str, flags: &[Flag]) -> Self {
+        match Self::try_parse(std::env::args().skip(1), flags) {
             Ok(Some(args)) => args,
             Ok(None) => {
-                println!("{bin}\n\n{USAGE}");
+                println!("{bin}\n\n{}", usage(flags));
                 std::process::exit(0);
             }
             Err(e) => {
-                eprintln!("{bin}: {e}\n\n{USAGE}");
+                eprintln!("{bin}: {e}\n\n{}", usage(flags));
                 std::process::exit(EXIT_INFRA_ERROR);
             }
         }
     }
 
-    /// Parses an explicit argument list (no program name). `Ok(None)`
-    /// means `--help` was requested.
+    /// Parses an explicit argument list (no program name) for a bin that
+    /// reads `flags`. `Ok(None)` means `--help` was requested.
     ///
     /// # Errors
     ///
-    /// A human-readable message naming the unknown flag, the flag whose
-    /// value is missing, or the value that failed to parse.
-    pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Option<Self>, String> {
+    /// A human-readable message naming the unknown or unaccepted flag,
+    /// the flag whose value is missing, or the value that failed to
+    /// parse.
+    pub fn try_parse(
+        args: impl IntoIterator<Item = String>,
+        flags: &[Flag],
+    ) -> Result<Option<Self>, String> {
         let mut out = Self::default();
         let mut args = args.into_iter();
         // `--flag value` and `--flag=value` are both accepted.
@@ -244,7 +321,7 @@ impl Args {
                 )
             };
         while let Some(arg) = args.next() {
-            let (flag, inline) = match arg.strip_prefix("--") {
+            let (name, inline) = match arg.strip_prefix("--") {
                 Some(rest) => match rest.split_once('=') {
                     Some((f, v)) => (f.to_owned(), Some(v.to_owned())),
                     None => (rest.to_owned(), None),
@@ -252,26 +329,34 @@ impl Args {
                 None => return Err(format!("unexpected positional argument `{arg}`")),
             };
             let inline = inline.as_deref();
-            match flag.as_str() {
-                "help" => return Ok(None),
-                "smoke" => out.smoke = true,
-                "chaos" => out.chaos = true,
-                "threads" => {
-                    let v = next_value("threads", inline, &mut args)?;
+            if name == "help" {
+                return Ok(None);
+            }
+            let Some(flag) = Flag::ALL.into_iter().find(|f| f.name() == name) else {
+                return Err(format!("unknown flag `--{name}`"));
+            };
+            if !flags.contains(&flag) {
+                return Err(format!("flag `--{name}` is not an option of this bin"));
+            }
+            match flag {
+                Flag::Smoke => out.smoke = true,
+                Flag::Chaos => out.chaos = true,
+                Flag::Threads => {
+                    let v = next_value(&name, inline, &mut args)?;
                     let n: usize = v
                         .parse()
                         .map_err(|_| format!("--threads: not a number: `{v}`"))?;
                     out.threads = n.max(1);
                 }
-                "chaos-seed" => {
-                    let v = next_value("chaos-seed", inline, &mut args)?;
+                Flag::ChaosSeed => {
+                    let v = next_value(&name, inline, &mut args)?;
                     out.chaos_seed = Some(
                         v.parse()
                             .map_err(|_| format!("--chaos-seed: not a number: `{v}`"))?,
                     );
                 }
-                "deadline" => {
-                    let v = next_value("deadline", inline, &mut args)?;
+                Flag::Deadline => {
+                    let v = next_value(&name, inline, &mut args)?;
                     let d: f64 = v
                         .parse()
                         .map_err(|_| format!("--deadline: not a number: `{v}`"))?;
@@ -280,15 +365,12 @@ impl Args {
                     }
                     out.deadline_s = Some(d);
                 }
-                "journal" => out.journal = Some(next_value("journal", inline, &mut args)?),
-                "checkpoint" => {
-                    out.checkpoint = Some(next_value("checkpoint", inline, &mut args)?);
+                Flag::Journal => out.journal = Some(next_value(&name, inline, &mut args)?),
+                Flag::Checkpoint => out.checkpoint = Some(next_value(&name, inline, &mut args)?),
+                Flag::Resume => out.resume = Some(next_value(&name, inline, &mut args)?),
+                Flag::CheckCoverage => {
+                    out.check_coverage = Some(next_value(&name, inline, &mut args)?);
                 }
-                "resume" => out.resume = Some(next_value("resume", inline, &mut args)?),
-                "check-coverage" => {
-                    out.check_coverage = Some(next_value("check-coverage", inline, &mut args)?);
-                }
-                other => return Err(format!("unknown flag `--{other}`")),
             }
         }
         Ok(Some(out))
@@ -566,8 +648,12 @@ mod tests {
         assert!(err.to_string().contains("header"), "{err}");
     }
 
+    fn parse_for(args: &[&str], flags: &[Flag]) -> Result<Option<Args>, String> {
+        Args::try_parse(args.iter().map(|s| (*s).to_owned()), flags)
+    }
+
     fn parse(args: &[&str]) -> Result<Option<Args>, String> {
-        Args::try_parse(args.iter().map(|s| (*s).to_owned()))
+        parse_for(args, &Flag::ALL)
     }
 
     #[test]
@@ -648,21 +734,42 @@ mod tests {
             .expect("not help");
         let baseline = args.check_coverage.expect("baseline");
         assert!(repo_root_path(&baseline).is_file(), "{baseline}");
-        let usage_flags = [
-            "--threads",
-            "--smoke",
-            "--chaos",
-            "--chaos-seed",
-            "--deadline",
-            "--journal",
-            "--checkpoint",
-            "--resume",
-            "--check-coverage",
-            "--help",
-        ];
-        for flag in usage_flags {
-            assert!(USAGE.contains(flag), "{flag} missing from USAGE");
+        let usage = usage(&Flag::ALL);
+        for flag in Flag::ALL {
+            assert!(usage.contains(&format!("--{} ", flag.name())), "{flag:?}");
         }
+        assert!(usage.contains("--help"));
+    }
+
+    #[test]
+    fn args_reject_the_shared_flags_a_bin_does_not_read() {
+        // `sensor_datasheet` reads these three; the journal, chaos and
+        // deadline flags it would silently drop are usage errors instead.
+        let flags = [Flag::Smoke, Flag::Threads, Flag::CheckCoverage];
+        let args = parse_for(&["--smoke", "--threads", "2"], &flags)
+            .expect("valid")
+            .expect("not help");
+        assert!(args.smoke);
+        assert_eq!(args.threads, 2);
+        for rejected in [
+            &["--journal", "/nonexistent/dir/sd.journal"][..],
+            &["--chaos"],
+            &["--deadline=0.001"],
+            &["--chaos-seed", "3"],
+            &["--checkpoint", "cp.bin"],
+            &["--resume", "cp.bin"],
+        ] {
+            let err = parse_for(rejected, &flags).expect_err("not an option of this bin");
+            let name = rejected[0].split('=').next().expect("flag");
+            assert!(err.contains(&format!("`{name}`")), "{err}");
+        }
+        // `--help` lists only the accepted flags.
+        let text = usage(&flags);
+        for flag in Flag::ALL {
+            let listed = text.contains(&format!("--{} ", flag.name()));
+            assert_eq!(listed, flags.contains(&flag), "{flag:?} in\n{text}");
+        }
+        assert!(parse_for(&["--help"], &flags).expect("help").is_none());
     }
 
     #[test]

@@ -1069,6 +1069,22 @@ impl Platform {
         if self.config.cpu_enabled {
             self.cpu_cycle_debt += self.cpu_cycles_per_tick;
             while self.cpu_cycle_debt >= 1.0 {
+                // Busy-wait loops retire in bulk, as many executions as
+                // the steps below would run this tick. While the watchdog
+                // is armed, the bound leaves it unexpired, so an expiry
+                // always goes through `step` and the reset path.
+                let per = if self.cpu.is_hung() { 1 } else { 2 };
+                let mut max = (self.cpu_cycle_debt - 1.0) as u64 / per + 1;
+                if let Some(left) = self.bus.watchdog.cycles_left() {
+                    max = max.min(u64::from(left.saturating_sub(1)) / per);
+                }
+                let retired = self.cpu.retire_spin(max);
+                if retired > 0 {
+                    let spent = retired * per;
+                    self.cpu_cycle_debt -= spent as f64;
+                    self.bus.watchdog.tick(spent as u32);
+                    continue;
+                }
                 let spent = self.cpu.step(&mut self.bus);
                 self.cpu_cycle_debt -= f64::from(spent);
                 if self.bus.watchdog.tick(spent) && self.bus.watchdog.auto_reset() {

@@ -999,6 +999,88 @@ impl Cpu {
         cycles
     }
 
+    /// Retires up to `max` executions of the busy-wait loop at PC in one
+    /// call and returns how many it retired. The state afterwards is
+    /// exactly the one that many [`Cpu::step`] calls leave: registers,
+    /// PC, TI, the UART transmit countdown, [`Cpu::instructions`] and
+    /// [`Cpu::cycles`]. It retires fewer than `max` only when the loop
+    /// exits; the last retired execution is then the one that falls
+    /// through.
+    ///
+    /// Retired forms, 2 machine cycles per execution: `djnz Rn, $`,
+    /// `jnb TI, $`, `jnb RI, $` and `sjmp $`. A hung core retires `max`
+    /// 1-cycle steps. Anything that could make a loop's exit depend on
+    /// more than elapsed cycles makes it return 0 and change nothing: EA
+    /// set, a running timer, a high INT pin, a deliverable RX byte, a
+    /// halted core, or any other instruction at PC.
+    pub fn retire_spin(&mut self, max: u64) -> u64 {
+        if self.hung {
+            self.cycles += max;
+            return max;
+        }
+        if max == 0
+            || self.halted
+            || self.sfr_load(sfr::IE) & 0x80 != 0
+            || self.sfr_load(sfr::TCON) & 0x50 != 0
+            || self.int0_pin
+            || self.int1_pin
+            || self.rx_deliverable()
+        {
+            return 0;
+        }
+        let pc = self.pc;
+        let scon = self.sfr_load(sfr::SCON);
+        let [op, a, b] = [0, 1, 2].map(|i| self.code_at(pc.wrapping_add(i)));
+        // The executions after which the loop falls through, with the
+        // instruction length it then skips; `None` for a loop that never
+        // exits.
+        let exit = match (op, a, b) {
+            (0xd8..=0xdf, 0xfe, _) => match self.reg(op & 7) {
+                0 => Some((256, 2)),
+                r => Some((u64::from(r), 2)),
+            },
+            // TI is read before the UART ticks, so the execution after
+            // the one that completes the transmission falls through.
+            (0x30, 0x99, 0xfd) => match (scon & 0x02 != 0, self.uart_tx_countdown) {
+                (true, _) => Some((1, 3)),
+                (false, Some(rem)) => Some((u64::from(rem).div_ceil(2).max(1) + 1, 3)),
+                (false, None) => None,
+            },
+            // With no RX byte deliverable, RI keeps its value.
+            (0x30, 0x98, 0xfd) => (scon & 0x01 != 0).then_some((1, 3)),
+            (0x80, 0xfe, _) => None,
+            _ => return 0,
+        };
+        let k = exit.map_or(max, |(n, _)| max.min(n));
+        if let Some((n, len)) = exit {
+            if k == n {
+                self.pc = pc.wrapping_add(len);
+            }
+        }
+        if op & 0xf8 == 0xd8 {
+            let n = op & 7;
+            self.set_reg(n, self.reg(n).wrapping_sub(k as u8));
+        }
+        self.instructions += k;
+        self.cycles += 2 * k;
+        if let Some(rem) = self.uart_tx_countdown {
+            if u64::from(rem) <= 2 * k {
+                self.uart_tx_countdown = None;
+                self.sfr_store(sfr::SCON, scon | 0x02); // TI
+            } else {
+                self.uart_tx_countdown = Some(rem - 2 * k as u32);
+            }
+        }
+        k
+    }
+
+    /// `true` when the UART would deliver a queued RX byte: REN set, RI
+    /// clear and a byte waiting.
+    fn rx_deliverable(&self) -> bool {
+        let scon = self.sfr_load(sfr::SCON);
+        scon & 0x10 != 0 && scon & 0x01 == 0 && !self.uart_rx.is_empty()
+    }
+
     /// Per-instruction peripheral tick with cheap idle fast paths. The
     /// guards skip only calls that would be observable no-ops: timers
     /// with TR0 and TR1 clear, and the UART with no transmission in
@@ -1009,13 +1091,12 @@ impl Cpu {
         if self.sfr_load(sfr::TCON) & 0x50 != 0 {
             self.tick_timers(machine_cycles);
         }
-        if self.uart_tx_countdown.is_some() || self.int0_pin || self.int1_pin {
+        if self.uart_tx_countdown.is_some()
+            || self.int0_pin
+            || self.int1_pin
+            || self.rx_deliverable()
+        {
             self.tick_uart(machine_cycles);
-        } else {
-            let scon = self.sfr_load(sfr::SCON);
-            if scon & 0x10 != 0 && scon & 0x01 == 0 && !self.uart_rx.is_empty() {
-                self.tick_uart(machine_cycles);
-            }
         }
     }
 

@@ -529,6 +529,13 @@ impl Watchdog {
         false
     }
 
+    /// Machine cycles until the armed dog expires (a [`Watchdog::tick`]
+    /// totalling this many returns `true`); `None` while disabled.
+    #[must_use]
+    pub fn cycles_left(&self) -> Option<u32> {
+        self.enabled.then_some(self.counter)
+    }
+
     /// `true` if an expiry is latched.
     #[must_use]
     pub fn expired(&self) -> bool {

@@ -27,14 +27,19 @@ echo "== perfbench tests (separate package linking the campaign API) =="
 # never build it; its tests catch API changes that break the benchmark.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== fault campaign (smoke: detection + coverage vs committed baseline) =="
+echo "== fault campaign (smoke: detection + coverage + values vs committed baselines) =="
 # Emits the Chrome trace, flight-recorder captures and the coverage matrix
 # under target/experiments/; fails if any fault class goes undetected OR
 # if a (fault class x supervisor transition) cell exercised by the
-# committed COVERAGE_fault_campaign.csv baseline goes dark.
+# committed COVERAGE_fault_campaign.csv baseline goes dark. The coverage
+# gate cannot see a number change, so the CSV (detection latencies,
+# baseline rates, CPU-on scenarios included) must also match the
+# committed SMOKE_fault_campaign.csv byte for byte; on a mismatch the
+# regenerated file stays at target/experiments/fault_campaign.csv.
 cargo run --release -q -p ascp-bench --bin fault_campaign -- --smoke --threads 4 \
     --check-coverage COVERAGE_fault_campaign.csv
-cp target/experiments/fault_campaign.csv target/experiments/fault_campaign.reference.csv
+cmp target/experiments/fault_campaign.csv SMOKE_fault_campaign.csv \
+    || { echo "fault_campaign --smoke CSV differs from SMOKE_fault_campaign.csv" >&2; exit 1; }
 
 echo "== sensor datasheet (smoke: four sensor families + wire-fault coverage) =="
 # One campaign sweeps the gyro, the MAP and IAT pressure/temperature
@@ -58,10 +63,10 @@ cmp DATASHEET.md target/experiments/DATASHEET.committed.md \
 echo "== chaos campaign (seeded worker panics + stalls; retry must make it invisible) =="
 # The supervision layer's chaos mode injects worker panics and stalls;
 # every scenario must recover on its deterministic retry, so the CSV is
-# byte-identical to the undisturbed smoke run above.
+# byte-identical to the committed smoke CSV.
 cargo run --release -q -p ascp-bench --bin fault_campaign -- --chaos --smoke --threads 4
-cmp target/experiments/fault_campaign.csv target/experiments/fault_campaign.reference.csv \
-    || { echo "chaos campaign CSV differs from the undisturbed run" >&2; exit 1; }
+cmp target/experiments/fault_campaign.csv SMOKE_fault_campaign.csv \
+    || { echo "chaos campaign CSV differs from SMOKE_fault_campaign.csv" >&2; exit 1; }
 
 echo "== exit-code taxonomy (0 ok, 1 scenario failures, 2 infra errors) =="
 # An unwritable journal path is an infrastructure error: exit 2, no sweep.
@@ -71,11 +76,19 @@ infra_code=$?
 set -e
 [ "$infra_code" -eq 2 ] \
     || { echo "expected exit 2 for journal infra error, got $infra_code" >&2; exit 1; }
+# sensor_datasheet keeps no journal: the flag is a usage error (exit 2),
+# not silently ignored.
+set +e
+target/release/sensor_datasheet --smoke --journal /nonexistent/dir/sd.journal >/dev/null 2>&1
+usage_code=$?
+set -e
+[ "$usage_code" -eq 2 ] \
+    || { echo "expected exit 2 for a flag sensor_datasheet does not read, got $usage_code" >&2; exit 1; }
 
 echo "== kill -9 + resume (crash-recoverable journal) =="
 # SIGKILL the campaign mid-run, then re-run the same command line: the
 # journal resumes the completed scenarios and the merged CSV must be
-# byte-identical to the undisturbed run. The binary is exec'd directly so
+# byte-identical to the committed smoke CSV. The binary is exec'd directly so
 # the kill hits the campaign process, not a cargo wrapper. The kill lands
 # as soon as the journal outgrows its 20-byte header (first scenario
 # recorded), and the resume must report 1..10 of the 11 smoke scenarios:
@@ -98,8 +111,8 @@ cat "$resume_log"
 resumed=$(sed -n 's/.*journal: resumed \([0-9]*\) completed scenario.*/\1/p' "$resume_log")
 [ -n "$resumed" ] && [ "$resumed" -ge 1 ] && [ "$resumed" -le 10 ] \
     || { echo "kill did not land mid-run (resumed: ${resumed:-none}; want 1..10)" >&2; exit 1; }
-cmp target/experiments/fault_campaign.csv target/experiments/fault_campaign.reference.csv \
-    || { echo "resumed campaign CSV differs from the undisturbed run" >&2; exit 1; }
+cmp target/experiments/fault_campaign.csv SMOKE_fault_campaign.csv \
+    || { echo "resumed campaign CSV differs from SMOKE_fault_campaign.csv" >&2; exit 1; }
 rm -f "$JOURNAL" "$resume_log"
 
 echo "== kernel benches (short mode: build + run smoke) =="
