@@ -1183,7 +1183,9 @@ impl CampaignOptionsBuilder {
 /// cache key covers the effective seed, a restored platform is **bit-
 /// exactly** the platform a cold run would have produced, so warm-start
 /// changes wall-clock time and nothing else: reports stay byte-identical
-/// to cold runs and across worker-thread counts.
+/// to cold runs and across worker-thread counts. A scenario with an armed
+/// flight recorder runs its settle prefix cold, since checkpoints skip
+/// the recorder's ring.
 #[derive(Clone, Debug)]
 pub struct CampaignRunner {
     options: CampaignOptions,
@@ -1991,7 +1993,14 @@ fn run_attempt(
             continue;
         }
 
-        let prefix = cache.map_or(0, |_| settle_prefix_len(&spec.steps));
+        // Checkpoints skip the flight recorder's ring and the telemetry
+        // events a capture copies, so a scenario with an armed recorder
+        // runs its prefix cold. The warm key leaves telemetry out, so its
+        // entry may also have been warmed without a recorder.
+        let prefix = match cache {
+            Some(_) if !config.telemetry.recorder.armed() => settle_prefix_len(&spec.steps),
+            _ => 0,
+        };
         let mut warm_hit = false;
         let (mut p, resume_at) = match cache {
             Some(cache) if prefix > 0 => {
@@ -2517,19 +2526,14 @@ mod tests {
     }
 
     #[test]
-    fn report_is_identical_across_thread_counts() {
-        let serial = runner(1).run(quick_scenarios());
-        let parallel = runner(4).run(quick_scenarios());
-        assert_eq!(serial.outcomes, parallel.outcomes);
-        assert_eq!(serial.to_csv(), parallel.to_csv());
-    }
-
-    #[test]
     fn duration_floor_extends_the_run() {
-        let report = runner(1).run(quick_scenarios());
-        // Scenario "b" runs 0.01 s of steps but has a 0.03 s floor; its
-        // fault fired inside the floor, so the plan saw activity.
-        assert_eq!(report.outcomes[1].name, "b");
+        let options = CampaignOptions::builder().tracing(true).build();
+        let report = CampaignRunner::with_options(options.expect("valid")).run(quick_scenarios());
+        // Scenario "b" runs 0.01 s of steps but has a 0.03 s floor: its
+        // span ends at the floor.
+        let trace = report.trace.expect("tracing was on");
+        let end = trace.span("scenario:b").expect("scenario span").sim_end_s;
+        assert!((end - 0.03).abs() < 1e-9, "ends at {end} s");
     }
 
     #[test]
@@ -2658,89 +2662,6 @@ mod tests {
         }
     }
 
-    /// Sixteen scenarios sharing one settle recipe (same config, same
-    /// explicit seed, same lock prefix) but measuring different rates.
-    fn shared_settle_scenarios() -> Vec<ScenarioSpec> {
-        (0..16)
-            .map(|i| {
-                let dps = f64::from(i) * 20.0 - 150.0;
-                ScenarioSpec::new(format!("rate_{i}"), quick_cfg())
-                    .with_seed(7)
-                    .with_step(Step::Run { seconds: 0.03 })
-                    .with_step(Step::SetRate { dps })
-                    .with_step(Step::MeasureMeanRate {
-                        label: "mean_dps".into(),
-                        window_s: 0.005,
-                    })
-            })
-            .collect()
-    }
-
-    #[test]
-    fn warm_start_is_byte_identical_to_cold() {
-        let cold = runner(2).run(shared_settle_scenarios());
-        let warm = CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(2)
-                .warm_start(true)
-                .build()
-                .expect("valid options"),
-        )
-        .run(shared_settle_scenarios());
-        assert_eq!(cold.warm_hits, 0);
-        assert_eq!(warm.warm_hits, 15, "15 of 16 scenarios must hit the cache");
-        assert_eq!(cold.outcomes, warm.outcomes);
-        assert_eq!(cold.to_csv(), warm.to_csv());
-    }
-
-    #[test]
-    fn warm_start_report_is_identical_across_thread_counts() {
-        let runs: Vec<_> = [1, 2, 4]
-            .iter()
-            .map(|&t| {
-                CampaignRunner::with_options(
-                    CampaignOptions::builder()
-                        .threads(t)
-                        .warm_start(true)
-                        .build()
-                        .expect("valid options"),
-                )
-                .run(shared_settle_scenarios())
-            })
-            .collect();
-        assert_eq!(runs[0].outcomes, runs[1].outcomes);
-        assert_eq!(runs[0].outcomes, runs[2].outcomes);
-        assert_eq!(runs[0].to_csv(), runs[1].to_csv());
-        assert_eq!(runs[0].to_csv(), runs[2].to_csv());
-    }
-
-    #[test]
-    fn derived_seeds_never_share_the_warm_cache() {
-        // Without an explicit seed, every scenario's effective seed (and
-        // so its warm key) differs: the cache must not conflate them.
-        let specs: Vec<_> = (0..4)
-            .map(|i| {
-                ScenarioSpec::new(format!("s{i}"), quick_cfg())
-                    .with_step(Step::Run { seconds: 0.01 })
-                    .with_step(Step::MeasureMeanRate {
-                        label: "m".into(),
-                        window_s: 0.002,
-                    })
-            })
-            .collect();
-        let cold = runner(1).run(specs.clone());
-        let warm = CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(1)
-                .warm_start(true)
-                .build()
-                .expect("valid options"),
-        )
-        .run(specs);
-        assert_eq!(warm.warm_hits, 0);
-        assert_eq!(cold.outcomes, warm.outcomes);
-    }
-
     #[test]
     fn csv_and_telemetry_carry_the_metrics() {
         let report = runner(1).run(quick_scenarios());
@@ -2817,28 +2738,6 @@ mod tests {
     }
 
     #[test]
-    fn retry_makes_chaos_byte_identical_to_undisturbed() {
-        let seed = chaos_seed_with(ChaosInjection::Panic);
-        let clean = runner(2).run(quick_scenarios());
-        let chaotic = CampaignRunner::with_options(
-            CampaignOptions::builder()
-                .threads(2)
-                .retries(1)
-                .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05))
-                .build()
-                .expect("valid options"),
-        )
-        .run(quick_scenarios());
-        assert_eq!(chaotic.poisoned(), 0, "one retry must absorb the chaos");
-        assert!(chaotic.retries_total() >= 1, "chaos must have fired");
-        assert_eq!(clean.to_csv(), chaotic.to_csv());
-        for (a, b) in clean.outcomes.iter().zip(&chaotic.outcomes) {
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.seed, b.seed, "retry must not re-derive the seed");
-        }
-    }
-
-    #[test]
     fn options_builder_validates_each_field() {
         let err = |b: CampaignOptionsBuilder| b.build().expect_err("invalid").to_string();
         assert!(err(CampaignOptions::builder().threads(0)).contains("threads"));
@@ -2900,24 +2799,11 @@ mod tests {
     }
 
     #[test]
-    fn fleet_execution_is_byte_identical_to_scalar() {
-        let scalar = runner(1).run(expand_monte_carlo(vec![mc_spec()]));
-        for threads in [1, 4] {
-            let fleet = runner(threads).run(vec![mc_spec()]);
-            assert_eq!(scalar.outcomes, fleet.outcomes);
-            assert_eq!(scalar.to_csv(), fleet.to_csv());
-        }
-    }
-
-    #[test]
     fn spec_seed_override_still_disperses_lanes() {
         // A spec-level seed replaces the *base* of the per-lane stream,
         // not the lanes' seeds: lane `e` still draws
         // `derive_seed(base, e)`, so lanes stay distinct.
-        let spec = mc_spec().with_seed(42);
-        let a = runner(1).run(vec![spec.clone()]);
-        let b = runner(2).run(vec![spec]);
-        assert_eq!(a.to_csv(), b.to_csv());
+        let a = runner(1).run(vec![mc_spec().with_seed(42)]);
         let seeds: Vec<u64> = a.outcomes.iter().map(|o| o.seed).collect();
         for (lane, &seed) in seeds.iter().enumerate() {
             assert_eq!(seed, derive_seed(42, lane as u64));
@@ -2931,38 +2817,6 @@ mod tests {
         for pair in means.windows(2) {
             assert_ne!(pair[0], pair[1], "seeded lanes must still disperse");
         }
-    }
-
-    #[test]
-    fn mixed_campaign_interleaves_scalar_and_fleet_units() {
-        // Plain scenario + Monte-Carlo population + faulted scenario:
-        // only the population batches; outcomes keep expanded order.
-        let mut specs = quick_scenarios();
-        specs.insert(1, mc_spec());
-        let fleet = runner(2).run(specs.clone());
-        let scalar = runner(2).run(expand_monte_carlo(specs));
-        assert_eq!(fleet.outcomes.len(), 7);
-        assert_eq!(fleet.outcomes[0].name, "a");
-        assert_eq!(fleet.outcomes[1].name, "mc/mc0");
-        assert_eq!(fleet.outcomes[5].name, "mc/mc4");
-        assert_eq!(fleet.outcomes[6].name, "b");
-        assert_eq!(fleet.outcomes, scalar.outcomes);
-        assert_eq!(fleet.to_csv(), scalar.to_csv());
-    }
-
-    #[test]
-    fn monte_carlo_campaign_resumes_byte_identically() {
-        let path =
-            std::env::temp_dir().join(format!("ascp_mc_resume_{}.journal", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let first = runner(2)
-            .resume(vec![mc_spec()], &path)
-            .expect("fresh journaled run");
-        assert_eq!(first.resumed, 0);
-        let second = runner(2).resume(vec![mc_spec()], &path).expect("resume");
-        assert_eq!(second.resumed, 5, "every expanded lane must preload");
-        assert_eq!(first.to_csv(), second.to_csv());
-        let _ = std::fs::remove_file(&path);
     }
 
     /// The pool units `runner` plans for `specs` after expansion.
@@ -3029,7 +2883,8 @@ mod tests {
 
     /// Lanes the fleet refuses (an armed flight recorder passes
     /// [`fleet_eligible`] but not [`PlatformFleet::new`]) step one by one
-    /// inside the group's attempt, byte-identical to the scalar reference.
+    /// inside the group's attempt. The equivalence oracle checks them
+    /// against the scalar reference.
     #[test]
     fn fleet_refused_group_steps_lanes_one_by_one() {
         let mut spec = mc_spec();
@@ -3047,15 +2902,12 @@ mod tests {
             fleet_of(&units[0]).is_err(),
             "the fleet must refuse armed recorders"
         );
-        let scalar = runner(1).run(expand_monte_carlo(vec![spec.clone()]));
         let grouped = runner(1).run(vec![spec]);
         assert_eq!(grouped.outcomes.len(), 5);
         assert!(grouped
             .outcomes
             .iter()
             .all(|o| o.metric("recorder_triggered").is_some()));
-        assert_eq!(scalar.outcomes, grouped.outcomes);
-        assert_eq!(scalar.to_csv(), grouped.to_csv());
     }
 
     /// A group that overruns its deadline fails whole: with no retry

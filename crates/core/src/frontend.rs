@@ -359,12 +359,6 @@ impl SensorChannel {
         &self.transitions
     }
 
-    /// Last decimated conditioned output, engineering units.
-    #[must_use]
-    pub fn last_output(&self) -> f64 {
-        self.last_eu
-    }
-
     /// Last normalized node/demod ratio feeding the conditioning recipe.
     #[must_use]
     pub fn last_ratio(&self) -> f64 {

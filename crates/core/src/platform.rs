@@ -1595,11 +1595,6 @@ impl Platform {
         &self.telemetry
     }
 
-    /// Mutable telemetry access (reset between experiment phases).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
-    }
-
     /// Captures a telemetry snapshot at the current simulation time,
     /// scraping the component counters first so the snapshot is current
     /// even between monitoring ticks.

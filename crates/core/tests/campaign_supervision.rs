@@ -1,19 +1,14 @@
 //! Supervision-layer contract: worker faults (panics, stalls) injected by
-//! the deterministic chaos mode must never abort a campaign, must leave
-//! healthy scenarios byte-identical to an undisturbed run, and must be
-//! thread-count invariant — the same promises `campaign_determinism`
-//! makes for healthy campaigns, extended to unhealthy ones.
+//! the deterministic chaos mode must never abort a campaign, and without
+//! retries they poison their scenarios deterministically, leaving healthy
+//! ones untouched. That chaos with a retry is invisible is the chaos axis
+//! of the equivalence oracle (`tests/equivalence.rs`).
 
 use ascp_core::campaign::{
     CampaignObserver, CampaignOptions, CampaignOptionsBuilder, CampaignRunner, ChaosInjection,
     ChaosPlan, ScenarioError, ScenarioProgress, ScenarioSpec, ScenarioStatus, Step,
 };
 use std::sync::{Arc, Mutex};
-
-/// Runner with `threads` workers and otherwise default options.
-fn runner(threads: usize) -> CampaignRunner {
-    configured(CampaignOptions::builder().threads(threads))
-}
 
 /// Runner from a fully-specified options builder.
 fn configured(options: CampaignOptionsBuilder) -> CampaignRunner {
@@ -82,7 +77,7 @@ fn chaos_without_retries_poisons_deterministically_at_any_thread_count() {
 
     // The poisoning pattern matches the plan exactly, and healthy rows
     // match an undisturbed run byte-for-byte.
-    let clean = runner(2).run(scenario_list());
+    let clean = configured(CampaignOptions::builder().threads(2)).run(scenario_list());
     for (i, o) in one.outcomes.iter().enumerate() {
         match chaos.decide(i, 0) {
             ChaosInjection::None => {
@@ -110,35 +105,6 @@ fn chaos_without_retries_poisons_deterministically_at_any_thread_count() {
     }
     assert!(one.poisoned() > 0);
     assert_eq!(one.poisoned(), one.failed_scenarios().len());
-}
-
-/// With the default retry budget, every chaos-injected scenario recovers
-/// on its clean retry and the *entire* CSV is byte-identical to an
-/// undisturbed run — the seed is re-derived, not advanced.
-#[test]
-fn chaos_with_retries_is_byte_identical_to_undisturbed() {
-    let seed = chaos_seed_with_both(8);
-    let clean = runner(2).run(scenario_list());
-    for threads in [1, 2, 4] {
-        let chaotic = configured(
-            CampaignOptions::builder()
-                .threads(threads)
-                .retries(1)
-                .chaos(ChaosPlan::new(seed).with_stall_cap_s(0.05)),
-        )
-        .run(scenario_list());
-        assert_eq!(chaotic.poisoned(), 0, "retry must recover every scenario");
-        assert!(chaotic.retries_total() > 0, "chaos must have injected");
-        assert_eq!(
-            clean.to_csv(),
-            chaotic.to_csv(),
-            "chaos + retry must be invisible in the CSV at {threads} threads"
-        );
-        for (c, o) in clean.outcomes.iter().zip(&chaotic.outcomes) {
-            assert_eq!(c.seed, o.seed, "retry must not advance the seed");
-            assert_eq!(c.metrics, o.metrics);
-        }
-    }
 }
 
 /// The watchdog cancels a stalled scenario at the configured deadline and
@@ -178,7 +144,7 @@ fn watchdog_cancels_overrunning_scenarios_at_the_configured_deadline() {
 /// Supervision events flow through telemetry: the JSON export carries the
 /// retry/timeout/panic/poisoned counters.
 #[test]
-fn supervision_counters_reach_prometheus_and_json() {
+fn supervision_counters_reach_the_json_export() {
     let seed = chaos_seed_with_both(8);
     let report = configured(
         CampaignOptions::builder()
@@ -201,25 +167,6 @@ fn supervision_counters_reach_prometheus_and_json() {
     ] {
         assert!(json.contains(needle), "{needle} missing from:\n{json}");
     }
-}
-
-/// A healthy campaign under full supervision (watchdog armed, retry
-/// budget, chaos off) is byte-identical to a bare run: supervision is
-/// pure observation until something fails.
-#[test]
-fn supervision_is_invisible_on_a_healthy_campaign() {
-    let bare = runner(2).run(scenario_list());
-    let supervised = configured(
-        CampaignOptions::builder()
-            .threads(2)
-            .deadline_s(60.0)
-            .retries(2),
-    )
-    .run(scenario_list());
-    assert_eq!(bare.outcomes, supervised.outcomes);
-    assert_eq!(bare.to_csv(), supervised.to_csv());
-    assert_eq!(supervised.retries_total(), 0);
-    assert_eq!(supervised.timeouts_total(), 0);
 }
 
 /// Records the warm-start field of every progress callback.

@@ -49,12 +49,6 @@ impl<const FRAC: u32> Fx<FRAC> {
     /// One, if representable (`FRAC < 31`).
     pub const ONE: Self = Self(1i32 << FRAC);
 
-    /// Number of fractional bits.
-    #[must_use]
-    pub const fn frac_bits() -> u32 {
-        FRAC
-    }
-
     /// Constructs from the raw integer word (no scaling).
     #[must_use]
     pub const fn from_raw(raw: i32) -> Self {

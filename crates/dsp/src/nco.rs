@@ -54,11 +54,6 @@ impl Nco {
         Self::default()
     }
 
-    /// Sets the phase increment directly (the PLL control word).
-    pub fn set_increment(&mut self, increment: u32) {
-        self.increment = increment;
-    }
-
     /// Current phase increment.
     #[must_use]
     pub fn increment(&self) -> u32 {

@@ -386,22 +386,6 @@ impl JtagChain {
         Ok(out)
     }
 
-    /// Borrows a device for direct inspection (test/diagnostic use).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::NoSuchDevice`] for a bad index.
-    pub fn device_mut(
-        &mut self,
-        index: usize,
-    ) -> Result<&mut (dyn JtagDevice + 'static), ChainError> {
-        let len = self.slots.len();
-        self.slots
-            .get_mut(index)
-            .map(|s| &mut *s.device)
-            .ok_or(ChainError::NoSuchDevice { index, len })
-    }
-
     /// Serializes the TAP FSM state, counters, injected fault, and every
     /// slot's shift/instruction registers plus the device's own state (via
     /// [`JtagDevice::save_state`]).

@@ -167,6 +167,12 @@ impl IntSource {
     }
 }
 
+/// Transmitted bytes the UART queue keeps until the host drains it with
+/// [`Cpu::uart_take_tx`]; the oldest is dropped to make room for a new
+/// one. 4 KiB holds about half a second of the gyro platform's monitor
+/// frames (~7.9 kB per simulated second).
+pub const UART_TX_CAPACITY: usize = 4096;
+
 /// The 8051 core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
@@ -184,7 +190,8 @@ pub struct Cpu {
     uart_tx_total: u64,
     /// Machine cycles spent in the current UART transmission, if any.
     uart_tx_countdown: Option<u32>,
-    /// Bytes the firmware has transmitted (host-visible).
+    /// The newest bytes the firmware has transmitted (host-visible), at
+    /// most [`UART_TX_CAPACITY`].
     uart_tx: VecDeque<u8>,
     /// Bytes waiting to be received (host-injected).
     uart_rx: VecDeque<u8>,
@@ -352,7 +359,9 @@ impl Cpu {
         self.sfr_store(addr, value);
     }
 
-    /// Pops all bytes the firmware has written to the UART.
+    /// Pops the bytes the firmware has written to the UART since the last
+    /// call: the newest [`UART_TX_CAPACITY`] of them, as older ones were
+    /// dropped ([`Cpu::uart_tx_total`] still counts them).
     pub fn uart_take_tx(&mut self) -> Vec<u8> {
         self.uart_tx.drain(..).collect()
     }
@@ -453,8 +462,9 @@ impl Cpu {
     /// # Errors
     ///
     /// Returns [`SnapshotError::Corrupt`] if the IRAM/SFR images have the
-    /// wrong size, the code image exceeds 64 KiB, an interrupt-source code
-    /// is unknown, or the fault rate is outside `[0, 1]`; propagates other
+    /// wrong size, the code image exceeds 64 KiB, the UART transmit queue
+    /// exceeds [`UART_TX_CAPACITY`], an interrupt-source code is unknown,
+    /// or the fault rate is outside `[0, 1]`; propagates other
     /// [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let pc = r.take_u16()?;
@@ -483,7 +493,16 @@ impl Cpu {
         self.instructions = r.take_u64()?;
         self.uart_tx_total = r.take_u64()?;
         self.uart_tx_countdown = r.take_opt_u32()?;
-        self.uart_tx = r.take_u8_vec()?.into();
+        let uart_tx = r.take_u8_vec()?;
+        if uart_tx.len() > UART_TX_CAPACITY {
+            return Err(SnapshotError::Corrupt {
+                context: format!(
+                    "UART transmit queue of {} bytes exceeds {UART_TX_CAPACITY}",
+                    uart_tx.len()
+                ),
+            });
+        }
+        self.uart_tx = uart_tx.into();
         self.uart_rx = r.take_u8_vec()?.into();
         self.uart_cycles_per_byte = r.take_u32()?;
         self.uart_rx_countdown = r.take_opt_u32()?;
@@ -587,6 +606,9 @@ impl Cpu {
                         wire ^= 1 << (rng.next_u64() % 8);
                         self.uart_line_errors += 1;
                     }
+                }
+                if self.uart_tx.len() == UART_TX_CAPACITY {
+                    self.uart_tx.pop_front();
                 }
                 self.uart_tx.push_back(wire);
                 self.uart_tx_total += 1;

@@ -3,7 +3,8 @@
 //! assembler so the tests double as assembler/CPU cross-checks.
 
 use crate::asm::assemble;
-use crate::cpu::{psw, sfr, Cpu, ExternalBus, NullBus};
+use crate::cpu::{psw, sfr, Cpu, ExternalBus, NullBus, UART_TX_CAPACITY};
+use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 
 fn run(src: &str, steps: usize) -> Cpu {
     let mut cpu = Cpu::new();
@@ -314,6 +315,60 @@ fn uart_transmit_sets_ti_and_host_sees_bytes() {
     let mut bus = NullBus;
     cpu.run_cycles(1000, &mut bus);
     assert_eq!(cpu.uart_take_tx(), b"Hi");
+}
+
+/// Past [`UART_TX_CAPACITY`] undrained bytes the queue keeps exactly the
+/// newest ones, and a checkpoint carries them; an image whose queue is
+/// over the cap is corrupt.
+#[test]
+fn uart_queue_keeps_the_newest_bytes_up_to_its_capacity() {
+    let src = "
+        clr a
+        next: mov sbuf, a
+        wait: jnb ti, wait
+        clr ti
+        inc a
+        sjmp next
+    ";
+    let mut cpu = Cpu::new();
+    cpu.load_code(&assemble(src).unwrap());
+    // About 100 machine cycles per byte.
+    cpu.run_cycles(110 * (UART_TX_CAPACITY as u64 + 300), &mut NullBus);
+    let total = cpu.uart_tx_total();
+    assert!(total > UART_TX_CAPACITY as u64 + 100, "{total} bytes sent");
+    let newest: Vec<u8> = (total - UART_TX_CAPACITY as u64..total)
+        .map(|k| k as u8)
+        .collect();
+
+    let mut w = StateWriter::new();
+    cpu.save_state(&mut w);
+    let image = w.into_bytes();
+    let mut restored = Cpu::new();
+    restored
+        .load_state(&mut StateReader::new(&image))
+        .expect("a capped queue loads");
+    assert_eq!(restored.uart_take_tx(), newest);
+    assert_eq!(cpu.uart_take_tx(), newest);
+
+    // Re-encode the image with one byte too many in the queue.
+    let mut r = StateReader::new(&image);
+    let mut w = StateWriter::new();
+    w.put_u16(r.take_u16().unwrap());
+    for _ in 0..3 {
+        w.put_u8_slice(&r.take_u8_vec().unwrap()); // IRAM, SFRs, code
+    }
+    for _ in 0..3 {
+        w.put_u64(r.take_u64().unwrap()); // cycles, instructions, bytes sent
+    }
+    w.put_opt_u32(r.take_opt_u32().unwrap());
+    r.take_u8_vec().unwrap();
+    w.put_u8_slice(&[0; UART_TX_CAPACITY + 1]);
+    let mut over = w.into_bytes();
+    over.extend_from_slice(&image[image.len() - r.remaining()..]);
+    let err = Cpu::new()
+        .load_state(&mut StateReader::new(&over))
+        .expect_err("an over-cap queue must not load");
+    assert!(matches!(err, SnapshotError::Corrupt { .. }), "{err}");
 }
 
 #[test]

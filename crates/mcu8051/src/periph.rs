@@ -133,11 +133,6 @@ impl Spi {
         self.slave = Some(slave);
     }
 
-    /// Detaches and returns the slave.
-    pub fn detach(&mut self) -> Option<Box<dyn SpiSlave>> {
-        self.slave.take()
-    }
-
     /// Total byte transfers performed.
     #[must_use]
     pub fn transfers(&self) -> u64 {
@@ -680,12 +675,6 @@ impl SramController {
         } else {
             self.write_ptr
         }
-    }
-
-    /// Whether capture is running.
-    #[must_use]
-    pub fn is_capturing(&self) -> bool {
-        self.capturing
     }
 
     /// Direct sample view (host-side analysis).

@@ -37,11 +37,9 @@ fn main() {
         );
     }
 
-    // The 8051 monitor has been streaming status frames the whole time.
-    let tx = platform.cpu_mut().uart_take_tx();
-    let frames = tx
-        .iter()
-        .filter(|&&b| b == ascp::core::firmware::FRAME_HEADER)
-        .count();
+    // The 8051 monitor has been streaming 4-byte status frames the whole
+    // time. The UART queue keeps only the newest bytes; the total counts
+    // every byte sent.
+    let frames = platform.cpu_mut().uart_tx_total() / 4;
     println!("monitor CPU streamed ~{frames} UART status frames");
 }
