@@ -375,9 +375,10 @@ fn run() -> Result<i32, Box<dyn std::error::Error>> {
 
     let mut failures = false;
 
-    // Gate 1: every sensor family produced a characterization column.
+    // Gate 1: every sensor family produced a characterization column,
+    // with a noise density above zero.
     for col in &sheet.columns {
-        if col.sensitivity_v_per_eu.is_none() || col.noise_density_eu_rthz.is_none() {
+        if !col.characterized() {
             eprintln!(
                 "sensor_datasheet: sensor `{}` failed to characterize",
                 col.device

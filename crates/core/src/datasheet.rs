@@ -48,6 +48,17 @@ pub struct SensorColumn {
     pub fault_coverage: Vec<FaultCoverage>,
 }
 
+impl SensorColumn {
+    /// Whether the column holds a characterization: a sensitivity and a
+    /// finite, positive noise density. A density of 0 is an estimator that
+    /// saw no noise, a failed measurement rather than a quiet sensor.
+    #[must_use]
+    pub fn characterized(&self) -> bool {
+        let density = self.noise_density_eu_rthz;
+        self.sensitivity_v_per_eu.is_some() && density.is_some_and(|d| d.is_finite() && d > 0.0)
+    }
+}
+
 /// The assembled cross-sensor report.
 #[derive(Debug, Clone, Default)]
 pub struct CrossSensorReport {
@@ -305,5 +316,31 @@ mod tests {
         });
         let md = rep.to_markdown();
         assert!(md.contains("| Sensitivity (V per unit) | — |"));
+    }
+
+    /// A noise density that is missing, zero, negative or not finite fails
+    /// the characterization, as does a missing sensitivity.
+    #[test]
+    fn characterized_needs_a_positive_finite_noise_density() {
+        let col = sample().columns.remove(0);
+        assert!(col.characterized());
+        for density in [
+            None,
+            Some(0.0),
+            Some(-1.0e-4),
+            Some(f64::NAN),
+            Some(f64::INFINITY),
+        ] {
+            let bad = SensorColumn {
+                noise_density_eu_rthz: density,
+                ..col.clone()
+            };
+            assert!(!bad.characterized(), "{density:?}");
+        }
+        let unscaled = SensorColumn {
+            sensitivity_v_per_eu: None,
+            ..col
+        };
+        assert!(!unscaled.characterized());
     }
 }

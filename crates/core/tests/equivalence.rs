@@ -319,7 +319,7 @@ fn scenario_list() -> Vec<ScenarioSpec> {
     // share the others' warm key, as the key leaves telemetry out.
     let mut strong = GyroParams::default();
     (strong.noise_density, strong.force_scale) = (0.005, 16.0 * strong.force_scale);
-    let bring_up = |name: &str, recorder, tail| {
+    let bring_up = |name: &str, recorder, tail: Vec<Step>| {
         let config = quiet()
             .gyro(strong)
             .recorder(RecorderConfig::fault_triggers(recorder));
@@ -327,9 +327,24 @@ fn scenario_list() -> Vec<ScenarioSpec> {
         let ready = Step::WaitReady { timeout_s: 0.1 };
         let normal = Step::WaitSupervisorNormal { timeout_s: 0.1 };
         let spec = ScenarioSpec::new(name, config.build().expect("valid config"));
-        spec.with_seed(5).with_steps([ready, normal, tail])
+        spec.with_seed(5)
+            .with_steps([vec![ready, normal], tail].concat())
     };
+    // The warm siblings' settle prefix ends at the AGC freeze: a checkpoint
+    // does not save the frozen gains.
+    let (hot, freeze) = (
+        Step::SetTemperature { celsius: 45.0 },
+        Step::FreezeAgcDrive { resettle_s: 0.002 },
+    );
     let cpu = quiet().cpu_enabled(true);
+    // The CPU-on pair arms the watchdog inside its settle prefix.
+    let watchdog = Step::ArmWatchdog {
+        timeout_cycles: 20_000,
+    };
+    let armed = |mut spec: ScenarioSpec| {
+        spec.steps.insert(0, watchdog.clone());
+        spec
+    };
     let (channel, gain) = (AdcChannel::Primary, 4.0);
     let overload = quiet().fault_one_shot(FaultKind::AdcOverload { channel, gain }, 0.002, 0.003);
     let recorded = quiet().recorder(RecorderConfig::fault_triggers(256));
@@ -354,7 +369,7 @@ fn scenario_list() -> Vec<ScenarioSpec> {
     vec![
         // The trigger fires inside the settle prefix. First and longest,
         // so a 2-thread journal records out of input order.
-        bring_up("rec0", 64, Step::Run { seconds: 0.015 }),
+        bring_up("rec0", 64, vec![Step::Run { seconds: 0.015 }]),
         rate_spec("rate_step", quiet(), 120.0),
         // Same config and prefix, derived seed: never a warm hit.
         rate_spec("rate_step_twin", quiet(), -45.0),
@@ -364,12 +379,16 @@ fn scenario_list() -> Vec<ScenarioSpec> {
         rate_spec("mc", quiet(), 60.0).monte_carlo(5, dispersion((0.02, 0.05, 10.0, 0.03))),
         // Fleet-eligible steps, but the fleet refuses an armed recorder.
         rate_spec("mc_rec", recorded, 60.0).monte_carlo(2, Dispersion::none()),
-        bring_up("warm0", 0, mean("rate", 0.002)),
-        bring_up("warm1", 0, mean("rate", 0.004)),
-        rate_spec("cpu0", cpu.clone(), 60.0).with_seed(11),
-        rate_spec("cpu1", cpu, -60.0).with_seed(11),
+        bring_up(
+            "warm0",
+            0,
+            vec![hot.clone(), freeze.clone(), mean("rate", 0.002)],
+        ),
+        bring_up("warm1", 0, vec![hot, freeze, mean("rate", 0.004)]),
+        armed(rate_spec("cpu0", cpu.clone(), 60.0).with_seed(11)),
+        armed(rate_spec("cpu1", cpu, -60.0).with_seed(11)),
         // The trigger fires after the prefix.
-        bring_up("rec1", 64, mean("rate", 0.015)),
+        bring_up("rec1", 64, vec![mean("rate", 0.015)]),
         ScenarioSpec::channel("map_transfer", 7, map_channel).with_step(transfer),
         ScenarioSpec::channel("map_not_connected", 7, map_channel)
             .with_faults(not_connected)

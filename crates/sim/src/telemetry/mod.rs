@@ -42,6 +42,7 @@ pub use recorder::{CaptureBundle, FlightRecorder, RecorderConfig, SignalFrame, C
 pub use registry::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, HISTOGRAM_MIN};
 pub use trace::{SpanId, TraceCollector, TraceLog, TraceRecorder};
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -155,7 +156,7 @@ impl Telemetry {
     }
 
     /// Sets a gauge (no-op when disabled).
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
         if self.config.enabled {
             self.registry.gauge_set(name, value);
         }
@@ -313,7 +314,7 @@ pub struct TelemetrySnapshot {
     /// Counters, sorted by name.
     pub counters: Vec<(&'static str, u64)>,
     /// Gauges, sorted by name.
-    pub gauges: Vec<(&'static str, f64)>,
+    pub gauges: Vec<(Cow<'static, str>, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(&'static str, HistogramSummary)>,
     /// Per-stage profiling rows, sorted by stage name.

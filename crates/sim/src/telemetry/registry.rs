@@ -2,8 +2,10 @@
 //!
 //! Metric names are `&'static str` dotted paths (`adc.conversions`,
 //! `pll.lock_transitions`) so recording never allocates; storage is a
-//! `BTreeMap` keyed by those pointers, giving stable, sorted export order.
+//! `BTreeMap` keyed by those names, giving stable, sorted export order. A
+//! gauge may also own its name (a campaign's `<scenario>.<metric>`).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Number of log₂ buckets in a [`Histogram`].
@@ -146,7 +148,7 @@ impl Histogram {
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
+    gauges: BTreeMap<Cow<'static, str>, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
@@ -177,8 +179,8 @@ impl MetricsRegistry {
     }
 
     /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
-        self.gauges.insert(name, value);
+    pub fn gauge_set(&mut self, name: impl Into<Cow<'static, str>>, value: f64) {
+        self.gauges.insert(name.into(), value);
     }
 
     /// Current value of gauge `name`.
@@ -204,8 +206,8 @@ impl MetricsRegistry {
     }
 
     /// All gauges in sorted name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.gauges.iter().map(|(&n, &v)| (n, v))
+    pub fn gauges(&self) -> impl Iterator<Item = (Cow<'static, str>, f64)> + '_ {
+        self.gauges.iter().map(|(n, &v)| (n.clone(), v))
     }
 
     /// All histograms in sorted name order.
