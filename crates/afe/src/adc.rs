@@ -172,7 +172,7 @@ impl SarAdc {
     /// One LSB in volts.
     #[must_use]
     pub fn lsb(&self) -> f64 {
-        2.0 * self.config.vref.0 / (1u64 << self.config.bits) as f64
+        2.0 * self.config.vref.0 * crate::inv_pow2(self.config.bits)
     }
 
     /// Total conversions performed (read back by the monitor CPU).

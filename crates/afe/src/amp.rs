@@ -21,6 +21,9 @@ pub struct Pga {
     gains: Vec<f64>,
     /// Pole frequency (Hz).
     bandwidth: f64,
+    /// The one-pole coefficient for the `(bandwidth, dt)` it was last
+    /// computed at.
+    pole: Pole,
     /// Internal one-pole state.
     state: f64,
     /// Input-referred offset at 25 °C (V).
@@ -59,6 +62,7 @@ impl Pga {
             gain_code: 0,
             gains: Self::GAIN_LADDER.to_vec(),
             bandwidth: bandwidth_hz,
+            pole: Pole::UNSET,
             state: 0.0,
             offset: offset_v,
             offset_tc: offset_tc_v,
@@ -127,8 +131,12 @@ impl Pga {
         let x = input.0 + self.effective_offset().0 + self.white.sample() + self.pink.sample();
         let y_target = x * self.gain();
         // One-pole lowpass toward the target (amplifier bandwidth).
-        let alpha = 1.0 - (-2.0 * std::f64::consts::PI * self.bandwidth * dt).exp();
-        self.state += alpha * (y_target - self.state);
+        if self.pole.bandwidth.to_bits() != self.bandwidth.to_bits()
+            || self.pole.dt.to_bits() != dt.to_bits()
+        {
+            self.pole = Pole::new(self.bandwidth, dt);
+        }
+        self.state += self.pole.alpha * (y_target - self.state);
         Volts(self.state.clamp(-self.rail.0, self.rail.0))
     }
 
@@ -175,6 +183,32 @@ impl Pga {
         self.white.load_state(r)?;
         self.pink.load_state(r)?;
         Ok(())
+    }
+}
+
+/// A one-pole lowpass coefficient and the inputs it is a pure function of.
+#[derive(Debug, Clone, Copy)]
+struct Pole {
+    bandwidth: f64,
+    dt: f64,
+    alpha: f64,
+}
+
+impl Pole {
+    /// Matches no inputs: its NaN bandwidth has the bits of no physical
+    /// one.
+    const UNSET: Self = Self {
+        bandwidth: f64::NAN,
+        dt: f64::NAN,
+        alpha: f64::NAN,
+    };
+
+    fn new(bandwidth: f64, dt: f64) -> Self {
+        Self {
+            bandwidth,
+            dt,
+            alpha: 1.0 - (-2.0 * std::f64::consts::PI * bandwidth * dt).exp(),
+        }
     }
 }
 
@@ -236,9 +270,9 @@ impl ChargeAmplifier {
 /// and per-lane cached pole coefficients.
 ///
 /// The one-pole update and clamp are the exact expressions of
-/// [`Pga::process`]; the `alpha` coefficient (an `exp` per scalar call) is
-/// precomputed per lane for the fixed fleet `dt` — the same pure function
-/// of the same inputs, hence the same bits.
+/// [`Pga::process`]; the `alpha` coefficient is precomputed per lane for
+/// the fixed fleet `dt` by the scalar path's own expression, hence the
+/// same bits.
 #[derive(Debug, Clone)]
 pub struct PgaLanes {
     gain: Vec<f64>,
@@ -275,9 +309,7 @@ impl PgaLanes {
         for p in &ps {
             lanes.gain.push(p.gain());
             lanes.offset_eff.push(p.effective_offset().0);
-            lanes
-                .alpha
-                .push(1.0 - (-2.0 * std::f64::consts::PI * p.bandwidth * dt).exp());
+            lanes.alpha.push(Pole::new(p.bandwidth, dt).alpha);
             lanes.state.push(p.state);
             lanes.rail.push(p.rail.0);
         }

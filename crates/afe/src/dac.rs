@@ -128,7 +128,9 @@ impl Dac {
         let c = &self.config;
         let half = (1i64 << (c.bits - 1)) as f64;
         let code = (code as f64).clamp(-half, half - 1.0);
-        let v = code / half * c.vref.0 * self.ref_scale * c.gain + c.offset.0 + c.midscale.0;
+        let v = code * crate::inv_pow2(c.bits - 1) * c.vref.0 * self.ref_scale * c.gain
+            + c.offset.0
+            + c.midscale.0;
         self.held = Volts(v);
         self.output()
     }

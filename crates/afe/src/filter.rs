@@ -13,6 +13,8 @@ use ascp_sim::units::Volts;
 pub struct AntiAliasFilter {
     f0: f64,
     q: f64,
+    /// `ω²` and `ω/Q` for the corner they were last computed at.
+    coeffs: Coeffs,
     /// State variables (position, velocity of the filter ODE).
     x: f64,
     v: f64,
@@ -32,6 +34,7 @@ impl AntiAliasFilter {
         Self {
             f0: f0_hz,
             q,
+            coeffs: Coeffs::UNSET,
             x: 0.0,
             v: 0.0,
         }
@@ -65,9 +68,12 @@ impl AntiAliasFilter {
     /// the ω·dt < 1 regime the AFE operates in, with RK4-class accuracy for
     /// these slow corners.
     pub fn process(&mut self, u: Volts, dt: f64) -> Volts {
-        let w = 2.0 * std::f64::consts::PI * self.f0;
+        if self.coeffs.f0.to_bits() != self.f0.to_bits() {
+            self.coeffs = Coeffs::new(self.f0, self.q);
+        }
+        let Coeffs { w2, w_q, .. } = self.coeffs;
         // ẍ = ω²(u − x) − (ω/Q) ẋ
-        let a = w * w * (u.0 - self.x) - (w / self.q) * self.v;
+        let a = w2 * (u.0 - self.x) - w_q * self.v;
         self.v += a * dt;
         self.x += self.v * dt;
         Volts(self.x)
@@ -106,10 +112,37 @@ impl AntiAliasFilter {
     }
 }
 
+/// `ω²` and `ω/Q` of a filter and the corner they are a pure function of
+/// (`Q` is fixed at construction).
+#[derive(Debug, Clone, Copy)]
+struct Coeffs {
+    f0: f64,
+    w2: f64,
+    w_q: f64,
+}
+
+impl Coeffs {
+    /// Matches no corner: its NaN key has the bits of no physical one.
+    const UNSET: Self = Self {
+        f0: f64::NAN,
+        w2: f64::NAN,
+        w_q: f64::NAN,
+    };
+
+    fn new(f0: f64, q: f64) -> Self {
+        let w = 2.0 * std::f64::consts::PI * f0;
+        Self {
+            f0,
+            w2: w * w,
+            w_q: w / q,
+        }
+    }
+}
+
 /// Lane-parallel anti-alias filter kernel: SoA semi-implicit Euler.
 ///
 /// Same update expressions as [`AntiAliasFilter::process`]; `ω = 2πf₀` is
-/// hoisted per lane (the scalar path recomputes it each call — pure, same
+/// hoisted per lane, as the scalar path caches `ω²` and `ω/Q` (pure, same
 /// bits).
 #[derive(Debug, Clone)]
 pub struct AafLanes {

@@ -33,3 +33,10 @@ pub mod dac;
 pub mod filter;
 pub mod refs;
 pub mod regs;
+
+/// `2^-n`, exact, for the converter resolutions (`n` below 1022): built
+/// from its exponent field, so scaling by it gives the bits of dividing by
+/// `2^n` without a divide.
+pub(crate) fn inv_pow2(n: u32) -> f64 {
+    f64::from_bits(u64::from(1023 - n) << 52)
+}

@@ -7,7 +7,6 @@
 use super::attempt::{AttemptCtx, Cancelled, LaneRun};
 use super::{Device, ScenarioOutcome, ScenarioSpec, Step};
 use crate::calibrate::trim_rebalance_phase;
-use crate::chain::ConditioningChain;
 use crate::characterize::{
     measure_noise_density, measure_static_transfer, CharacterizationConfig, RateSensor,
 };
@@ -254,12 +253,7 @@ pub(super) fn apply_step(
         Step::SetRate { dps } => p.set_rate(DegPerSec(*dps)),
         Step::SetTemperature { celsius } => p.set_temperature(Celsius(*celsius)),
         Step::FreezeAgcDrive { resettle_s } => {
-            let settled_drive = p.chain().drive();
-            let mut frozen = p.chain().config().clone();
-            frozen.agc.max_drive = settled_drive;
-            frozen.agc.kp = 0.0;
-            frozen.agc.ki = 1.0e6; // integrator pegs at max_drive = fixed drive
-            *p.chain_mut() = ConditioningChain::new(frozen);
+            *p.chain_mut() = p.chain().frozen_drive();
             run_for(*resettle_s, dsp_rate, ctx, |n| p.step_block(n))?;
         }
         Step::TrimRebalancePhase {

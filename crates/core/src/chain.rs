@@ -583,12 +583,34 @@ impl ConditioningChain {
         r.set(DspReg::Heartbeat, self.heartbeat);
     }
 
+    /// A fresh chain whose AGC holds today's drive: no proportional
+    /// gain, and an integrator that pegs at a drive limit equal to the
+    /// current drive (the AGC-off ablation arm).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the current drive is not positive.
+    #[must_use]
+    pub fn frozen_drive(&self) -> Self {
+        let mut frozen = self.config.clone();
+        frozen.agc.max_drive = self.drive();
+        frozen.agc.kp = 0.0;
+        frozen.agc.ki = 1.0e6; // integrator pegs at max_drive = fixed drive
+        Self::new(frozen)
+    }
+
     /// Serializes all loop state plus the run-time-mutable configuration
     /// (sense mode, rebalance phase trim, compensator polynomials). The
-    /// immutable configuration — filter orders, loop gains, sample rates —
-    /// is not written: a restore target must be built from the same
+    /// other configuration — filter orders, loop gains, sample rates — is
+    /// not written: a restore target must be built from the same
     /// [`ChainConfig`].
-    pub fn save_state(&self, w: &mut StateWriter) {
+    ///
+    /// The exception is the AGC gains, which [`ConditioningChain::frozen_drive`]
+    /// changes after construction. `derived` is the AGC configuration the
+    /// restore target is built with; when the gains differ from it, they
+    /// follow the loop state as an `agcg` leaf. A chain at its derived
+    /// gains writes no leaf.
+    pub fn save_state(&self, w: &mut StateWriter, derived: &AgcConfig) {
         w.leaf("cfg ", |w| {
             w.put_u8(match self.config.mode {
                 SenseMode::OpenLoop => 0,
@@ -616,14 +638,24 @@ impl ConditioningChain {
             w.put_f64(self.temperature);
             w.put_u64(self.saturation_events);
         });
+        let agc = &self.config.agc;
+        if (agc.kp, agc.ki, agc.max_drive) != (derived.kp, derived.ki, derived.max_drive) {
+            w.leaf("agcg", |w| {
+                w.put_f64(agc.kp);
+                w.put_f64(agc.ki);
+                w.put_f64(agc.max_drive);
+            });
+        }
     }
 
-    /// Restores state saved by [`ConditioningChain::save_state`].
+    /// Restores state saved by [`ConditioningChain::save_state`],
+    /// including AGC gains when the section carries them.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] on an unknown sense-mode tag or
-    /// a non-finite phase trim; propagates errors from the sub-blocks.
+    /// Returns [`SnapshotError::Corrupt`] on an unknown sense-mode tag, a
+    /// non-finite phase trim, or AGC gains that are negative or not finite
+    /// (or a drive limit of zero); propagates errors from the sub-blocks.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let (mode, phase) = r.leaf("cfg ", |r| {
             let mode = match r.take_u8()? {
@@ -688,6 +720,22 @@ impl ConditioningChain {
         self.output_valid = output_valid;
         self.temperature = temp;
         self.saturation_events = sats;
+        if !r.is_exhausted() {
+            let (kp, ki, max_drive) = r.leaf("agcg", |r| {
+                let (kp, ki, max_drive) = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
+                let gain = |g: f64| g.is_finite() && g >= 0.0;
+                if !(gain(kp) && gain(ki) && gain(max_drive) && max_drive > 0.0) {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!(
+                            "AGC gains kp {kp}, ki {ki}, max drive {max_drive} not physical"
+                        ),
+                    });
+                }
+                Ok((kp, ki, max_drive))
+            })?;
+            self.agc.set_gains(kp, ki, max_drive);
+            self.config.agc = *self.agc.config();
+        }
         Ok(())
     }
 

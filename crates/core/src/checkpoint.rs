@@ -494,6 +494,43 @@ mod tests {
         }
     }
 
+    /// A platform whose AGC was frozen after construction restores with
+    /// the frozen gains, so it keeps holding its drive instead of
+    /// regulating again (without them it read 0.1479 live against 0.1338
+    /// restored, 0.2 s after the save); the leaf that carries them decodes
+    /// with typed errors.
+    #[test]
+    fn frozen_agc_gains_survive_a_round_trip() {
+        let config = PlatformConfig::builder().seed(7).build().expect("valid");
+        let mut live = Platform::new(config.clone());
+        live.wait_for_ready(2.0).expect("ready");
+        let held = live.chain().drive();
+        *live.chain_mut() = live.chain().frozen_drive();
+        live.run(0.05);
+        let bytes = save(&live);
+        let mut restored = restore(config.clone(), &bytes).expect("restore");
+        assert_eq!(save(&restored), bytes, "restore must be lossless");
+        live.run(0.2);
+        restored.run(0.2);
+        assert_eq!(live.chain().drive(), held, "the frozen drive holds");
+        assert_eq!(restored.chain().drive(), held);
+        assert_eq!(save(&live), save(&restored));
+
+        // kp, ki and the drive limit follow the leaf's 9-byte header.
+        let at = bytes.windows(4).position(|w| w == b"agcg").expect("leaf") + 9;
+        for (offset, value) in [(0, f64::NAN), (8, -1.0), (16, 0.0), (16, f64::INFINITY)] {
+            let mut bad = bytes.clone();
+            bad[at + offset..at + offset + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                matches!(
+                    restore(config.clone(), &bad),
+                    Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
+                ),
+                "gain {value} at +{offset}"
+            );
+        }
+    }
+
     #[test]
     fn file_round_trip() {
         let dir = std::env::temp_dir().join("ascp-ckpt-test");

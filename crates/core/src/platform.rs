@@ -608,21 +608,7 @@ impl Platform {
         let seed = config.seed;
         let gyro = ascp_mems::gyro::RingGyro::new(config.gyro);
 
-        // Chain dimensioned from the component values.
-        let mut chain_cfg = ChainConfig::default();
-        chain_cfg.pll.sample_rate = config.dsp_rate.0;
-        chain_cfg.pll.center_freq = config.gyro.f0.0;
-        chain_cfg.agc.sample_rate = config.dsp_rate.0;
-        chain_cfg.agc.setpoint =
-            config.gyro.nominal_amplitude * config.charge_gain / config.adc.vref.0;
-        chain_cfg.mode = config.mode;
-        chain_cfg.rate_gain = config.open_loop_rate_gain();
-        chain_cfg.rebalance_rate_gain = config.closed_loop_rate_gain();
-        // Phase-compensate the force-feedback path: one DSP tick of
-        // pipeline plus half a tick of DAC hold at the carrier frequency.
-        chain_cfg.rebalance_phase_rad =
-            -2.0 * std::f64::consts::PI * config.gyro.f0.0 * 1.5 / config.dsp_rate.0;
-        let chain = ConditioningChain::new(chain_cfg);
+        let chain = ConditioningChain::new(Self::chain_config(&config));
 
         let dsp_regs = shared_dsp_regs();
         let afe_regs = shared_afe_regs();
@@ -747,6 +733,25 @@ impl Platform {
         };
         platform.apply_afe_registers();
         platform
+    }
+
+    /// The conditioning chain's configuration, dimensioned from the
+    /// component values.
+    fn chain_config(config: &PlatformConfig) -> ChainConfig {
+        let mut chain_cfg = ChainConfig::default();
+        chain_cfg.pll.sample_rate = config.dsp_rate.0;
+        chain_cfg.pll.center_freq = config.gyro.f0.0;
+        chain_cfg.agc.sample_rate = config.dsp_rate.0;
+        chain_cfg.agc.setpoint =
+            config.gyro.nominal_amplitude * config.charge_gain / config.adc.vref.0;
+        chain_cfg.mode = config.mode;
+        chain_cfg.rate_gain = config.open_loop_rate_gain();
+        chain_cfg.rebalance_rate_gain = config.closed_loop_rate_gain();
+        // Phase-compensate the force-feedback path: one DSP tick of
+        // pipeline plus half a tick of DAC hold at the carrier frequency.
+        chain_cfg.rebalance_phase_rad =
+            -2.0 * std::f64::consts::PI * config.gyro.f0.0 * 1.5 / config.dsp_rate.0;
+        chain_cfg
     }
 
     /// The configuration.
@@ -1725,7 +1730,8 @@ impl Platform {
         w.leaf("dacb", |w| self.rebalance_dac.save_state(w));
         w.leaf("dacr", |w| self.rate_dac.save_state(w));
         w.leaf("vref", |w| self.vref.save_state(w));
-        w.container("chan", |w| self.chain.save_state(w));
+        let derived = Self::chain_config(&self.config).agc;
+        w.container("chan", |w| self.chain.save_state(w, &derived));
         w.leaf("jtag", |w| self.jtag.save_state(w));
         w.leaf("cpu ", |w| self.cpu.save_state(w));
         w.container("bus ", |w| self.bus.save_state(w));

@@ -117,6 +117,27 @@ impl Agc {
         &self.config
     }
 
+    /// Replaces the loop gains and the drive limit, keeping the detector
+    /// and integrator state: the same loop as one built with these gains
+    /// and then run to this state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the new configuration fails validation.
+    pub fn set_gains(&mut self, kp: f64, ki: f64, max_drive: f64) {
+        let config = AgcConfig {
+            kp,
+            ki,
+            max_drive,
+            ..self.config
+        };
+        if let Err(e) = config.validate() {
+            panic!("invalid AGC config: {e}");
+        }
+        self.pi.set_gains(kp, ki, max_drive);
+        self.config = config;
+    }
+
     /// Processes one pickoff sample with the PLL's `(sin, cos)` references;
     /// returns the current drive amplitude command (0..max_drive).
     pub fn process(&mut self, pickoff: Q15, sin_ref: Q15, cos_ref: Q15) -> f64 {

@@ -130,21 +130,35 @@ impl FirFilter {
     #[inline]
     pub fn push(&mut self, x: Q15) {
         self.delay[self.pos] = x;
-        self.pos = (self.pos + 1) % self.coeffs.len();
+        self.advance();
+    }
+
+    /// Moves the write position to the next slot, wrapping at the end.
+    #[inline]
+    fn advance(&mut self) {
+        self.pos += 1;
+        if self.pos == self.delay.len() {
+            self.pos = 0;
+        }
     }
 
     /// Processes one sample.
     pub fn process(&mut self, x: Q15) -> Q15 {
         self.delay[self.pos] = x;
-        // 64-bit MAC over the circular delay line.
-        let n = self.coeffs.len();
-        let mut acc: i64 = 0;
-        let mut idx = self.pos;
-        for c in &self.coeffs {
-            acc += self.delay[idx].raw() as i64 * c.raw() as i64;
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        self.pos = (self.pos + 1) % n;
+        // 64-bit MAC over the circular delay line: tap k meets the sample
+        // k steps back, which is `delay[pos − k]` for k ≤ pos and wraps to
+        // the end of the line after that. The two runs are contiguous; the
+        // integer sum does not depend on their order.
+        let (newer, older) = self.delay.split_at(self.pos + 1);
+        let (c_newer, c_older) = self.coeffs.split_at(self.pos + 1);
+        let mac = |c: &[Q30], d: &[Q15]| -> i64 {
+            c.iter()
+                .zip(d.iter().rev())
+                .map(|(c, d)| i64::from(d.raw()) * i64::from(c.raw()))
+                .sum()
+        };
+        let acc = mac(c_newer, newer) + mac(c_older, older);
+        self.advance();
         // Product is Q15*Q30 = Q45; shift back to Q15 with rounding.
         let shifted = (acc + (1i64 << 29)) >> 30;
         if !(i64::from(i32::MIN)..=i64::from(i32::MAX)).contains(&shifted) {

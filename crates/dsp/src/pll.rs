@@ -412,6 +412,19 @@ impl PiController {
         self.integrator = 0.0;
     }
 
+    /// Replaces the gains and the upper output limit, keeping the
+    /// integrator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the output range becomes empty.
+    pub fn set_gains(&mut self, kp: f64, ki: f64, out_max: f64) {
+        assert!(self.out_min < out_max, "output range must be non-empty");
+        self.kp = kp;
+        self.ki = ki;
+        self.out_max = out_max;
+    }
+
     /// Serializes the integrator (gains and limits are configuration).
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_f64(self.integrator);

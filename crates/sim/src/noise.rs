@@ -194,10 +194,7 @@ impl NormalBlock {
 
     /// Draws the next `BLOCK_PAIRS` pairs from `rng`: the serial xorshift
     /// pass first, then one batched transform (bit-identical to
-    /// [`mathx::box_muller`] per pair). Kept out of line so that
-    /// [`WhiteNoise::sample`], which calls it once per `BLOCK_LEN` draws,
-    /// stays small enough to inline into the per-tick models.
-    #[inline(never)]
+    /// [`mathx::box_muller`] per pair).
     fn refill(&mut self, rng: &mut Rng64) {
         self.start = rng.state;
         let mut u1 = [0.0; BLOCK_PAIRS];
@@ -297,7 +294,26 @@ impl WhiteNoise {
     }
 
     /// Draws the next Gaussian sample.
+    ///
+    /// A live block is the only case inlined into the caller: a
+    /// zero-sigma source never allocates one, and a restored sine half
+    /// exists only while none is live, so every other case takes one
+    /// out-of-line call.
+    #[inline]
     pub fn sample(&mut self) -> f64 {
+        if let Some(block) = self.block.as_deref_mut() {
+            if let Some(&z) = block.z.get(block.next) {
+                block.next += 1;
+                return z * self.sigma;
+            }
+        }
+        self.sample_cold()
+    }
+
+    /// [`WhiteNoise::sample`] without a live block: a silent source, a
+    /// restored sine half, or a refill.
+    #[inline(never)]
+    fn sample_cold(&mut self) -> f64 {
         if self.sigma == 0.0 {
             return 0.0;
         }
@@ -306,12 +322,9 @@ impl WhiteNoise {
             return z * self.sigma;
         }
         let block = self.block.get_or_insert_with(NormalBlock::spent);
-        if !block.is_live() {
-            block.refill(&mut self.rng);
-        }
-        let z = block.z[block.next];
-        block.next += 1;
-        z * self.sigma
+        block.refill(&mut self.rng);
+        block.next = 1;
+        block.z[0] * self.sigma
     }
 
     /// The logical stream position: PRNG state and pending sine half.

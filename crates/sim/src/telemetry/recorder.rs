@@ -20,7 +20,6 @@
 
 use super::export::{event_json, json_escape, json_f64};
 use super::Event;
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Most recent telemetry events copied into a capture bundle.
@@ -131,10 +130,19 @@ impl CaptureBundle {
 }
 
 /// Fixed-capacity pre-trigger signal ring with freeze-on-trigger semantics.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The ring is a fixed set of slots and a head index: a frame overwrites
+/// the oldest slot in place, and only [`FlightRecorder::freeze`] puts the
+/// frames in order.
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
     capacity: usize,
-    ring: VecDeque<SignalFrame>,
+    /// Recorded frames, at most `capacity`, in the order written until
+    /// the ring is full.
+    slots: Vec<SignalFrame>,
+    /// Once the ring is full: the slot holding the oldest frame, which the
+    /// next frame overwrites. Zero until then.
+    head: usize,
     capture: Option<CaptureBundle>,
     frames_recorded: u64,
 }
@@ -144,7 +152,8 @@ impl FlightRecorder {
     #[must_use]
     pub fn new(config: RecorderConfig) -> Self {
         Self {
-            ring: VecDeque::with_capacity(config.capacity.min(65_536)),
+            slots: Vec::with_capacity(config.capacity.min(65_536)),
+            head: 0,
             capacity: config.capacity,
             capture: None,
             frames_recorded: 0,
@@ -168,10 +177,15 @@ impl FlightRecorder {
         if self.capture.is_some() || self.capacity == 0 {
             return;
         }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
+        if self.slots.len() < self.capacity {
+            self.slots.push(frame);
+        } else {
+            self.slots[self.head] = frame;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
-        self.ring.push_back(frame);
         self.frames_recorded += 1;
     }
 
@@ -191,7 +205,11 @@ impl FlightRecorder {
         self.capture = Some(CaptureBundle {
             cause,
             t_trigger: t,
-            frames: self.ring.iter().copied().collect(),
+            frames: self.slots[self.head..]
+                .iter()
+                .chain(&self.slots[..self.head])
+                .copied()
+                .collect(),
             events,
             registers,
         });
@@ -242,6 +260,29 @@ mod tests {
         let cap = r.capture().expect("frozen");
         let times: Vec<f64> = cap.frames.iter().map(|f| f.t).collect();
         assert_eq!(times, [2.0, 3.0, 4.0]);
+    }
+
+    #[test]
+    fn frozen_ring_is_oldest_first_after_several_wraps() {
+        let mut r = FlightRecorder::new(RecorderConfig::fault_triggers(3));
+        for k in 0..11 {
+            r.record(frame(f64::from(k)));
+        }
+        r.freeze("check_fail", 11.0, Vec::new(), Vec::new());
+        let times: Vec<f64> = r
+            .take_capture()
+            .unwrap()
+            .frames
+            .iter()
+            .map(|f| f.t)
+            .collect();
+        assert_eq!(times, [8.0, 9.0, 10.0]);
+        // Re-armed, the ring continues from its head across a freeze.
+        r.record(frame(11.0));
+        r.freeze("safe_state", 12.0, Vec::new(), Vec::new());
+        let times: Vec<f64> = r.capture().unwrap().frames.iter().map(|f| f.t).collect();
+        assert_eq!(times, [9.0, 10.0, 11.0]);
+        assert_eq!(r.frames_recorded(), 12);
     }
 
     #[test]

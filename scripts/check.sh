@@ -22,11 +22,6 @@ cargo build --release --workspace
 echo "== cargo test (with the property-test suites) =="
 cargo test -q --workspace --features proptest
 
-echo "== perfbench tests (separate package linking the campaign API) =="
-# perfbench/ has its own empty [workspace], so the workspace steps above
-# never build it; its tests catch API changes that break the benchmark.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
-
 echo "== fault campaign (smoke: detection + coverage + values vs committed baselines) =="
 # Emits the Chrome trace, flight-recorder captures and the coverage matrix
 # under target/experiments/; fails if any fault class goes undetected OR
@@ -125,6 +120,14 @@ cargo bench -p ascp-bench --bench campaign_montecarlo -- --short
 echo "== cargo doc (rustdoc warnings are errors) =="
 # Catches intra-doc links to items that no longer exist.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "== perfbench tests (separate package linking the campaign API) =="
+# perfbench/ has its own empty [workspace], so the workspace steps above
+# never build it; its tests catch API changes that break the benchmark.
+# Its smoke test also asserts a host-sensitive speed ratio
+# (fleet.speedup > 1.0), so it runs after every byte check above: under
+# `set -e` a slow-host failure here must not skip them.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== kernel perf guard (platform_sim, short mode, vs committed baseline) =="
 # --check compares the committed baseline and fails only on a >50% min-ns
