@@ -7,20 +7,28 @@
 //! `BENCH_platform_sim.json` and exits non-zero if any benchmark's min
 //! ns/iter regressed by more than 50% (noise-tolerant perf guard). Full
 //! (non-`--short`) runs rewrite `BENCH_platform_sim.json` at the
-//! repository root; smoke runs only read it.
+//! repository root; smoke runs only read it. The `layer/tick.*` entries
+//! time each part of a CPU-off tick alone and print their sum next to
+//! `platform/dsp_tick_no_cpu` — a report, not a gate.
 
+use ascp_afe::adc::{AdcConfig, SarAdc};
+use ascp_afe::amp::{ChargeAmplifier, Pga};
+use ascp_afe::dac::{Dac, DacConfig};
+use ascp_afe::filter::AntiAliasFilter;
 use ascp_bench::harness::{
     bench, black_box, check_against, check_path_from_args, repo_root_path, write_bench_json,
     BenchStats,
 };
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
 use ascp_core::system::{SystemModel, SystemModelConfig};
+use ascp_dsp::fixed::Q15;
 use ascp_mcu8051::asm::assemble;
 use ascp_mcu8051::cpu::{Cpu, NullBus};
 use ascp_mems::gyro::{GyroParams, RingGyro};
 use ascp_mems::resonator::Resonator;
 use ascp_sim::noise::{PinkNoise, WhiteNoise};
 use ascp_sim::telemetry::TelemetryConfig;
+use ascp_sim::units::Volts;
 
 fn main() {
     println!("== platform_sim ==");
@@ -67,7 +75,23 @@ fn main() {
         .build()
         .expect("valid");
     let mut p = Platform::new(cfg);
-    all.push(bench("platform/dsp_tick_no_cpu", || p.step()));
+    let tick_no_cpu = bench("platform/dsp_tick_no_cpu", || p.step());
+
+    // Tick attribution, a report only: the parts of that tick timed one by
+    // one add up to a total printed next to it, and whatever they leave out
+    // (the ADC window stats, the SRAM capture, the 1 kHz service, the call
+    // glue) is the unattributed share.
+    let parts = tick_components();
+    let sum: f64 = parts.iter().map(|s| s.min_ns_per_iter).sum();
+    let rest = tick_no_cpu.min_ns_per_iter - sum;
+    println!(
+        "tick attribution: components sum to {sum:.1} of {:.1} ns per CPU-off tick \
+         ({rest:.1} ns, {:.1}% unattributed)",
+        tick_no_cpu.min_ns_per_iter,
+        rest / tick_no_cpu.min_ns_per_iter * 100.0
+    );
+    all.push(tick_no_cpu);
+    all.extend(parts);
 
     let cfg = PlatformConfig::builder()
         .cpu_enabled(false)
@@ -87,8 +111,9 @@ fn main() {
 
     // Telemetry overhead: the enabled (default) path vs the no-op path.
     // The acceptance bar for the observability layer is <= 5% on the
-    // default sim loop; sampled profiling (1 in 64 ticks) and scrape-at-
-    // monitoring-cadence keep the hot path nearly free.
+    // default sim loop. Between 1 kHz services and fault edges the tick
+    // makes no telemetry call, so the difference is the scrape at the
+    // monitoring cadence.
     let cfg = PlatformConfig::builder()
         .cpu_enabled(false)
         .build()
@@ -247,4 +272,142 @@ fn main() {
         );
         println!("perf check passed (no benchmark regressed >50%)");
     }
+}
+
+/// Cycles through a fixed table of per-tick inputs, wrapping by compare.
+struct Cycle<T> {
+    samples: Vec<T>,
+    k: usize,
+}
+
+impl<T: Copy> Cycle<T> {
+    fn next(&mut self) -> T {
+        self.k = if self.k + 1 == self.samples.len() {
+            0
+        } else {
+            self.k + 1
+        };
+        self.samples[self.k]
+    }
+}
+
+/// A 15 kHz carrier at the default 250 kHz DSP rate, mapped through `f`:
+/// 50 ticks hold exactly three periods.
+fn carrier<T>(f: impl Fn(f64) -> T) -> Cycle<T> {
+    let samples = (0..50)
+        .map(|k| f((2.0 * std::f64::consts::PI * 15_000.0 * f64::from(k) / 250_000.0).sin()))
+        .collect();
+    Cycle { samples, k: 0 }
+}
+
+/// Times each part of a default CPU-off gyro tick in isolation: the
+/// components `Platform::new` builds, with its parameters and step sizes
+/// (one analog substep, so both steps are `1 / dsp_rate`), called as one
+/// tick calls them and fed a carrier at the levels a settled platform
+/// runs at (2 V at the pickoff, the AGC setpoint at the ADC).
+fn tick_components() -> Vec<BenchStats> {
+    let cfg = PlatformConfig::default();
+    let seed = cfg.seed;
+    let dt = 1.0 / cfg.dsp_rate.0;
+    let pick_v = cfg.gyro.nominal_amplitude * cfg.charge_gain;
+
+    let mut gyro = RingGyro::new(cfg.gyro);
+    let mut drive = carrier(|s| 0.1 * s);
+    let gyro_step = bench("layer/tick.gyro_step", || gyro.step(drive.next(), 0.0, dt));
+
+    let amplitude = cfg.gyro.nominal_amplitude;
+    let mut charge = [
+        ChargeAmplifier::new(cfg.charge_gain, 50.0e-6, seed ^ 0x11),
+        ChargeAmplifier::new(cfg.charge_gain, 50.0e-6, seed ^ 0x22),
+    ];
+    let mut pick = carrier(|s| (amplitude * s, 1.0e-3 * amplitude * s));
+    let charge_convert = bench("layer/tick.charge_convert_x2", || {
+        let (pri, sec) = pick.next();
+        (charge[0].convert(pri), charge[1].convert(sec))
+    });
+
+    let mut aaf = [
+        AntiAliasFilter::butterworth(cfg.aaf_corner),
+        AntiAliasFilter::butterworth(cfg.aaf_corner),
+    ];
+    let mut volts = carrier(|s| (Volts(pick_v * s), Volts(1.0e-3 * pick_v * s)));
+    let aaf_process = bench("layer/tick.aaf_process_x2", || {
+        let (pri, sec) = volts.next();
+        (aaf[0].process(pri, dt), aaf[1].process(sec, dt))
+    });
+
+    let mut pga = [
+        Pga::new(200_000.0, 100.0e-6, 2.0e-6, 20.0e-6, seed ^ 0x33),
+        Pga::new(200_000.0, 100.0e-6, 2.0e-6, 20.0e-6, seed ^ 0x44),
+    ];
+    pga[1].set_gain_code(cfg.secondary_pga_code);
+    let pga_process = bench("layer/tick.pga_process_x2", || {
+        let (pri, sec) = volts.next();
+        (pga[0].process(pri, dt), pga[1].process(sec, dt))
+    });
+
+    let mut adc = [0x55, 0x66].map(|s| {
+        SarAdc::new(AdcConfig {
+            seed: seed ^ s,
+            ..cfg.adc
+        })
+    });
+    let mut acquired = carrier(|s| (Volts(pick_v * s), Volts(0.5 * pick_v * s)));
+    let adc_convert = bench("layer/tick.adc_convert_x2", || {
+        let (pri, sec) = acquired.next();
+        (adc[0].convert_q15(pri), adc[1].convert_q15(sec))
+    });
+
+    let mut dac = [
+        (cfg.drive_dac, 0x77),
+        (cfg.rebalance_dac, 0x88),
+        (cfg.rate_dac, 0x99),
+    ]
+    .map(|(c, s)| DacConfig {
+        seed: seed ^ s,
+        ..c
+    })
+    .map(Dac::new);
+    let mut words = carrier(|s| {
+        (
+            Q15::from_f64(0.13 * s),
+            Q15::from_f64(0.01 * s),
+            Q15::from_f64(0.02),
+        )
+    });
+    let dac_write = bench("layer/tick.dac_write_x3", || {
+        let (d, b, r) = words.next();
+        (
+            dac[0].write_q15(d),
+            dac[1].write_q15(b),
+            dac[2].write_q15(r),
+        )
+    });
+
+    let mut settled = Platform::new(
+        PlatformConfig::builder()
+            .cpu_enabled(false)
+            .build()
+            .expect("valid"),
+    );
+    settled
+        .wait_for_ready(2.0)
+        .expect("the default platform settles");
+    let mut chain = settled.chain().clone();
+    let setpoint = chain.config().agc.setpoint;
+    let mut codes = carrier(|s| (Q15::from_f64(setpoint * s), Q15::from_f64(1.0e-3 * s)));
+    let chain_process = bench("layer/tick.chain_process", || {
+        let (pri, sec) = codes.next();
+        chain.process(pri, sec)
+    });
+
+    vec![
+        gyro_step,
+        charge_convert,
+        aaf_process,
+        pga_process,
+        adc_convert,
+        dac_write,
+        chain_process,
+    ]
 }

@@ -32,9 +32,9 @@
 //! - the [`PlatformConfig`] itself: a restore target is built from a
 //!   caller-supplied config, and the stored digest rejects a mismatched
 //!   one with [`CheckpointError::ConfigMismatch`];
-//! - telemetry (metrics, events, stage profiles) and the supervisor
-//!   transition list ([`Platform::transitions`]): observability output,
-//!   deliberately excluded so that restoring never double-counts history.
+//! - telemetry (metrics, events) and the supervisor transition list
+//!   ([`Platform::transitions`]): observability output, deliberately
+//!   excluded so that restoring never double-counts history.
 //!
 //! # Example
 //!
@@ -491,6 +491,46 @@ mod tests {
                 restore(config.clone(), &bad),
                 Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
             ));
+        }
+    }
+
+    /// The kernel leaf holds only values a tick can leave: a monitor
+    /// countdown in `1..=monitor_period`, and a CPU cycle debt that is
+    /// finite, below 1 and no lower than 1 minus the longest instruction's
+    /// cycles. A debt of `+inf` or `1e300` would hang the next tick
+    /// (`debt − spent == debt`), and `NaN` would stop the 8051 for good.
+    #[test]
+    fn out_of_range_kernel_state_is_rejected() {
+        let config = PlatformConfig::builder()
+            .quiet()
+            .cpu_enabled(true)
+            .seed(7)
+            .build()
+            .expect("valid config");
+        let mut platform = Platform::new(config.clone());
+        platform.run(0.02);
+        let bytes = save(&platform);
+        // "kern" is the last section: tick (u64), cycle debt (f64) and
+        // monitor countdown (u64) follow its 9-byte header.
+        let (start, _) = *top_level_sections(&bytes).last().expect("sections");
+        assert_eq!(&bytes[start..start + 4], b"kern");
+        let (debt_at, countdown_at) = (start + 17, start + 25);
+        let debt = f64::from_le_bytes(bytes[debt_at..debt_at + 8].try_into().expect("8 bytes"));
+        assert!(debt < 0.0, "unpatched debt {debt}");
+        restore(config.clone(), &bytes).expect("the unpatched checkpoint restores");
+        let period = config.dsp_rate.0 as u64 / 1000;
+        let countdowns = [0, period + 1].map(|c| (countdown_at, c.to_le_bytes()));
+        let debts = [f64::INFINITY, f64::NAN, 1e300, -100.0].map(|d| (debt_at, d.to_le_bytes()));
+        for (at, value) in countdowns.into_iter().chain(debts) {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&value);
+            assert!(
+                matches!(
+                    restore(config.clone(), &bad),
+                    Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
+                ),
+                "{value:?} at byte {at}"
+            );
         }
     }
 

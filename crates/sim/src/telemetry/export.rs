@@ -127,23 +127,6 @@ impl TelemetrySnapshot {
         s.push_str(&items.join(", "));
         s.push_str("},\n");
 
-        s.push_str("  \"stages\": {");
-        let items: Vec<String> = self
-            .stages
-            .iter()
-            .map(|st| {
-                format!(
-                    "\"{}\": {{\"seconds\": {}, \"samples\": {}, \"share\": {}}}",
-                    json_escape(st.stage),
-                    json_f64(st.seconds),
-                    st.samples,
-                    json_f64(st.share)
-                )
-            })
-            .collect();
-        s.push_str(&items.join(", "));
-        s.push_str("},\n");
-
         s.push_str("  \"events\": [");
         let items: Vec<String> = self.events.iter().map(event_json).collect();
         s.push_str(&items.join(", "));

@@ -1,4 +1,4 @@
-//! Run observability: metrics, structured events and stage profiling.
+//! Run observability: metrics and structured events.
 //!
 //! The paper's platform is only trustworthy because every layer can be
 //! observed (JTAG read-back of each analog cell, §2). This module is the
@@ -8,10 +8,7 @@
 //! - **metrics** — counters/gauges/histograms in a [`MetricsRegistry`]
 //!   (`adc.conversions`, `pll.lock_transitions`, `cpu.instructions`, …);
 //! - **events** — a bounded [`EventLog`] of typed milestones
-//!   ([`Event::PllLocked`], [`Event::WatchdogReset`], …);
-//! - **profiling spans** — wall-time per simulation stage (analog ODE,
-//!   acquisition, DSP chain, CPU slice, register sync), sampled every Nth
-//!   tick so instrumentation stays well under the run cost.
+//!   ([`Event::PllLocked`], [`Event::WatchdogReset`], …).
 //!
 //! Everything is exported from an immutable [`TelemetrySnapshot`] as one
 //! JSON document (`to_json`), the `*.metrics.json` artifact every bench
@@ -43,17 +40,10 @@ pub use registry::{Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, HISTOGRAM_MIN}
 pub use trace::{SpanId, TraceCollector, TraceLog, TraceRecorder};
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Events retained by an enabled collector's ring buffer.
 pub const EVENT_CAPACITY: usize = 1024;
-
-/// Stage wall-times are profiled on every Nth tick.
-///
-/// `Instant::now()` costs tens of nanoseconds; sampling keeps the overhead
-/// of six timestamps per tick far below the ≈µs tick cost.
-pub const PROFILE_EVERY: u32 = 64;
 
 /// Telemetry collection settings.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,21 +75,12 @@ impl TelemetryConfig {
     }
 }
 
-/// Accumulated wall-time for one named simulation stage.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct StageStat {
-    seconds: f64,
-    samples: u64,
-}
-
 /// Central telemetry collector owned by the simulation driver.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
     registry: MetricsRegistry,
     events: EventLog,
-    stages: BTreeMap<&'static str, StageStat>,
-    profile_counter: u32,
     created: Instant,
 }
 
@@ -116,8 +97,6 @@ impl Telemetry {
         Self {
             events: EventLog::new(if config.enabled { EVENT_CAPACITY } else { 0 }),
             registry: MetricsRegistry::new(),
-            stages: BTreeMap::new(),
-            profile_counter: 0,
             created: Instant::now(),
             config,
         }
@@ -188,54 +167,16 @@ impl Telemetry {
         &self.events
     }
 
-    /// Decides whether the driver should time stages on this tick.
-    ///
-    /// Returns a timestamp to thread through [`Telemetry::stage_mark`] on
-    /// profiled ticks; `None` (the common case) costs one compare and one
-    /// increment.
-    pub fn profile_tick(&mut self) -> Option<Instant> {
-        if !self.config.enabled {
-            return None;
-        }
-        self.profile_counter += 1;
-        if self.profile_counter >= PROFILE_EVERY {
-            self.profile_counter = 0;
-            Some(Instant::now())
-        } else {
-            None
-        }
-    }
-
-    /// Closes the span started at `since`, attributing it to `stage`, and
-    /// returns the timestamp opening the next span.
-    pub fn stage_mark(&mut self, stage: &'static str, since: Instant) -> Instant {
-        let now = Instant::now();
-        let stat = self.stages.entry(stage).or_default();
-        stat.seconds += now.duration_since(since).as_secs_f64();
-        stat.samples += 1;
-        now
-    }
-
-    /// Accumulated `(stage, seconds, samples)` rows, sorted by name.
-    pub fn stage_times(&self) -> impl Iterator<Item = (&'static str, f64, u64)> + '_ {
-        self.stages
-            .iter()
-            .map(|(&name, s)| (name, s.seconds, s.samples))
-    }
-
-    /// Clears metrics, events and stage times (configuration is kept).
+    /// Clears metrics and events (configuration is kept).
     pub fn reset(&mut self) {
         self.registry = MetricsRegistry::new();
         self.events = EventLog::new(self.events.capacity());
-        self.stages.clear();
-        self.profile_counter = 0;
         self.created = Instant::now();
     }
 
     /// Captures an immutable snapshot at simulation time `sim_time_s`.
     #[must_use]
     pub fn snapshot(&self, sim_time_s: f64) -> TelemetrySnapshot {
-        let total_stage: f64 = self.stages.values().map(|s| s.seconds).sum();
         TelemetrySnapshot {
             sim_time_s,
             wall_time_s: self.created.elapsed().as_secs_f64(),
@@ -254,20 +195,6 @@ impl Telemetry {
                             buckets: h.nonzero_buckets().collect(),
                         },
                     )
-                })
-                .collect(),
-            stages: self
-                .stages
-                .iter()
-                .map(|(&stage, s)| StageBreakdown {
-                    stage,
-                    seconds: s.seconds,
-                    samples: s.samples,
-                    share: if total_stage > 0.0 {
-                        s.seconds / total_stage
-                    } else {
-                        0.0
-                    },
                 })
                 .collect(),
             events: self.events.iter().cloned().collect(),
@@ -291,19 +218,6 @@ pub struct HistogramSummary {
     pub buckets: Vec<(f64, u64)>,
 }
 
-/// Per-stage wall-time row inside a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageBreakdown {
-    /// Stage name (`analog_ode`, `dsp_chain`, …).
-    pub stage: &'static str,
-    /// Accumulated wall seconds across profiled ticks.
-    pub seconds: f64,
-    /// Number of profiled spans.
-    pub samples: u64,
-    /// Fraction of the total profiled time (0 when nothing profiled).
-    pub share: f64,
-}
-
 /// Immutable export view of a [`Telemetry`] collector.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -317,8 +231,6 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<(Cow<'static, str>, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(&'static str, HistogramSummary)>,
-    /// Per-stage profiling rows, sorted by stage name.
-    pub stages: Vec<StageBreakdown>,
     /// Retained events, oldest first.
     pub events: Vec<Event>,
     /// Per-kind event totals (retained or dropped), sorted by kind label.
@@ -370,7 +282,6 @@ mod tests {
         t.gauge_set("pll.frequency_hz", 1.0);
         t.histogram_record("agc.settle_time_s", 0.1);
         t.record_event(Event::PllUnlocked { t: 0.0 });
-        assert!(t.profile_tick().is_none());
         let snap = t.snapshot(1.0);
         assert!(snap.counters.is_empty());
         assert!(snap.gauges.is_empty());
@@ -393,30 +304,6 @@ mod tests {
         assert_eq!(snap.count_events("UartTx"), 1);
         assert_eq!(snap.histograms.len(), 1);
         assert_eq!(snap.histograms[0].1.count, 1);
-    }
-
-    #[test]
-    fn profile_tick_fires_every_nth() {
-        let mut t = Telemetry::default();
-        let n = PROFILE_EVERY as usize;
-        let fired: Vec<bool> = (0..3 * n).map(|_| t.profile_tick().is_some()).collect();
-        assert_eq!(fired.iter().filter(|&&b| b).count(), 3);
-        // Every Nth call fires.
-        assert!(fired[n - 1] && fired[2 * n - 1] && fired[3 * n - 1]);
-    }
-
-    #[test]
-    fn stage_marks_accumulate() {
-        let mut t = Telemetry::default();
-        let t0 = Instant::now();
-        let t1 = t.stage_mark("analog_ode", t0);
-        let _t2 = t.stage_mark("dsp_chain", t1);
-        let rows: Vec<_> = t.stage_times().collect();
-        assert_eq!(rows.len(), 2);
-        assert!(rows.iter().all(|&(_, secs, n)| secs >= 0.0 && n == 1));
-        let snap = t.snapshot(0.0);
-        let share_sum: f64 = snap.stages.iter().map(|s| s.share).sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
     }
 
     #[test]
