@@ -153,6 +153,17 @@ impl Dac {
         self.held
     }
 
+    /// The largest magnitude [`Dac::output`] can take at the current
+    /// reference scale: a full-scale code through the reference and gain,
+    /// the offsets, and the noise's ceiling.
+    #[must_use]
+    pub fn output_bound(&self) -> f64 {
+        let c = &self.config;
+        c.vref.0 * self.ref_scale * c.gain
+            + (c.offset.0 + c.midscale.0).abs()
+            + self.noise.ceiling()
+    }
+
     /// Update counter (read back by the monitor CPU).
     #[must_use]
     pub fn updates(&self) -> u64 {

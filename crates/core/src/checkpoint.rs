@@ -285,6 +285,8 @@ pub fn restore_from_file(
 mod tests {
     use super::*;
     use ascp_afe::regs::AfeReg;
+    use ascp_mcu8051::periph::Bus16Device;
+    use ascp_sim::fault::FaultKind;
 
     fn quiet_config(seed: u64) -> PlatformConfig {
         PlatformConfig::builder()
@@ -401,14 +403,32 @@ mod tests {
     /// `(start, end)` of each top-level payload section: a 4-byte tag, a
     /// kind byte and a `u32` length, then the section's own bytes.
     fn top_level_sections(bytes: &[u8]) -> Vec<(usize, usize)> {
+        sections_in(bytes, HEADER_LEN, bytes.len())
+    }
+
+    /// `(start, end)` of each section laid end to end in `bytes[at..end]`.
+    fn sections_in(bytes: &[u8], mut at: usize, end: usize) -> Vec<(usize, usize)> {
         let mut sections = Vec::new();
-        let mut at = HEADER_LEN;
-        while at < bytes.len() {
+        while at < end {
             let len = u32::from_le_bytes(bytes[at + 5..at + 9].try_into().expect("4 bytes"));
             sections.push((at, at + 9 + len as usize));
             at += 9 + len as usize;
         }
         sections
+    }
+
+    /// Where the payload of the section reached by `path` (top-level tag
+    /// first, then the tags of nested sections) starts.
+    fn payload_at(bytes: &[u8], path: &[&[u8; 4]]) -> usize {
+        let (mut from, mut to) = (HEADER_LEN, bytes.len());
+        for tag in path {
+            let (start, end) = sections_in(bytes, from, to)
+                .into_iter()
+                .find(|&(start, _)| &bytes[start..start + 4] == *tag)
+                .expect("section present");
+            (from, to) = (start + 9, end);
+        }
+        from
     }
 
     /// Mutated checkpoints restore or fail with a typed error, never a
@@ -495,10 +515,13 @@ mod tests {
     }
 
     /// The kernel leaf holds only values a tick can leave: a monitor
-    /// countdown in `1..=monitor_period`, and a CPU cycle debt that is
-    /// finite, below 1 and no lower than 1 minus the longest instruction's
-    /// cycles. A debt of `+inf` or `1e300` would hang the next tick
-    /// (`debt − spent == debt`), and `NaN` would stop the 8051 for good.
+    /// countdown in `1..=monitor_period`; a CPU cycle debt that is finite,
+    /// below 1 and no lower than 1 minus the most cycles a step charges;
+    /// DAC forces within what the DACs can write over the reference; and
+    /// the fault gates' own values (drive 0 or 1, pickoff −1, 0 or 1). A
+    /// debt of `+inf` or `1e300` would hang the next tick
+    /// (`debt − spent == debt`), and `NaN` would stop the 8051 for good; a
+    /// `NaN` or huge force or gate would read a rate the sensor never saw.
     #[test]
     fn out_of_range_kernel_state_is_rejected() {
         let config = PlatformConfig::builder()
@@ -511,17 +534,36 @@ mod tests {
         platform.run(0.02);
         let bytes = save(&platform);
         // "kern" is the last section: tick (u64), cycle debt (f64) and
-        // monitor countdown (u64) follow its 9-byte header.
+        // monitor countdown (u64) follow its 9-byte header, then the drive
+        // and rebalance forces; the drive and pickoff gates sit 108 and
+        // 116 bytes in.
         let (start, _) = *top_level_sections(&bytes).last().expect("sections");
         assert_eq!(&bytes[start..start + 4], b"kern");
         let (debt_at, countdown_at) = (start + 17, start + 25);
-        let debt = f64::from_le_bytes(bytes[debt_at..debt_at + 8].try_into().expect("8 bytes"));
+        let (drive_at, rebalance_at) = (start + 33, start + 41);
+        let (drive_gate_at, pickoff_gate_at) = (start + 108, start + 116);
+        let f64_at = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let debt = f64_at(debt_at);
         assert!(debt < 0.0, "unpatched debt {debt}");
+        assert_eq!((f64_at(drive_gate_at), f64_at(pickoff_gate_at)), (1.0, 1.0));
         restore(config.clone(), &bytes).expect("the unpatched checkpoint restores");
         let period = config.dsp_rate.0 as u64 / 1000;
         let countdowns = [0, period + 1].map(|c| (countdown_at, c.to_le_bytes()));
-        let debts = [f64::INFINITY, f64::NAN, 1e300, -100.0].map(|d| (debt_at, d.to_le_bytes()));
-        for (at, value) in countdowns.into_iter().chain(debts) {
+        let debts = [f64::INFINITY, f64::NAN, 1e300, -100.0, -5.5].map(|d| (debt_at, d));
+        let forces = [f64::NAN, f64::INFINITY, 1e300, -2.0]
+            .map(|f| (drive_at, f))
+            .into_iter()
+            .chain([f64::NAN, 1e300].map(|f| (rebalance_at, f)));
+        let gates = [1e300, f64::NAN, 0.5, -1.0]
+            .map(|g| (drive_gate_at, g))
+            .into_iter()
+            .chain([f64::INFINITY, 1e300, f64::NAN, 2.0].map(|g| (pickoff_gate_at, g)));
+        let floats = debts
+            .into_iter()
+            .chain(forces)
+            .chain(gates)
+            .map(|(at, v)| (at, v.to_le_bytes()));
+        for (at, value) in countdowns.into_iter().chain(floats) {
             let mut bad = bytes.clone();
             bad[at..at + 8].copy_from_slice(&value);
             assert!(
@@ -531,6 +573,108 @@ mod tests {
                 ),
                 "{value:?} at byte {at}"
             );
+        }
+    }
+
+    /// The fault edges' own gate values restore: a drive loss leaves a
+    /// drive gate of 0 and a zero force, a reversed pickoff wire a pickoff
+    /// gate of −1.
+    #[test]
+    fn checkpoints_with_fault_gates_applied_restore() {
+        for (kind, gates) in [
+            (FaultKind::MemsDriveLoss, (0.0, 1.0)),
+            (FaultKind::WireReversePolarity, (1.0, -1.0)),
+        ] {
+            let config = PlatformConfig::builder()
+                .quiet()
+                .cpu_enabled(true)
+                .seed(7)
+                .fault_permanent(kind, 0.01)
+                .build()
+                .expect("valid config");
+            let mut platform = Platform::new(config.clone());
+            platform.run(0.02);
+            let bytes = save(&platform);
+            let at = payload_at(&bytes, &[b"kern"]);
+            let f64_at = |at: usize| f64::from_le_bytes(bytes[at..at + 8].try_into().expect("8"));
+            assert_eq!((f64_at(at + 99), f64_at(at + 107)), gates, "{kind:?}");
+            let restored = restore(config, &bytes).expect("a fault's gates restore");
+            assert_eq!(save(&restored), bytes, "{kind:?}");
+        }
+    }
+
+    /// The 8051 and its watchdog restore only in states a run leaves: a
+    /// watchdog reload of 0 or a counter outside `1..=reload` would reset
+    /// the core every step or never, a UART byte time other than 96
+    /// machine cycles or a countdown longer than one would silence it.
+    #[test]
+    fn out_of_range_8051_state_is_rejected() {
+        let config = PlatformConfig::builder()
+            .quiet()
+            .cpu_enabled(true)
+            .seed(7)
+            .build()
+            .expect("valid config");
+        let mut platform = Platform::new(config.clone());
+        platform.bus_mut().watchdog.write16(1, 20_000);
+        platform.bus_mut().watchdog.write16(0, 1);
+        platform.run(0.02);
+        let bytes = save(&platform);
+        restore(config.clone(), &bytes).expect("the unpatched checkpoint restores");
+
+        // Watchdog: enabled (bool), reload (u16), counter (u32).
+        let wdog = payload_at(&bytes, &[b"bus ", b"wdog"]);
+        let reload = u16::from_le_bytes([bytes[wdog + 1], bytes[wdog + 2]]);
+        assert_eq!(reload, 20_000);
+        let mut cases: Vec<(usize, Vec<u8>)> = vec![
+            (wdog + 1, 0u16.to_le_bytes().to_vec()),
+            (wdog + 1, [0u16.to_le_bytes(), [0; 2]].concat()),
+            (wdog + 3, 0u32.to_le_bytes().to_vec()),
+            (wdog + 3, 20_001u32.to_le_bytes().to_vec()),
+            (wdog + 3, u32::MAX.to_le_bytes().to_vec()),
+        ];
+        // CPU: PC, IRAM, SFRs, code and three counters lead to the
+        // transmit countdown; the queues lead to the byte time and the
+        // receive countdown.
+        let cpu = payload_at(&bytes, &[b"cpu "]);
+        let mut r = StateReader::new(&bytes[cpu..]);
+        r.take_u16().expect("pc");
+        for _ in 0..3 {
+            r.take_u8_vec().expect("memory image");
+        }
+        for _ in 0..3 {
+            r.take_u64().expect("counter");
+        }
+        let tx_at = bytes.len() - r.remaining();
+        r.take_opt_u32().expect("transmit countdown");
+        r.take_u8_vec().expect("transmit queue");
+        r.take_u8_vec().expect("receive queue");
+        let per_byte_at = bytes.len() - r.remaining();
+        assert_eq!(r.take_u32().expect("byte time"), 96);
+        let rx_at = bytes.len() - r.remaining();
+        let in_flight = |c: u32| [&[1u8][..], &c.to_le_bytes()].concat();
+        cases.extend([
+            (per_byte_at, u32::MAX.to_le_bytes().to_vec()),
+            (per_byte_at, 95u32.to_le_bytes().to_vec()),
+            (tx_at, in_flight(u32::MAX)),
+            (tx_at, in_flight(97)),
+            (rx_at, in_flight(u32::MAX)),
+        ]);
+        for (at, value) in cases {
+            let mut bad = bytes.clone();
+            bad[at..at + value.len()].copy_from_slice(&value);
+            assert!(
+                matches!(
+                    restore(config.clone(), &bad),
+                    Err(CheckpointError::Snapshot(SnapshotError::Corrupt { .. }))
+                ),
+                "{value:?} at byte {at}"
+            );
+        }
+        for (at, countdown) in [(tx_at, 96), (rx_at, 1)] {
+            let mut edge = bytes.clone();
+            edge[at..at + 5].copy_from_slice(&in_flight(countdown));
+            restore(config.clone(), &edge).expect("a countdown within a byte time restores");
         }
     }
 

@@ -1,14 +1,9 @@
 //! Checkpoint state (save, load) and power-on reset.
 
 use super::Platform;
+use ascp_mcu8051::cpu::MAX_STEP_CYCLES;
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::Celsius;
-
-/// Machine cycles of the 8051's longest instructions (`MUL AB`, `DIV AB`).
-/// A tick leaves the CPU cycle debt in `[1 − LONGEST_INSTRUCTION_CYCLES,
-/// 1)`: it steps while the debt is at least 1, and no step or retired
-/// busy-wait execution spends more than this.
-const LONGEST_INSTRUCTION_CYCLES: f64 = 4.0;
 
 impl Platform {
     /// Serializes the entire mutable platform state — sensor modes, every
@@ -97,12 +92,13 @@ impl Platform {
     /// # Errors
     ///
     /// Returns [`SnapshotError`] if any section is malformed, truncated,
-    /// or structurally incongruent with this platform's configuration, or
-    /// if the kernel section holds a monitor countdown or CPU cycle debt
-    /// that no tick can leave. The platform may be left partially restored
-    /// on error; callers should discard it (the checkpoint layer restores
-    /// into a freshly built platform, so a failed restore never corrupts a
-    /// live one).
+    /// or structurally incongruent with this platform's configuration, if
+    /// the 8051 carries a UART countdown no run leaves, or if the kernel
+    /// section holds a monitor countdown, CPU cycle debt, DAC force or
+    /// fault gate that no tick can leave. The platform may be left
+    /// partially restored on error; callers should discard it (the
+    /// checkpoint layer restores into a freshly built platform, so a
+    /// failed restore never corrupts a live one).
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         r.leaf("afer", |r| self.afe_regs.borrow_mut().load_state(r))?;
         self.apply_afe_registers();
@@ -122,7 +118,10 @@ impl Platform {
         r.leaf("vref", |r| self.vref.load_state(r))?;
         r.container("chan", |r| self.chain.load_state(r))?;
         r.leaf("jtag", |r| self.jtag.load_state(r))?;
-        r.leaf("cpu ", |r| self.cpu.load_state(r))?;
+        r.leaf("cpu ", |r| {
+            self.cpu.load_state(r)?;
+            self.cpu.check_uart_countdowns()
+        })?;
         r.container("bus ", |r| self.bus.load_state(r))?;
         r.leaf("flts", |r| self.config.faults.load_state(r))?;
         r.leaf("supv", |r| self.supervisor.load_state(r))?;
@@ -136,18 +135,30 @@ impl Platform {
                     context: format!("monitor countdown {countdown} outside 1..={period}"),
                 });
             }
-            if !(1.0 - LONGEST_INSTRUCTION_CYCLES..1.0).contains(&debt) {
+            // A tick steps while the debt is at least 1, and no step or
+            // retired busy-wait execution spends more than a step can.
+            let min_debt = 1.0 - f64::from(MAX_STEP_CYCLES);
+            if !(min_debt..1.0).contains(&debt) {
                 return Err(SnapshotError::Corrupt {
-                    context: format!(
-                        "CPU cycle debt {debt:?} outside [{}, 1)",
-                        1.0 - LONGEST_INSTRUCTION_CYCLES
-                    ),
+                    context: format!("CPU cycle debt {debt:?} outside [{min_debt}, 1)"),
                 });
             }
             self.cpu_cycle_debt = debt;
             self.monitor_countdown = countdown;
-            self.drive_force = r.take_f64()?;
-            self.rebalance_force = r.take_f64()?;
+            // Each force is a DAC output over the drive reference.
+            let vref = self.config.drive_dac.vref.0;
+            for (name, dac, force) in [
+                ("drive", &self.drive_dac, &mut self.drive_force),
+                ("rebalance", &self.rebalance_dac, &mut self.rebalance_force),
+            ] {
+                *force = r.take_f64()?;
+                let reach = dac.output_bound() / vref;
+                if !(force.abs() <= reach) {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!("{name} force {force:?} outside ±{reach}"),
+                    });
+                }
+            }
             self.temperature = Celsius(r.take_f64()?);
             self.watchdog_resets = r.take_u32()?;
             self.last_locked = r.take_bool()?;
@@ -159,8 +170,19 @@ impl Platform {
             self.last_dsp_writes = r.take_u64()?;
             self.last_afe_writes = r.take_u64()?;
             self.agc_settled_seen = r.take_bool()?;
+            // The gates take only the values the fault edges write.
             self.drive_gate = r.take_f64()?;
             self.pickoff_gate = r.take_f64()?;
+            if ![0.0, 1.0].contains(&self.drive_gate)
+                || ![-1.0, 0.0, 1.0].contains(&self.pickoff_gate)
+            {
+                return Err(SnapshotError::Corrupt {
+                    context: format!(
+                        "drive gate {:?} / pickoff gate {:?} not one a fault edge writes",
+                        self.drive_gate, self.pickoff_gate
+                    ),
+                });
+            }
             self.pri_min = r.take_f64()?;
             self.pri_max = r.take_f64()?;
             self.sec_min = r.take_f64()?;

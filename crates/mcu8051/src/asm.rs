@@ -26,6 +26,7 @@
 //! # }
 //! ```
 
+use crate::cpu::CORE_SFRS;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -52,35 +53,6 @@ fn err<T>(line: usize, message: impl Into<String>) -> Result<T, AsmError> {
         line,
         message: message.into(),
     })
-}
-
-/// Built-in SFR byte symbols.
-fn sfr_symbols() -> HashMap<&'static str, u16> {
-    [
-        ("P0", 0x80),
-        ("SP", 0x81),
-        ("DPL", 0x82),
-        ("DPH", 0x83),
-        ("PCON", 0x87),
-        ("TCON", 0x88),
-        ("TMOD", 0x89),
-        ("TL0", 0x8a),
-        ("TL1", 0x8b),
-        ("TH0", 0x8c),
-        ("TH1", 0x8d),
-        ("P1", 0x90),
-        ("SCON", 0x98),
-        ("SBUF", 0x99),
-        ("P2", 0xa0),
-        ("IE", 0xa8),
-        ("P3", 0xb0),
-        ("IP", 0xb8),
-        ("PSW", 0xd0),
-        ("ACC", 0xe0),
-        ("B", 0xf0),
-    ]
-    .into_iter()
-    .collect()
 }
 
 /// Built-in bit symbols.
@@ -207,8 +179,11 @@ fn eval(
     if let Some(&v) = symbols.get(&t.to_ascii_uppercase()) {
         return Ok(v);
     }
-    if let Some(&v) = sfr_symbols().get(t.to_ascii_uppercase().as_str()) {
-        return Ok(v);
+    if let Some(&(addr, _)) = CORE_SFRS
+        .iter()
+        .find(|(_, name)| name.eq_ignore_ascii_case(t))
+    {
+        return Ok(u16::from(addr));
     }
     // Character literal.
     if t.len() == 3 && t.starts_with('\'') && t.ends_with('\'') {
@@ -263,70 +238,26 @@ fn split_operands(s: &str) -> Vec<String> {
     out
 }
 
-/// Instruction size in bytes, determined by mnemonic and operand shapes.
-fn size_of(item: &Item) -> Result<usize, AsmError> {
-    use Operand::*;
-    let m = item.mnemonic.as_str();
-    let ops = &item.operands;
-    let n = match (m, ops.as_slice()) {
-        ("NOP" | "RET" | "RETI", _) => 1,
-        ("RR" | "RRC" | "RL" | "RLC" | "SWAP" | "DA", [A]) => 1,
-        ("CLR" | "CPL" | "SETB", [A | C]) => 1,
-        ("CLR" | "CPL" | "SETB", [_]) => 2,
-        ("INC" | "DEC", [A | Reg(_) | AtReg(_)]) => 1,
-        ("INC", [Dptr]) => 1,
-        ("INC" | "DEC", [Expr(_)]) => 2,
-        ("MUL" | "DIV", [Ab]) => 1,
-        ("LJMP" | "LCALL", [_]) => 3,
-        ("AJMP" | "ACALL", [_]) => 2,
-        ("SJMP" | "JC" | "JNC" | "JZ" | "JNZ", [_]) => 2,
-        ("JMP", [AtAPlusDptr]) => 1,
-        ("JB" | "JNB" | "JBC", [_, _]) => 3,
-        ("ADD" | "ADDC" | "SUBB" | "ORL" | "ANL" | "XRL", [A, Reg(_) | AtReg(_)]) => 1,
-        ("ADD" | "ADDC" | "SUBB" | "ORL" | "ANL" | "XRL", [A, Immediate(_) | Expr(_)]) => 2,
-        ("ORL" | "ANL" | "XRL", [Expr(_), A]) => 2,
-        ("ORL" | "ANL" | "XRL", [Expr(_), Immediate(_)]) => 3,
-        ("ORL" | "ANL", [C, Expr(_) | NotBit(_)]) => 2,
-        ("MOV", [A, Reg(_) | AtReg(_)]) => 1,
-        ("MOV", [Reg(_) | AtReg(_), A]) => 1,
-        ("MOV", [A, Immediate(_)]) => 2,
-        ("MOV", [A, Expr(_)]) => 2,
-        ("MOV", [Expr(_), A]) => 2,
-        ("MOV", [Reg(_) | AtReg(_), Immediate(_)]) => 2,
-        ("MOV", [Reg(_) | AtReg(_), Expr(_)]) => 2,
-        ("MOV", [Expr(_), Reg(_) | AtReg(_)]) => 2,
-        ("MOV", [Expr(_), Immediate(_)]) => 3,
-        ("MOV", [Expr(_), Expr(_)]) => 3,
-        ("MOV", [Dptr, Immediate(_)]) => 3,
-        ("MOV", [C, Expr(_)]) => 2,
-        ("MOV", [Expr(_), C]) => 2,
-        ("MOVC", [A, AtAPlusDptr | AtAPlusPc]) => 1,
-        ("MOVX", [A, AtDptr | AtReg(_)]) => 1,
-        ("MOVX", [AtDptr | AtReg(_), A]) => 1,
-        ("PUSH" | "POP", [_]) => 2,
-        ("XCH", [A, Reg(_) | AtReg(_)]) => 1,
-        ("XCH", [A, Expr(_)]) => 2,
-        ("XCHD", [A, AtReg(_)]) => 1,
-        ("CJNE", [_, _, _]) => 3,
-        ("DJNZ", [Reg(_), _]) => 2,
-        ("DJNZ", [Expr(_), _]) => 3,
-        _ => {
-            return err(
-                item.line,
-                format!("unsupported instruction `{m}` with these operands"),
-            )
-        }
-    };
-    Ok(n)
-}
-
+/// Encodes instructions against a symbol table, or, without one (pass 1,
+/// when later labels are still unknown), with every operand left
+/// unresolved as 0: an encoding's length depends only on its mnemonic and
+/// operand shapes, so that sizes it.
 struct Encoder<'a> {
-    symbols: &'a HashMap<String, u16>,
+    symbols: Option<&'a HashMap<String, u16>>,
 }
 
 impl Encoder<'_> {
+    /// The value of `s`, or `None` while operands are unresolved.
+    fn value(&self, s: &str, bits: bool, line: usize) -> Result<Option<u16>, AsmError> {
+        self.symbols.map(|sym| eval(s, sym, bits, line)).transpose()
+    }
+
+    fn word(&self, s: &str, line: usize) -> Result<u16, AsmError> {
+        Ok(self.value(s, false, line)?.unwrap_or(0))
+    }
+
     fn byte(&self, s: &str, line: usize) -> Result<u8, AsmError> {
-        let v = eval(s, self.symbols, false, line)?;
+        let v = self.word(s, line)?;
         if v > 0xff {
             return err(line, format!("value {v:#x} does not fit in a byte"));
         }
@@ -334,7 +265,7 @@ impl Encoder<'_> {
     }
 
     fn bit(&self, s: &str, line: usize) -> Result<u8, AsmError> {
-        let v = eval(s, self.symbols, true, line)?;
+        let v = self.value(s, true, line)?.unwrap_or(0);
         if v > 0xff {
             return err(line, format!("bit address {v:#x} out of range"));
         }
@@ -342,7 +273,9 @@ impl Encoder<'_> {
     }
 
     fn rel(&self, s: &str, pc_after: u16, line: usize) -> Result<u8, AsmError> {
-        let target = eval(s, self.symbols, false, line)?;
+        let Some(target) = self.value(s, false, line)? else {
+            return Ok(0);
+        };
         // The 8051 PC wraps at 64 KiB, so the shortest signed distance is
         // taken modulo 2^16 (a branch at 0x0002 can legally target 0xFFF0).
         let delta = i32::from(target.wrapping_sub(pc_after) as i16);
@@ -391,21 +324,15 @@ impl Encoder<'_> {
             ("MUL", [Ab]) => vec![0xa4],
             ("DIV", [Ab]) => vec![0x84],
             ("LJMP", [Expr(t)]) => {
-                let a = eval(t, self.symbols, false, ln)?;
+                let a = self.word(t, ln)?;
                 vec![0x02, (a >> 8) as u8, a as u8]
             }
             ("LCALL", [Expr(t)]) => {
-                let a = eval(t, self.symbols, false, ln)?;
+                let a = self.word(t, ln)?;
                 vec![0x12, (a >> 8) as u8, a as u8]
             }
-            ("AJMP", [Expr(t)]) => {
-                let a = eval(t, self.symbols, false, ln)?;
-                self.a11(0x01, a, pc + 2, ln)?
-            }
-            ("ACALL", [Expr(t)]) => {
-                let a = eval(t, self.symbols, false, ln)?;
-                self.a11(0x11, a, pc + 2, ln)?
-            }
+            ("AJMP", [Expr(t)]) => self.a11(0x01, t, pc + 2, ln)?,
+            ("ACALL", [Expr(t)]) => self.a11(0x11, t, pc + 2, ln)?,
             ("SJMP", [Expr(t)]) => vec![0x80, self.rel(t, pc + 2, ln)?],
             ("JC", [Expr(t)]) => vec![0x40, self.rel(t, pc + 2, ln)?],
             ("JNC", [Expr(t)]) => vec![0x50, self.rel(t, pc + 2, ln)?],
@@ -464,7 +391,7 @@ impl Encoder<'_> {
                 vec![0x85, self.byte(src, ln)?, self.byte(dst, ln)?]
             }
             ("MOV", [Dptr, Immediate(i)]) => {
-                let v = eval(i, self.symbols, false, ln)?;
+                let v = self.word(i, ln)?;
                 vec![0x90, (v >> 8) as u8, v as u8]
             }
             ("MOV", [C, Expr(b)]) => vec![0xa2, self.bit(b, ln)?],
@@ -519,7 +446,10 @@ impl Encoder<'_> {
         })
     }
 
-    fn a11(&self, base: u8, target: u16, pc_after: u16, line: usize) -> Result<Vec<u8>, AsmError> {
+    fn a11(&self, base: u8, t: &str, pc_after: u16, line: usize) -> Result<Vec<u8>, AsmError> {
+        let Some(target) = self.value(t, false, line)? else {
+            return Ok(vec![base, 0]);
+        };
         if target & 0xf800 != pc_after & 0xf800 {
             return err(
                 line,
@@ -543,7 +473,8 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
     let mut items: Vec<(u16, Item)> = Vec::new();
     let mut pc: u16 = 0;
 
-    // Pass 1: labels, EQU, sizes.
+    // Pass 1: labels, EQU, and each instruction's size, from encoding it
+    // with its operands unresolved.
     for (idx, raw_line) in source.lines().enumerate() {
         let line_no = idx + 1;
         let mut text = raw_line;
@@ -615,13 +546,15 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             operands,
             raw: Vec::new(),
         };
-        let size = size_of(&item)? as u16;
+        let size = Encoder { symbols: None }.encode(&item, pc)?.len() as u16;
         items.push((pc, item));
         pc = pc.wrapping_add(size);
     }
 
     // Pass 2: encode.
-    let enc = Encoder { symbols: &symbols };
+    let enc = Encoder {
+        symbols: Some(&symbols),
+    };
     let mut image = Vec::new();
     for (addr, item) in &items {
         let bytes = match item.mnemonic.as_str() {

@@ -3,7 +3,7 @@
 //! assembler so the tests double as assembler/CPU cross-checks.
 
 use crate::asm::assemble;
-use crate::cpu::{psw, sfr, Cpu, ExternalBus, NullBus, UART_TX_CAPACITY};
+use crate::cpu::{psw, sfr, Cpu, ExternalBus, NullBus, MAX_STEP_CYCLES, UART_TX_CAPACITY};
 use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 
 fn run(src: &str, steps: usize) -> Cpu {
@@ -486,6 +486,55 @@ fn cycle_counting_basics() {
     assert_eq!(cpu.step(&mut bus), 4);
     assert_eq!(cpu.step(&mut bus), 2);
     assert_eq!(cpu.cycles(), 7);
+}
+
+/// Every machine cycle `cycles()` advances by is one `step` returns,
+/// interrupt entries included, so the timers, the UART and an external
+/// watchdog see them too.
+#[test]
+fn step_returns_interrupt_entry_cycles() {
+    let src = "
+        ljmp main
+        org 0x03
+        inc r5
+        reti
+        org 0x0b
+        inc r7
+        reti
+        org 0x23
+        clr ri
+        inc r6
+        reti
+        org 0x40
+    main:
+        mov tmod, #0x02     ; timer 0 mode 2, overflow every 64 cycles
+        mov th0, #0xc0
+        mov tl0, #0xc0
+        mov scon, #0x50     ; REN
+        mov ie, #0x93       ; EA + ES + ET0 + EX0
+        setb tr0
+        spin: sjmp spin
+    ";
+    let mut cpu = Cpu::new();
+    cpu.load_code(&assemble(src).unwrap());
+    for byte in 0..5 {
+        cpu.uart_inject_rx(byte);
+    }
+    let mut bus = NullBus;
+    let mut returned = 0;
+    for k in 0..2000 {
+        cpu.set_int_pins(k % 400 < 10, false);
+        let cycles = cpu.step(&mut bus);
+        assert!(cycles <= MAX_STEP_CYCLES, "step {k} took {cycles}");
+        returned += u64::from(cycles);
+    }
+    let serviced = [cpu.iram(5), cpu.iram(6), cpu.iram(7)];
+    assert!(serviced.iter().all(|&n| n > 0), "ISR runs {serviced:?}");
+    assert_eq!(returned, cpu.cycles());
+    let before = cpu.cycles();
+    let ran = cpu.run_cycles(500, &mut bus);
+    assert_eq!(ran, cpu.cycles() - before);
+    assert_eq!(MAX_STEP_CYCLES, 6);
 }
 
 #[test]

@@ -1,9 +1,11 @@
-//! Opcode decode table of the 8051 interpreter.
+//! Opcode table of the 8051: the one statement of the instruction set's
+//! lengths and costs.
 //!
 //! One row per opcode: how many operand bytes follow it and how many
 //! machine cycles it costs (fixed per opcode on this core, branch taken or
 //! not). [`crate::cpu::Cpu`] fetches operands through [`DECODE`] and
-//! debug-checks every executed instruction's cycle count against it.
+//! charges its cycles, and [`crate::disasm`] takes each instruction's
+//! length from it.
 
 /// `(operand bytes, machine cycles)` of one opcode.
 const fn decode_meta(op: u8) -> (u8, u8) {
@@ -81,15 +83,40 @@ const fn table() -> [(u8, u8); 256] {
 /// `(operand bytes, machine cycles)` per opcode.
 pub(crate) static DECODE: [(u8, u8); 256] = table();
 
+/// The most machine cycles an opcode costs: `MUL AB`'s (and `DIV AB`'s).
+pub(crate) const MAX_CYCLES: u8 = decode_meta(0xa4).1;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{asm, disasm};
 
+    /// Every row is in range, and the table, the disassembler and the
+    /// assembler agree on every opcode: at 0x0100 with operand bytes
+    /// `12 34`, it disassembles to text that reassembles at the same
+    /// address to the same bytes, 1 + the row's operand count of them.
     #[test]
     fn decode_meta_covers_every_opcode() {
+        assert_eq!(MAX_CYCLES, 4);
         for (op, &(operands, cycles)) in DECODE.iter().enumerate() {
             assert!(operands <= 2, "opcode {op:#04x} operands");
-            assert!((1..=4).contains(&cycles), "opcode {op:#04x} cycles");
+            assert!(
+                (1..=MAX_CYCLES).contains(&cycles),
+                "opcode {op:#04x} cycles"
+            );
+            let mut code = vec![0; 0x0100];
+            code.extend([op as u8, 0x12, 0x34]);
+            let inst = disasm::decode(&code, 0x0100);
+            let len = 1 + usize::from(operands);
+            assert_eq!(inst.bytes, code[0x0100..0x0100 + len], "opcode {op:#04x}");
+            let image = asm::assemble(&format!("org 0x0100\n{}\n", inst.text))
+                .unwrap_or_else(|e| panic!("opcode {op:#04x} `{}`: {e}", inst.text));
+            assert_eq!(
+                image[0x0100..],
+                inst.bytes,
+                "opcode {op:#04x} `{}`",
+                inst.text
+            );
         }
     }
 }

@@ -4,8 +4,12 @@
 //! mnemonics. Used by the firmware-debug tooling (the paper's prototyping
 //! phase pipes "all intermediate data of the chain" to a PC GUI — this is
 //! the instruction-side equivalent) and by round-trip tests that pin the
-//! assembler and interpreter to the same encoding.
+//! assembler and interpreter to the same encoding. Each instruction's
+//! length is its opcode's row of the crate's opcode table, and SFR
+//! operands print under the core's register names.
 
+use crate::cpu::CORE_SFRS;
+use crate::decode::DECODE;
 use std::fmt;
 
 /// One decoded instruction.
@@ -32,36 +36,12 @@ impl fmt::Display for Instruction {
     }
 }
 
-fn rel_target(addr: u16, len: u16, offset: u8) -> u16 {
-    addr.wrapping_add(len).wrapping_add(offset as i8 as u16)
-}
-
 /// SFR names for pretty direct addresses.
 fn direct_name(addr: u8) -> String {
-    match addr {
-        0x80 => "p0".into(),
-        0x81 => "sp".into(),
-        0x82 => "dpl".into(),
-        0x83 => "dph".into(),
-        0x87 => "pcon".into(),
-        0x88 => "tcon".into(),
-        0x89 => "tmod".into(),
-        0x8a => "tl0".into(),
-        0x8b => "tl1".into(),
-        0x8c => "th0".into(),
-        0x8d => "th1".into(),
-        0x90 => "p1".into(),
-        0x98 => "scon".into(),
-        0x99 => "sbuf".into(),
-        0xa0 => "p2".into(),
-        0xa8 => "ie".into(),
-        0xb0 => "p3".into(),
-        0xb8 => "ip".into(),
-        0xd0 => "psw".into(),
-        0xe0 => "acc".into(),
-        0xf0 => "b".into(),
-        _ => format!("0x{addr:02x}"),
-    }
+    CORE_SFRS
+        .iter()
+        .find(|&&(a, _)| a == addr)
+        .map_or_else(|| format!("0x{addr:02x}"), |&(_, name)| name.to_owned())
 }
 
 fn bit_name(bit: u8) -> String {
@@ -87,166 +67,132 @@ pub fn decode(code: &[u8], addr: u16) -> Instruction {
     let b2 = at(2);
     let r = op & 0x07;
     let ri = op & 0x01;
+    let len = 1 + u16::from(DECODE[op as usize].0);
+    let next = addr.wrapping_add(len);
+    // Absolute target of a relative branch.
+    let rel = |offset: u8| next.wrapping_add(offset as i8 as u16);
 
-    let (len, text): (u16, String) = match op {
-        0x00 => (1, "nop".into()),
+    let text: String = match op {
+        0x00 => "nop".into(),
         0x01 | 0x21 | 0x41 | 0x61 | 0x81 | 0xa1 | 0xc1 | 0xe1 => {
             let page = u16::from(op >> 5);
-            let target = (addr.wrapping_add(2) & 0xf800) | (page << 8) | u16::from(b1);
-            (2, format!("ajmp 0x{target:04x}"))
+            let target = (next & 0xf800) | (page << 8) | u16::from(b1);
+            format!("ajmp 0x{target:04x}")
         }
         0x11 | 0x31 | 0x51 | 0x71 | 0x91 | 0xb1 | 0xd1 | 0xf1 => {
             let page = u16::from(op >> 5);
-            let target = (addr.wrapping_add(2) & 0xf800) | (page << 8) | u16::from(b1);
-            (2, format!("acall 0x{target:04x}"))
+            let target = (next & 0xf800) | (page << 8) | u16::from(b1);
+            format!("acall 0x{target:04x}")
         }
-        0x02 => (3, format!("ljmp 0x{:04x}", u16::from_be_bytes([b1, b2]))),
-        0x12 => (3, format!("lcall 0x{:04x}", u16::from_be_bytes([b1, b2]))),
-        0x03 => (1, "rr a".into()),
-        0x13 => (1, "rrc a".into()),
-        0x23 => (1, "rl a".into()),
-        0x33 => (1, "rlc a".into()),
-        0x04 => (1, "inc a".into()),
-        0x14 => (1, "dec a".into()),
-        0x05 => (2, format!("inc {}", direct_name(b1))),
-        0x15 => (2, format!("dec {}", direct_name(b1))),
-        0x06 | 0x07 => (1, format!("inc @r{ri}")),
-        0x16 | 0x17 => (1, format!("dec @r{ri}")),
-        0x08..=0x0f => (1, format!("inc r{r}")),
-        0x18..=0x1f => (1, format!("dec r{r}")),
-        0xa3 => (1, "inc dptr".into()),
-        0x10 => (
-            3,
-            format!("jbc {}, 0x{:04x}", bit_name(b1), rel_target(addr, 3, b2)),
-        ),
-        0x20 => (
-            3,
-            format!("jb {}, 0x{:04x}", bit_name(b1), rel_target(addr, 3, b2)),
-        ),
-        0x30 => (
-            3,
-            format!("jnb {}, 0x{:04x}", bit_name(b1), rel_target(addr, 3, b2)),
-        ),
-        0x40 => (2, format!("jc 0x{:04x}", rel_target(addr, 2, b1))),
-        0x50 => (2, format!("jnc 0x{:04x}", rel_target(addr, 2, b1))),
-        0x60 => (2, format!("jz 0x{:04x}", rel_target(addr, 2, b1))),
-        0x70 => (2, format!("jnz 0x{:04x}", rel_target(addr, 2, b1))),
-        0x80 => (2, format!("sjmp 0x{:04x}", rel_target(addr, 2, b1))),
-        0x73 => (1, "jmp @a+dptr".into()),
-        0x22 => (1, "ret".into()),
-        0x32 => (1, "reti".into()),
-        0x24 => (2, format!("add a, #0x{b1:02x}")),
-        0x25 => (2, format!("add a, {}", direct_name(b1))),
-        0x26 | 0x27 => (1, format!("add a, @r{ri}")),
-        0x28..=0x2f => (1, format!("add a, r{r}")),
-        0x34 => (2, format!("addc a, #0x{b1:02x}")),
-        0x35 => (2, format!("addc a, {}", direct_name(b1))),
-        0x36 | 0x37 => (1, format!("addc a, @r{ri}")),
-        0x38..=0x3f => (1, format!("addc a, r{r}")),
-        0x94 => (2, format!("subb a, #0x{b1:02x}")),
-        0x95 => (2, format!("subb a, {}", direct_name(b1))),
-        0x96 | 0x97 => (1, format!("subb a, @r{ri}")),
-        0x98..=0x9f => (1, format!("subb a, r{r}")),
-        0x42 => (2, format!("orl {}, a", direct_name(b1))),
-        0x52 => (2, format!("anl {}, a", direct_name(b1))),
-        0x62 => (2, format!("xrl {}, a", direct_name(b1))),
-        0x43 => (3, format!("orl {}, #0x{b2:02x}", direct_name(b1))),
-        0x53 => (3, format!("anl {}, #0x{b2:02x}", direct_name(b1))),
-        0x63 => (3, format!("xrl {}, #0x{b2:02x}", direct_name(b1))),
-        0x44 => (2, format!("orl a, #0x{b1:02x}")),
-        0x54 => (2, format!("anl a, #0x{b1:02x}")),
-        0x64 => (2, format!("xrl a, #0x{b1:02x}")),
-        0x45 => (2, format!("orl a, {}", direct_name(b1))),
-        0x55 => (2, format!("anl a, {}", direct_name(b1))),
-        0x65 => (2, format!("xrl a, {}", direct_name(b1))),
-        0x46 | 0x47 => (1, format!("orl a, @r{ri}")),
-        0x56 | 0x57 => (1, format!("anl a, @r{ri}")),
-        0x66 | 0x67 => (1, format!("xrl a, @r{ri}")),
-        0x48..=0x4f => (1, format!("orl a, r{r}")),
-        0x58..=0x5f => (1, format!("anl a, r{r}")),
-        0x68..=0x6f => (1, format!("xrl a, r{r}")),
-        0x72 => (2, format!("orl c, {}", bit_name(b1))),
-        0xa0 => (2, format!("orl c, /{}", bit_name(b1))),
-        0x82 => (2, format!("anl c, {}", bit_name(b1))),
-        0xb0 => (2, format!("anl c, /{}", bit_name(b1))),
-        0x74 => (2, format!("mov a, #0x{b1:02x}")),
-        0x75 => (3, format!("mov {}, #0x{b2:02x}", direct_name(b1))),
-        0x76 | 0x77 => (2, format!("mov @r{ri}, #0x{b1:02x}")),
-        0x78..=0x7f => (2, format!("mov r{r}, #0x{b1:02x}")),
-        0x85 => (3, format!("mov {}, {}", direct_name(b2), direct_name(b1))),
-        0x86 | 0x87 => (2, format!("mov {}, @r{ri}", direct_name(b1))),
-        0x88..=0x8f => (2, format!("mov {}, r{r}", direct_name(b1))),
-        0x90 => (
-            3,
-            format!("mov dptr, #0x{:04x}", u16::from_be_bytes([b1, b2])),
-        ),
-        0x92 => (2, format!("mov {}, c", bit_name(b1))),
-        0xa2 => (2, format!("mov c, {}", bit_name(b1))),
-        0xa6 | 0xa7 => (2, format!("mov @r{ri}, {}", direct_name(b1))),
-        0xa8..=0xaf => (2, format!("mov r{r}, {}", direct_name(b1))),
-        0xe5 => (2, format!("mov a, {}", direct_name(b1))),
-        0xe6 | 0xe7 => (1, format!("mov a, @r{ri}")),
-        0xe8..=0xef => (1, format!("mov a, r{r}")),
-        0xf5 => (2, format!("mov {}, a", direct_name(b1))),
-        0xf6 | 0xf7 => (1, format!("mov @r{ri}, a")),
-        0xf8..=0xff => (1, format!("mov r{r}, a")),
-        0x83 => (1, "movc a, @a+pc".into()),
-        0x93 => (1, "movc a, @a+dptr".into()),
-        0xe0 => (1, "movx a, @dptr".into()),
-        0xe2 | 0xe3 => (1, format!("movx a, @r{ri}")),
-        0xf0 => (1, "movx @dptr, a".into()),
-        0xf2 | 0xf3 => (1, format!("movx @r{ri}, a")),
-        0xa4 => (1, "mul ab".into()),
-        0x84 => (1, "div ab".into()),
-        0xd4 => (1, "da a".into()),
-        0xc4 => (1, "swap a".into()),
-        0xe4 => (1, "clr a".into()),
-        0xf4 => (1, "cpl a".into()),
-        0xc2 => (2, format!("clr {}", bit_name(b1))),
-        0xc3 => (1, "clr c".into()),
-        0xd2 => (2, format!("setb {}", bit_name(b1))),
-        0xd3 => (1, "setb c".into()),
-        0xb2 => (2, format!("cpl {}", bit_name(b1))),
-        0xb3 => (1, "cpl c".into()),
-        0xc0 => (2, format!("push {}", direct_name(b1))),
-        0xd0 => (2, format!("pop {}", direct_name(b1))),
-        0xc5 => (2, format!("xch a, {}", direct_name(b1))),
-        0xc6 | 0xc7 => (1, format!("xch a, @r{ri}")),
-        0xc8..=0xcf => (1, format!("xch a, r{r}")),
-        0xd6 | 0xd7 => (1, format!("xchd a, @r{ri}")),
-        0xb4 => (
-            3,
-            format!("cjne a, #0x{b1:02x}, 0x{:04x}", rel_target(addr, 3, b2)),
-        ),
-        0xb5 => (
-            3,
-            format!(
-                "cjne a, {}, 0x{:04x}",
-                direct_name(b1),
-                rel_target(addr, 3, b2)
-            ),
-        ),
-        0xb6 | 0xb7 => (
-            3,
-            format!(
-                "cjne @r{ri}, #0x{b1:02x}, 0x{:04x}",
-                rel_target(addr, 3, b2)
-            ),
-        ),
-        0xb8..=0xbf => (
-            3,
-            format!("cjne r{r}, #0x{b1:02x}, 0x{:04x}", rel_target(addr, 3, b2)),
-        ),
-        0xd5 => (
-            3,
-            format!(
-                "djnz {}, 0x{:04x}",
-                direct_name(b1),
-                rel_target(addr, 3, b2)
-            ),
-        ),
-        0xd8..=0xdf => (2, format!("djnz r{r}, 0x{:04x}", rel_target(addr, 2, b1))),
-        0xa5 => (1, "db 0xa5".into()), // reserved opcode
+        0x02 => format!("ljmp 0x{:04x}", u16::from_be_bytes([b1, b2])),
+        0x12 => format!("lcall 0x{:04x}", u16::from_be_bytes([b1, b2])),
+        0x03 => "rr a".into(),
+        0x13 => "rrc a".into(),
+        0x23 => "rl a".into(),
+        0x33 => "rlc a".into(),
+        0x04 => "inc a".into(),
+        0x14 => "dec a".into(),
+        0x05 => format!("inc {}", direct_name(b1)),
+        0x15 => format!("dec {}", direct_name(b1)),
+        0x06 | 0x07 => format!("inc @r{ri}"),
+        0x16 | 0x17 => format!("dec @r{ri}"),
+        0x08..=0x0f => format!("inc r{r}"),
+        0x18..=0x1f => format!("dec r{r}"),
+        0xa3 => "inc dptr".into(),
+        0x10 => format!("jbc {}, 0x{:04x}", bit_name(b1), rel(b2)),
+        0x20 => format!("jb {}, 0x{:04x}", bit_name(b1), rel(b2)),
+        0x30 => format!("jnb {}, 0x{:04x}", bit_name(b1), rel(b2)),
+        0x40 => format!("jc 0x{:04x}", rel(b1)),
+        0x50 => format!("jnc 0x{:04x}", rel(b1)),
+        0x60 => format!("jz 0x{:04x}", rel(b1)),
+        0x70 => format!("jnz 0x{:04x}", rel(b1)),
+        0x80 => format!("sjmp 0x{:04x}", rel(b1)),
+        0x73 => "jmp @a+dptr".into(),
+        0x22 => "ret".into(),
+        0x32 => "reti".into(),
+        0x24 => format!("add a, #0x{b1:02x}"),
+        0x25 => format!("add a, {}", direct_name(b1)),
+        0x26 | 0x27 => format!("add a, @r{ri}"),
+        0x28..=0x2f => format!("add a, r{r}"),
+        0x34 => format!("addc a, #0x{b1:02x}"),
+        0x35 => format!("addc a, {}", direct_name(b1)),
+        0x36 | 0x37 => format!("addc a, @r{ri}"),
+        0x38..=0x3f => format!("addc a, r{r}"),
+        0x94 => format!("subb a, #0x{b1:02x}"),
+        0x95 => format!("subb a, {}", direct_name(b1)),
+        0x96 | 0x97 => format!("subb a, @r{ri}"),
+        0x98..=0x9f => format!("subb a, r{r}"),
+        0x42 => format!("orl {}, a", direct_name(b1)),
+        0x52 => format!("anl {}, a", direct_name(b1)),
+        0x62 => format!("xrl {}, a", direct_name(b1)),
+        0x43 => format!("orl {}, #0x{b2:02x}", direct_name(b1)),
+        0x53 => format!("anl {}, #0x{b2:02x}", direct_name(b1)),
+        0x63 => format!("xrl {}, #0x{b2:02x}", direct_name(b1)),
+        0x44 => format!("orl a, #0x{b1:02x}"),
+        0x54 => format!("anl a, #0x{b1:02x}"),
+        0x64 => format!("xrl a, #0x{b1:02x}"),
+        0x45 => format!("orl a, {}", direct_name(b1)),
+        0x55 => format!("anl a, {}", direct_name(b1)),
+        0x65 => format!("xrl a, {}", direct_name(b1)),
+        0x46 | 0x47 => format!("orl a, @r{ri}"),
+        0x56 | 0x57 => format!("anl a, @r{ri}"),
+        0x66 | 0x67 => format!("xrl a, @r{ri}"),
+        0x48..=0x4f => format!("orl a, r{r}"),
+        0x58..=0x5f => format!("anl a, r{r}"),
+        0x68..=0x6f => format!("xrl a, r{r}"),
+        0x72 => format!("orl c, {}", bit_name(b1)),
+        0xa0 => format!("orl c, /{}", bit_name(b1)),
+        0x82 => format!("anl c, {}", bit_name(b1)),
+        0xb0 => format!("anl c, /{}", bit_name(b1)),
+        0x74 => format!("mov a, #0x{b1:02x}"),
+        0x75 => format!("mov {}, #0x{b2:02x}", direct_name(b1)),
+        0x76 | 0x77 => format!("mov @r{ri}, #0x{b1:02x}"),
+        0x78..=0x7f => format!("mov r{r}, #0x{b1:02x}"),
+        0x85 => format!("mov {}, {}", direct_name(b2), direct_name(b1)),
+        0x86 | 0x87 => format!("mov {}, @r{ri}", direct_name(b1)),
+        0x88..=0x8f => format!("mov {}, r{r}", direct_name(b1)),
+        0x90 => format!("mov dptr, #0x{:04x}", u16::from_be_bytes([b1, b2])),
+        0x92 => format!("mov {}, c", bit_name(b1)),
+        0xa2 => format!("mov c, {}", bit_name(b1)),
+        0xa6 | 0xa7 => format!("mov @r{ri}, {}", direct_name(b1)),
+        0xa8..=0xaf => format!("mov r{r}, {}", direct_name(b1)),
+        0xe5 => format!("mov a, {}", direct_name(b1)),
+        0xe6 | 0xe7 => format!("mov a, @r{ri}"),
+        0xe8..=0xef => format!("mov a, r{r}"),
+        0xf5 => format!("mov {}, a", direct_name(b1)),
+        0xf6 | 0xf7 => format!("mov @r{ri}, a"),
+        0xf8..=0xff => format!("mov r{r}, a"),
+        0x83 => "movc a, @a+pc".into(),
+        0x93 => "movc a, @a+dptr".into(),
+        0xe0 => "movx a, @dptr".into(),
+        0xe2 | 0xe3 => format!("movx a, @r{ri}"),
+        0xf0 => "movx @dptr, a".into(),
+        0xf2 | 0xf3 => format!("movx @r{ri}, a"),
+        0xa4 => "mul ab".into(),
+        0x84 => "div ab".into(),
+        0xd4 => "da a".into(),
+        0xc4 => "swap a".into(),
+        0xe4 => "clr a".into(),
+        0xf4 => "cpl a".into(),
+        0xc2 => format!("clr {}", bit_name(b1)),
+        0xc3 => "clr c".into(),
+        0xd2 => format!("setb {}", bit_name(b1)),
+        0xd3 => "setb c".into(),
+        0xb2 => format!("cpl {}", bit_name(b1)),
+        0xb3 => "cpl c".into(),
+        0xc0 => format!("push {}", direct_name(b1)),
+        0xd0 => format!("pop {}", direct_name(b1)),
+        0xc5 => format!("xch a, {}", direct_name(b1)),
+        0xc6 | 0xc7 => format!("xch a, @r{ri}"),
+        0xc8..=0xcf => format!("xch a, r{r}"),
+        0xd6 | 0xd7 => format!("xchd a, @r{ri}"),
+        0xb4 => format!("cjne a, #0x{b1:02x}, 0x{:04x}", rel(b2)),
+        0xb5 => format!("cjne a, {}, 0x{:04x}", direct_name(b1), rel(b2)),
+        0xb6 | 0xb7 => format!("cjne @r{ri}, #0x{b1:02x}, 0x{:04x}", rel(b2)),
+        0xb8..=0xbf => format!("cjne r{r}, #0x{b1:02x}, 0x{:04x}", rel(b2)),
+        0xd5 => format!("djnz {}, 0x{:04x}", direct_name(b1), rel(b2)),
+        0xd8..=0xdf => format!("djnz r{r}, 0x{:04x}", rel(b1)),
+        0xa5 => "db 0xa5".into(), // reserved opcode
     };
 
     let bytes = (0..len).map(at).collect();

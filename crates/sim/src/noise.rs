@@ -293,6 +293,13 @@ impl WhiteNoise {
         self.sigma
     }
 
+    /// The largest magnitude [`WhiteNoise::sample`] returns: `sigma` times
+    /// the Box–Muller radius of the smallest nonzero uniform draw.
+    #[must_use]
+    pub fn ceiling(&self) -> f64 {
+        self.sigma * (-2.0 * mathx::ln(uniform_53(1 << 11))).sqrt()
+    }
+
     /// Draws the next Gaussian sample.
     ///
     /// A live block is the only case inlined into the caller: a
