@@ -127,18 +127,23 @@ impl SarAdc {
         if let Err(e) = config.validate() {
             panic!("invalid ADC config: {e}");
         }
-        let codes = 1usize << config.bits;
-        let mut dnl_gen = WhiteNoise::new(config.dnl_lsb, config.seed ^ 0xd41);
-        let dnl = (0..codes).map(|_| dnl_gen.sample()).collect();
         Self {
             config,
             noise: WhiteNoise::new(config.noise_rms, config.seed),
-            dnl,
+            dnl: Self::dnl_table(&config),
             conversions: 0,
             clips: 0,
             fault: None,
             ref_scale: 1.0,
         }
+    }
+
+    /// The per-code DNL offsets a part with this resolution and seed has.
+    fn dnl_table(config: &AdcConfig) -> Vec<f64> {
+        let mut dnl_gen = WhiteNoise::new(config.dnl_lsb, config.seed ^ 0xd41);
+        (0..1usize << config.bits)
+            .map(|_| dnl_gen.sample())
+            .collect()
     }
 
     /// Installs (or with `None` clears) an injected fault.
@@ -247,13 +252,13 @@ impl SarAdc {
         Volts(code as f64 / half * self.config.vref.0)
     }
 
-    /// Serializes the converter state: noise generator, the seeded DNL
-    /// pattern (saved raw so a restored part keeps its mismatch even if the
-    /// generation recipe changes), counters, injected fault, and reference
-    /// scale.
+    /// Serializes the converter state: the resolution and seed its DNL
+    /// pattern is built from (the table itself is derived, not saved),
+    /// noise generator, counters, injected fault, and reference scale.
     pub fn save_state(&self, w: &mut StateWriter) {
+        w.put_u32(self.config.bits);
+        w.put_u64(self.config.seed);
         self.noise.save_state(w);
-        w.put_f64_slice(&self.dnl);
         w.put_u64(self.conversions);
         w.put_u64(self.clips);
         match self.fault {
@@ -275,26 +280,30 @@ impl SarAdc {
         w.put_f64(self.ref_scale);
     }
 
-    /// Restores state saved by [`SarAdc::save_state`].
+    /// Restores state saved by [`SarAdc::save_state`] onto a converter
+    /// built from the same configuration, rebuilding the DNL table when
+    /// the saved resolution or seed differs from this converter's (a
+    /// run-time `AdcBits` change rebuilds the part).
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] if the DNL table length does not
-    /// match this converter's resolution, the fault tag is unknown, or the
-    /// reference scale is not physical; propagates other [`SnapshotError`]s
-    /// on malformed input.
+    /// Returns [`SnapshotError::Corrupt`] if the resolution is outside
+    /// `8..=16`, the fault tag is unknown, or the reference scale is not
+    /// physical; propagates other [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.noise.load_state(r)?;
-        let dnl = r.take_f64_vec()?;
-        if dnl.len() != self.dnl.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "ADC DNL table of {} codes in snapshot, converter has {}",
-                    dnl.len(),
-                    self.dnl.len()
-                ),
-            });
+        let config = AdcConfig {
+            bits: r.take_u32()?,
+            seed: r.take_u64()?,
+            ..self.config
+        };
+        if (config.bits, config.seed) != (self.config.bits, self.config.seed) {
+            config
+                .validate()
+                .map_err(|context| SnapshotError::Corrupt { context })?;
+            self.dnl = Self::dnl_table(&config);
+            self.config = config;
         }
+        self.noise.load_state(r)?;
         self.conversions = r.take_u64()?;
         self.clips = r.take_u64()?;
         self.fault = match r.take_u8()? {
@@ -321,7 +330,6 @@ impl SarAdc {
                 context: format!("ADC ref scale {ref_scale} not physical"),
             });
         }
-        self.dnl = dnl;
         self.ref_scale = ref_scale;
         Ok(())
     }

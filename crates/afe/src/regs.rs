@@ -213,9 +213,10 @@ impl AfeRegisterFile {
         false
     }
 
-    /// Serializes the register values and the write counter.
+    /// Serializes the register values (the bank's size is a constant and
+    /// is not written) and the write counter.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u16_slice(&self.values);
+        self.values.iter().for_each(|&v| w.put_u16(v));
         w.put_u64(self.writes);
     }
 
@@ -223,20 +224,13 @@ impl AfeRegisterFile {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] if the register count does not
-    /// match the bank or a writable register holds a value
-    /// [`AfeRegisterFile::write`] would reject; propagates other
+    /// Returns [`SnapshotError::Corrupt`] if a writable register holds a
+    /// value [`AfeRegisterFile::write`] would reject; propagates other
     /// [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let values = r.take_u16_vec()?;
-        if values.len() != self.values.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "AFE register bank of {} registers in snapshot, expected {}",
-                    values.len(),
-                    self.values.len()
-                ),
-            });
+        let mut values = self.values;
+        for v in &mut values {
+            *v = r.take_u16()?;
         }
         for reg in AfeReg::ALL.into_iter().filter(|r| r.is_writable()) {
             let value = values[reg.addr() as usize];
@@ -246,7 +240,7 @@ impl AfeRegisterFile {
                 });
             }
         }
-        self.values.copy_from_slice(&values);
+        self.values = values;
         self.writes = r.take_u64()?;
         Ok(())
     }

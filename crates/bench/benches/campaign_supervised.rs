@@ -3,20 +3,26 @@
 //! The supervision layer (panic isolation, per-attempt deadline, retry
 //! bookkeeping) must be cheap enough to leave on everywhere: on a healthy
 //! 16-scenario campaign the fully-armed runner (deadline + retry budget)
-//! must stay within **2%** of the bare runner's wall clock.
+//! must stay within **2%** of the bare runner's wall clock. The two
+//! runners are timed in interleaved pairs, one campaign each per pair
+//! ([`time_paired`]), and a full run fails only when the lower quartile
+//! of the paired overhead is past the bar (`OVER`).
 //!
 //! Flags: `--short` shrinks the protocol (gate/CI smoke; never rewrites
-//! the committed baseline and only warns on overhead), `--threads N` pins
-//! the worker count. Full runs merge this bench's entries into
-//! `BENCH_platform_sim.json` at the repo root, preserving the other
-//! benches' entries.
+//! the committed baseline and only reports the verdict), `--threads N`
+//! pins the worker count. Full runs merge this bench's entries (each
+//! arm's fastest campaign) into `BENCH_platform_sim.json` at the repo
+//! root, preserving the other benches' entries.
 
-use ascp_bench::harness::{merge_into_baseline, short_mode, threads_from_args, BenchStats};
+use ascp_bench::harness::{
+    black_box, merge_into_baseline, short_mode, threads_from_args, time_paired, BenchStats,
+};
 use ascp_core::campaign::{CampaignOptions, CampaignRunner, ScenarioSpec, Step};
 use ascp_core::platform::PlatformConfig;
 
-/// The acceptance bar: supervised wall clock / bare wall clock − 1.
-const MAX_OVERHEAD: f64 = 0.02;
+/// The acceptance bar, in percent: supervised wall clock / bare wall
+/// clock − 1.
+const MAX_OVERHEAD_PCT: f64 = 2.0;
 
 /// A healthy 16-point rate table (same shape as `campaign_warmstart`'s):
 /// no scenario panics, stalls, or overruns, so every supervised cycle is
@@ -42,21 +48,13 @@ fn rate_table(settle_s: f64, window_s: f64) -> Vec<ScenarioSpec> {
         .collect()
 }
 
-/// Runs the campaign `reps` times and returns the fastest wall clock in
-/// seconds (the minimum is the least scheduler-polluted sample).
-fn best_wall(runner: &CampaignRunner, settle_s: f64, window_s: f64, reps: usize) -> f64 {
-    (0..reps)
-        .map(|_| runner.run(rate_table(settle_s, window_s)).wall_s)
-        .fold(f64::INFINITY, f64::min)
-}
-
 fn main() -> std::io::Result<()> {
     println!("== campaign_supervised ==");
     let threads = threads_from_args();
-    let (settle_s, window_s, reps) = if short_mode() {
-        (0.02, 0.002, 2)
+    let (settle_s, window_s, pairs) = if short_mode() {
+        (0.02, 0.002, 5)
     } else {
-        (0.05, 0.005, 4)
+        (0.05, 0.005, 9)
     };
 
     let bare = CampaignRunner::with_options(
@@ -87,23 +85,16 @@ fn main() -> std::io::Result<()> {
     assert_eq!(supervised_report.retries_total(), 0);
     assert_eq!(supervised_report.poisoned(), 0);
 
-    let bare_s = best_wall(&bare, settle_s, window_s, reps).min(bare_report.wall_s);
-    let supervised_s =
-        best_wall(&supervised, settle_s, window_s, reps).min(supervised_report.wall_s);
-    let overhead = supervised_s / bare_s - 1.0;
+    let run = |runner: &CampaignRunner| {
+        black_box(runner.run(rate_table(settle_s, window_s)));
+    };
+    let times = time_paired(pairs, || run(&supervised), || run(&bare));
+    let fastest = |walls: &[f64]| walls.iter().copied().fold(f64::INFINITY, f64::min);
+    let (bare_s, supervised_s) = (fastest(&times.off_s), fastest(&times.on_s));
     println!("  threads            : {threads}");
-    println!("  bare campaign      : {bare_s:.3} s (16 healthy scenarios)");
-    println!("  supervised campaign: {supervised_s:.3} s (deadline + retry budget armed)");
-    println!(
-        "  overhead           : {:+.2}% ({} <= {:.0}% acceptance bar)",
-        overhead * 100.0,
-        if overhead <= MAX_OVERHEAD {
-            "within"
-        } else {
-            "OVER"
-        },
-        MAX_OVERHEAD * 100.0
-    );
+    println!("  bare campaign      : {bare_s:.3} s fastest (16 healthy scenarios)");
+    println!("  supervised campaign: {supervised_s:.3} s fastest (deadline + retry budget armed)");
+    println!("  {}", times.summary("supervision", MAX_OVERHEAD_PCT));
 
     let per = |name: &str, wall: f64| BenchStats {
         name: name.to_owned(),
@@ -119,11 +110,10 @@ fn main() -> std::io::Result<()> {
         // Short samples are too noisy to commit or to gate on; report only.
         println!("(short mode: baseline not rewritten, overhead informational)");
     } else {
-        assert!(
-            overhead <= MAX_OVERHEAD,
-            "supervision overhead {:.2}% exceeds the {:.0}% bar",
-            overhead * 100.0,
-            MAX_OVERHEAD * 100.0
+        assert_ne!(
+            times.verdict(MAX_OVERHEAD_PCT),
+            "OVER",
+            "supervision overhead past the {MAX_OVERHEAD_PCT}% bar"
         );
         merge_into_baseline(&stats)?;
     }

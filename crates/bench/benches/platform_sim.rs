@@ -18,8 +18,8 @@ use ascp_afe::amp::{ChargeAmplifier, Pga};
 use ascp_afe::dac::{Dac, DacConfig};
 use ascp_afe::filter::AntiAliasFilter;
 use ascp_bench::harness::{
-    bench, black_box, check_against, check_path_from_args, repo_root_path, write_bench_json,
-    BenchStats,
+    bench, black_box, check_against, check_path_from_args, repo_root_path, time_paired,
+    write_bench_json, BenchStats,
 };
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
 use ascp_core::system::{SystemModel, SystemModelConfig};
@@ -31,7 +31,6 @@ use ascp_mems::resonator::Resonator;
 use ascp_sim::noise::{PinkNoise, WhiteNoise};
 use ascp_sim::telemetry::TelemetryConfig;
 use ascp_sim::units::Volts;
-use std::time::Instant;
 
 fn main() {
     println!("== platform_sim ==");
@@ -251,50 +250,24 @@ fn main() {
     }
 }
 
-/// Prints the overhead of ticking `on` over ticking `off`, a report. The
-/// two arms are timed in interleaved pairs of blocks, alternating which
-/// runs first, so a drifting host slows both alike; each block spans a
-/// whole number of 1 kHz services. Prints the median paired overhead with
-/// its interquartile range: `within` when the upper quartile is inside
-/// `budget_pct`, `OVER` when the lower quartile is past it, `unresolved`
-/// otherwise.
+/// Prints the overhead of ticking `on` over ticking `off`, a report: the
+/// arms are timed in interleaved block pairs ([`time_paired`]), each block
+/// spanning a whole number of 1 kHz services.
 fn overhead_verdict(label: &str, budget_pct: f64, on: &mut Platform, off: &mut Platform) {
     let (pairs, ticks) = if ascp_bench::harness::short_mode() {
         (41, 2_500)
     } else {
         (101, 25_000)
     };
-    let time = |p: &mut Platform| {
-        let t = Instant::now();
+    let block = |p: &mut Platform| {
         for _ in 0..ticks {
             black_box(p.step());
         }
-        t.elapsed().as_secs_f64()
     };
-    let mut pct: Vec<f64> = (0..pairs)
-        .map(|k| {
-            let (t_on, t_off) = if k % 2 == 0 {
-                (time(on), time(off))
-            } else {
-                let t_off = time(off);
-                (time(on), t_off)
-            };
-            (t_on - t_off) / t_off * 100.0
-        })
-        .collect();
-    pct.sort_by(f64::total_cmp);
-    let quartile = |q: usize| pct[(pct.len() - 1) * q / 4];
-    let (lo, median, hi) = (quartile(1), quartile(2), quartile(3));
-    let verdict = if hi <= budget_pct {
-        "within"
-    } else if lo > budget_pct {
-        "OVER"
-    } else {
-        "unresolved"
-    };
+    let times = time_paired(pairs, || block(on), || block(off));
     println!(
-        "{label} overhead: {median:+.2}% per tick, IQR {lo:+.2}..{hi:+.2}% \
-         ({verdict} {budget_pct}% budget; {pairs} interleaved pairs)"
+        "{}",
+        times.summary(&format!("{label} (per tick)"), budget_pct)
     );
 }
 

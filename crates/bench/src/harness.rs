@@ -463,6 +463,78 @@ pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> BenchStats {
     stats
 }
 
+/// Two arms of an overhead measurement timed in interleaved pairs (see
+/// [`time_paired`]): seconds per run of each, in pair order.
+#[derive(Debug, Clone)]
+pub struct PairedTimes {
+    /// The arm whose overhead is measured.
+    pub on_s: Vec<f64>,
+    /// The reference arm.
+    pub off_s: Vec<f64>,
+}
+
+/// Times one run of `on` and one of `off` in each of `pairs` pairs,
+/// alternating which runs first, so a drifting host slows both arms alike.
+pub fn time_paired(pairs: usize, mut on: impl FnMut(), mut off: impl FnMut()) -> PairedTimes {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    };
+    let (mut on_s, mut off_s) = (Vec::with_capacity(pairs), Vec::with_capacity(pairs));
+    for k in 0..pairs {
+        if k % 2 == 0 {
+            on_s.push(time(&mut on));
+            off_s.push(time(&mut off));
+        } else {
+            off_s.push(time(&mut off));
+            on_s.push(time(&mut on));
+        }
+    }
+    PairedTimes { on_s, off_s }
+}
+
+impl PairedTimes {
+    /// The lower quartile, median and upper quartile of the per-pair
+    /// overhead of `on` over `off`, in percent.
+    #[must_use]
+    pub fn overhead_quartiles(&self) -> [f64; 3] {
+        let mut pct: Vec<f64> = self
+            .on_s
+            .iter()
+            .zip(&self.off_s)
+            .map(|(on, off)| (on - off) / off * 100.0)
+            .collect();
+        pct.sort_by(f64::total_cmp);
+        [1, 2, 3].map(|q| pct[(pct.len() - 1) * q / 4])
+    }
+
+    /// `within` when the upper quartile of the overhead is inside
+    /// `budget_pct`, `OVER` when the lower quartile is past it,
+    /// `unresolved` otherwise.
+    #[must_use]
+    pub fn verdict(&self, budget_pct: f64) -> &'static str {
+        match self.overhead_quartiles() {
+            [_, _, hi] if hi <= budget_pct => "within",
+            [lo, _, _] if lo > budget_pct => "OVER",
+            _ => "unresolved",
+        }
+    }
+
+    /// One line: the median paired overhead with its interquartile range
+    /// and the verdict against `budget_pct`.
+    #[must_use]
+    pub fn summary(&self, label: &str, budget_pct: f64) -> String {
+        let [lo, median, hi] = self.overhead_quartiles();
+        format!(
+            "{label} overhead: {median:+.2}%, IQR {lo:+.2}..{hi:+.2}% \
+             ({} {budget_pct}% budget; {} interleaved pairs)",
+            self.verdict(budget_pct),
+            self.on_s.len()
+        )
+    }
+}
+
 /// Serializes a bench run as the repo's bench-trajectory JSON:
 /// `{"<name>": {"min_ns_per_iter": …, "ns_per_iter": …, "per_second": …}}`,
 /// keys in run order. Committed at the repo root as

@@ -1,11 +1,15 @@
 //! Deterministic platform checkpointing.
 //!
-//! A checkpoint captures the **entire** mutable state of a [`Platform`] —
-//! MEMS resonator modes, AFE converter and reference registers, every DSP
-//! IP's delay lines and integrators, the 8051 core with its SFR/XRAM and
-//! peripherals, the JTAG chain, the safety-supervisor FSM, the
-//! fault-plan cursor and all noise-generator RNG streams — in a compact,
-//! self-describing binary format. Restoring a checkpoint onto a platform
+//! A checkpoint captures every value of a [`Platform`] that a tick, a
+//! register write or a fault edge can change — MEMS resonator motion, AFE
+//! converter and reference registers, every DSP IP's delay lines and
+//! integrators, the 8051 core with its SFR/XRAM and peripherals, the JTAG
+//! chain, the safety-supervisor FSM, the fault-plan cursor and all
+//! noise-generator RNG streams — in a compact, self-describing binary
+//! format. Values the configuration fixes are not written, and values
+//! derived from the configuration and other saved fields (an ADC's DNL
+//! table, the resonators' tuning) are rebuilt on load. Restoring a
+//! checkpoint onto a platform
 //! built from the same [`PlatformConfig`] is **bit-exact**: stepping the
 //! restored platform produces byte-identical traces to stepping the
 //! original.
@@ -16,7 +20,7 @@
 //! offset  size  field
 //! ------  ----  -----------------------------------------------
 //!      0     8  magic  b"ASCPCKPT"
-//!      8     4  format version (little-endian u32, currently 1)
+//!      8     4  format version (little-endian u32, currently 2)
 //!     12     8  config digest (FNV-1a 64 over canonical config)
 //!     20     …  platform state: tagged, length-prefixed sections
 //! ```
@@ -67,7 +71,7 @@ pub const MAGIC: [u8; 8] = *b"ASCPCKPT";
 /// Current checkpoint format version. Bumped whenever any component's
 /// section layout changes; old files are rejected with
 /// [`CheckpointError::UnsupportedVersion`] rather than misinterpreted.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header length in bytes (magic + version + config digest).
 pub const HEADER_LEN: usize = 8 + 4 + 8;
@@ -285,6 +289,7 @@ pub fn restore_from_file(
 mod tests {
     use super::*;
     use ascp_afe::regs::AfeReg;
+    use ascp_mcu8051::cpu::ExternalBus;
     use ascp_mcu8051::periph::Bus16Device;
     use ascp_sim::fault::FaultKind;
 
@@ -432,12 +437,13 @@ mod tests {
     }
 
     /// Mutated checkpoints restore or fail with a typed error, never a
-    /// panic, with the CPU off and on: XOR masks across the payload, each
-    /// top-level section's length field overwritten, and each section
-    /// duplicated.
+    /// panic, with the CPU off and on: every payload byte XORed with one of
+    /// four rotating masks, each top-level section's length field
+    /// overwritten, and each section duplicated. A derived field whose
+    /// input lacks a range check panics here.
     #[test]
     fn corrupt_interior_never_panics() {
-        for (cpu, stride) in [(false, 211), (true, 844)] {
+        for cpu in [false, true] {
             let config = PlatformConfig::builder()
                 .quiet()
                 .cpu_enabled(cpu)
@@ -448,7 +454,7 @@ mod tests {
             platform.step_block(32);
             let bytes = save(&platform);
             let masks = [0x5a, 0x01, 0x80, 0xff];
-            for (i, pos) in (HEADER_LEN..bytes.len()).step_by(stride).enumerate() {
+            for (i, pos) in (HEADER_LEN..bytes.len()).enumerate() {
                 let mut bad = bytes.clone();
                 bad[pos] ^= masks[i % masks.len()];
                 // Any outcome but a panic is acceptable; a flipped byte deep
@@ -492,11 +498,11 @@ mod tests {
     fn out_of_range_afe_registers_are_rejected() {
         let config = quiet_config(8);
         let bytes = save(&Platform::new(config.clone()));
-        // Header, "afer" section header (9 bytes) and register count (4):
-        // the eight u16 registers start at byte 33.
-        let corner_at = 33 + 2 * AfeReg::AafCorner.addr() as usize;
+        // Header and "afer" section header (9 bytes): the eight u16
+        // registers start at byte 29.
+        let corner_at = 29 + 2 * AfeReg::AafCorner.addr() as usize;
         assert_eq!(&bytes[corner_at..corner_at + 2], &300u16.to_le_bytes());
-        let mut cases: Vec<Vec<u8>> = (33..=38)
+        let mut cases: Vec<Vec<u8>> = (29..=34)
             .map(|at| {
                 let mut bad = bytes.clone();
                 bad[at..at + 4].fill(0xff);
@@ -605,8 +611,8 @@ mod tests {
 
     /// The 8051 and its watchdog restore only in states a run leaves: a
     /// watchdog reload of 0 or a counter outside `1..=reload` would reset
-    /// the core every step or never, a UART byte time other than 96
-    /// machine cycles or a countdown longer than one would silence it.
+    /// the core every step or never, and a UART countdown longer than the
+    /// 96-cycle byte time would silence it.
     #[test]
     fn out_of_range_8051_state_is_rejected() {
         let config = PlatformConfig::builder()
@@ -634,14 +640,14 @@ mod tests {
             (wdog + 3, u32::MAX.to_le_bytes().to_vec()),
         ];
         // CPU: PC, IRAM, SFRs, code and three counters lead to the
-        // transmit countdown; the queues lead to the byte time and the
-        // receive countdown.
+        // transmit countdown; the queues lead to the receive countdown.
         let cpu = payload_at(&bytes, &[b"cpu "]);
         let mut r = StateReader::new(&bytes[cpu..]);
         r.take_u16().expect("pc");
-        for _ in 0..3 {
-            r.take_u8_vec().expect("memory image");
+        for _ in 0..256 + 128 {
+            r.take_u8().expect("IRAM, SFRs");
         }
+        r.take_u8_vec().expect("code memory");
         for _ in 0..3 {
             r.take_u64().expect("counter");
         }
@@ -649,13 +655,9 @@ mod tests {
         r.take_opt_u32().expect("transmit countdown");
         r.take_u8_vec().expect("transmit queue");
         r.take_u8_vec().expect("receive queue");
-        let per_byte_at = bytes.len() - r.remaining();
-        assert_eq!(r.take_u32().expect("byte time"), 96);
         let rx_at = bytes.len() - r.remaining();
         let in_flight = |c: u32| [&[1u8][..], &c.to_le_bytes()].concat();
         cases.extend([
-            (per_byte_at, u32::MAX.to_le_bytes().to_vec()),
-            (per_byte_at, 95u32.to_le_bytes().to_vec()),
             (tx_at, in_flight(u32::MAX)),
             (tx_at, in_flight(97)),
             (rx_at, in_flight(u32::MAX)),
@@ -712,6 +714,105 @@ mod tests {
                 ),
                 "gain {value} at +{offset}"
             );
+        }
+    }
+
+    /// A checkpoint saved between an `AdcBits` write and the 1 kHz service
+    /// that applies it restores, and the restored platform rebuilds its
+    /// converters at that service as the live one does: a load that applied
+    /// the register would rebuild them a service early.
+    #[test]
+    fn adc_bits_written_before_the_service_restore() {
+        let config = quiet_config(7);
+        let period = config.dsp_rate.0 as u64 / 1000;
+        let mut live = Platform::new(config.clone());
+        live.step_block(4 * period);
+        let afe = live.afe_regs();
+        afe.borrow_mut()
+            .write(AfeReg::AdcBits, 14)
+            .expect("legal bits");
+        live.step_block(3);
+        let bytes = save(&live);
+        let mut restored = restore(config, &bytes).expect("a pending AdcBits write restores");
+        assert_eq!(save(&restored), bytes, "restore must be lossless");
+        live.run(0.01);
+        restored.run(0.01);
+        let after = save(&live);
+        let adcp = payload_at(&after, &[b"adcp"]);
+        assert_eq!(
+            &after[adcp..adcp + 4],
+            &14u32.to_le_bytes(),
+            "rebuilt at 14 bits"
+        );
+        assert_eq!(after, save(&restored));
+    }
+
+    /// An `AdcBits` round trip 12 → 14 → 12 rebuilds both converters, the
+    /// secondary one from a seed `Platform::new` does not use, so its DNL
+    /// table differs from a fresh 12-bit platform's. A restore rebuilds the
+    /// same tables from the saved resolution and seed.
+    #[test]
+    fn adc_resolution_round_trip_restores_the_rebuilt_tables() {
+        let config = quiet_config(7);
+        let mut live = Platform::new(config.clone());
+        for bits in [14, 12] {
+            let afe = live.afe_regs();
+            afe.borrow_mut()
+                .write(AfeReg::AdcBits, bits)
+                .expect("legal bits");
+            live.run(0.005);
+        }
+        let bytes = save(&live);
+        let adcs = payload_at(&bytes, &[b"adcs"]);
+        let seed = u64::from_le_bytes(bytes[adcs + 4..adcs + 12].try_into().expect("8 bytes"));
+        assert_eq!(seed, config.seed ^ 0x55 ^ 0x1, "the rebuilt secondary seed");
+        let mut restored = restore(config, &bytes).expect("restore");
+        assert_eq!(save(&restored), bytes, "restore must be lossless");
+        for tick in 0..12_500 {
+            live.step();
+            restored.step();
+            assert_eq!(
+                live.rate_output().0.to_bits(),
+                restored.rate_output().0.to_bits(),
+                "rate output at tick {tick}"
+            );
+        }
+        assert_eq!(save(&live), save(&restored));
+    }
+
+    /// The SRAM keeps words past its sample count: a capture restarted at
+    /// word 0 leaves the older samples behind it, and MOVX reaches every
+    /// word. A restore brings them all back and clears every other word,
+    /// also onto a platform whose SRAM held data of its own.
+    #[test]
+    fn sram_words_past_the_sample_count_survive_a_restore() {
+        let config = quiet_config(7);
+        let mut live = Platform::new(config.clone());
+        let bus = live.bus_mut();
+        bus.sram.write16(0, 1);
+        for k in 1..=10 {
+            bus.sram.capture(100 * k);
+        }
+        bus.sram.write16(0, 3);
+        bus.sram.capture(7);
+        bus.sram.capture(8);
+        bus.xdata_write(0xfff0, 0xab);
+        assert_eq!(bus.sram.count(), 2);
+        let bytes = save(&live);
+        let mut other = Platform::new(config.clone());
+        for addr in (0..0x100).chain(0xff00..=0xffff) {
+            other.bus_mut().xdata_write(addr, 0x5a);
+        }
+        let mut restored_into = other;
+        restore_into(&mut restored_into, &bytes).expect("restore into");
+        for mut p in [restore(config, &bytes).expect("restore"), restored_into] {
+            assert_eq!(save(&p), bytes, "restore must be lossless");
+            let sram = &mut p.bus_mut().sram;
+            sram.write16(2, 5);
+            assert_eq!(sram.read16(3), 600, "READ_DATA at word 5");
+            assert_eq!(sram.read_byte(0xfff0), 0xab);
+            assert_eq!(sram.read_byte(0xfff2), 0, "a word nothing wrote reads zero");
+            assert_eq!(sram.read_byte(0x20), 0);
         }
     }
 

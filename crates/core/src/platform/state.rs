@@ -6,10 +6,13 @@ use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 use ascp_sim::units::Celsius;
 
 impl Platform {
-    /// Serializes the entire mutable platform state — sensor modes, every
-    /// AFE component, the DSP chain, both register banks, the JTAG chain,
-    /// the 8051 and its peripherals, the fault-plan cursor and the safety
-    /// supervisor — as a sequence of tagged sections.
+    /// Serializes the state a tick, a register write or a fault edge can
+    /// change — sensor modes, every AFE component, the DSP chain, both
+    /// register banks, the JTAG chain, the 8051 and its peripherals, the
+    /// fault-plan cursor and the safety supervisor — as a sequence of
+    /// tagged sections. A value that is a function of the configuration
+    /// and other saved fields (an ADC's DNL table, a resonator's tuning) is
+    /// rebuilt on load instead.
     ///
     /// Two things are deliberately **not** written:
     ///
@@ -84,10 +87,10 @@ impl Platform {
     /// After a successful restore, stepping this platform produces
     /// byte-identical traces to stepping the one that was saved.
     ///
-    /// The AFE register bank is restored first and applied to the analog
-    /// components before their own sections load, so a run-time resolution
-    /// change (the ADCs are rebuilt when `AdcBits` changes) is replayed
-    /// before the converter state arrives.
+    /// Each analog component restores its own programmed settings, so the
+    /// AFE register bank is not applied here: a register written since the
+    /// last 1 kHz service is applied at the next one, as on the live
+    /// platform.
     ///
     /// # Errors
     ///
@@ -101,7 +104,6 @@ impl Platform {
     /// failed restore never corrupts a live one).
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         r.leaf("afer", |r| self.afe_regs.borrow_mut().load_state(r))?;
-        self.apply_afe_registers();
         r.leaf("dspr", |r| self.dsp_regs.borrow_mut().load_state(r))?;
         r.leaf("gyro", |r| self.gyro.load_state(r))?;
         r.leaf("chgp", |r| self.charge_pri.load_state(r))?;

@@ -121,10 +121,10 @@ impl DspRegs {
         self.bus_writes
     }
 
-    /// Serializes the register values, the control-dirty latch and the
-    /// bus-write counter.
+    /// Serializes the register values (the file's size is a constant and
+    /// is not written), the control-dirty latch and the bus-write counter.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u16_slice(&self.values);
+        self.values.iter().for_each(|&v| w.put_u16(v));
         w.put_bool(self.control_dirty);
         w.put_u64(self.bus_writes);
     }
@@ -133,18 +133,11 @@ impl DspRegs {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] on a register-count mismatch.
+    /// Propagates [`SnapshotError`] on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let values = r.take_u16_vec()?;
-        if values.len() != DSP_REG_COUNT {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "DSP register bank of {} registers in snapshot, expected {DSP_REG_COUNT}",
-                    values.len()
-                ),
-            });
+        for v in &mut self.values {
+            *v = r.take_u16()?;
         }
-        self.values.copy_from_slice(&values);
         self.control_dirty = r.take_bool()?;
         self.bus_writes = r.take_u64()?;
         Ok(())

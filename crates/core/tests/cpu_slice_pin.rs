@@ -7,7 +7,11 @@
 //! by `Cpu::retire_spin`, so any byte that bulk retirement moves — a
 //! register, the UART countdown, the retired-instruction or cycle count,
 //! the watchdog counter or the slice's cycle debt — fails the case that
-//! exercises it.
+//! exercises it. They are digests of format-2 checkpoints, re-recorded
+//! when the format dropped its derived and constant fields: an encoder of
+//! the old format, run beside the new one, still gave the digests first
+//! recorded, and at every sampled tick the new checkpoint restored to a
+//! platform whose old-format bytes equalled the live platform's.
 
 use ascp_core::checkpoint;
 use ascp_core::platform::{Platform, PlatformConfig, PlatformVariant};
@@ -61,12 +65,12 @@ fn monitor(reload: Option<u16>) -> (u64, u32) {
 
 #[test]
 fn monitor_without_watchdog() {
-    assert_eq!(monitor(None), (0x56ba9a42003c9cc0, 0));
+    assert_eq!(monitor(None), (0xc6051e14d2cf4ab4, 0));
 }
 
 #[test]
 fn monitor_with_a_slack_watchdog() {
-    assert_eq!(monitor(Some(20_000)), (0xa5b5443bd9f8cea5, 0));
+    assert_eq!(monitor(Some(20_000)), (0x8a8386fadad927a1, 0));
 }
 
 #[test]
@@ -74,10 +78,10 @@ fn monitor_with_a_watchdog_that_bites_every_frame() {
     // A MONITOR frame takes ~850 machine cycles, so both reloads expire
     // inside it: 700 in the pacing loop, 97 during the first UART byte.
     let (digest, resets) = monitor(Some(700));
-    assert_eq!(digest, 0x21ab1d24f21774b0);
+    assert_eq!(digest, 0x1533d947dd0af518);
     assert!(resets > 100, "{resets} resets");
     let (digest, resets) = monitor(Some(97));
-    assert_eq!(digest, 0x32effc0740f83737);
+    assert_eq!(digest, 0x45f275002f2a8067);
     assert!(resets > 1_000, "{resets} resets");
 }
 
@@ -88,7 +92,7 @@ fn monitor_under_uart_bit_errors() {
         .build()
         .expect("valid");
     let mut p = Platform::new(c);
-    assert_eq!(trail(&mut p, |_, _| {}), 0xdf1bfbcaebfb74b6);
+    assert_eq!(trail(&mut p, |_, _| {}), 0xbff7fd5b80b961bf);
     assert!(p.cpu_mut().uart_line_errors() > 0);
 }
 
@@ -100,7 +104,7 @@ fn hung_cpu_under_watchdog_resets() {
         .expect("valid");
     let mut p = Platform::new(c);
     arm_watchdog(&mut p, 2_000);
-    assert_eq!(trail(&mut p, |_, _| {}), 0xd98394e8089867f3);
+    assert_eq!(trail(&mut p, |_, _| {}), 0x01caf5f430a61372);
     assert!(p.watchdog_resets() > 5, "{} resets", p.watchdog_resets());
     assert!(!p.cpu_mut().is_hung(), "the one-shot hang has cleared");
 }
@@ -121,6 +125,6 @@ fn prototype_boot_loader_waits_then_downloads() {
             }
         }
     });
-    assert_eq!(digest, 0xe14d4769bd458502);
+    assert_eq!(digest, 0xe3ff5a56fdf1a9d6);
     assert_eq!(p.cpu_mut().pc(), 0x1000, "spinning in the downloaded image");
 }

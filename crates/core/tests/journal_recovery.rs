@@ -109,8 +109,10 @@ fn non_journal_file_is_rejected() {
 }
 
 /// Mutated record payloads decode to outcomes or a typed error, never a
-/// panic: every payload byte flipped under three XOR masks, the head of
-/// one record spliced onto the tail of the next, and a duplicated record.
+/// panic: every payload byte flipped under three XOR masks, runs of 2, 4
+/// and 8 bytes set to 0x00 and to 0xFF at every offset, the head of one
+/// record spliced onto the tail of the next, a payload carrying its
+/// `SCNO` section twice, and a duplicated record.
 /// Each record's FNV-1a checksum is recomputed after the mutation, so the
 /// bytes reach the record decoder instead of stopping at the checksum.
 #[test]
@@ -145,11 +147,22 @@ fn mutated_records_decode_or_fail_typed() {
                 records[r][at] ^= mask;
                 mutants.push(frame(&records));
             }
+            for run in [2, 4, 8] {
+                for fill in [0x00, 0xff] {
+                    let mut records = payloads.clone();
+                    let end = (at + run).min(payload.len());
+                    records[r][at..end].fill(fill);
+                    mutants.push(frame(&records));
+                }
+            }
             let mut records = payloads.clone();
             records[r].truncate(at);
             records[r].extend_from_slice(&next[at.min(next.len())..]);
             mutants.push(frame(&records));
         }
+        let mut records = payloads.clone();
+        records[r] = payload.repeat(2);
+        mutants.push(frame(&records));
         let mut records = payloads.clone();
         records.insert(r, payload.clone());
         mutants.push(frame(&records));

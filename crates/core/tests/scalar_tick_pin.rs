@@ -18,7 +18,9 @@
 //! scale factors), took the noise fast path, wrapped the FIR delay index
 //! by compare or kept the recorder as a fixed-slot ring. A cache that
 //! misses one of its keys, or a ring that linearizes out of order, fails
-//! the case that exercises it.
+//! the case that exercises it. The trail digests were re-recorded for
+//! format-2 checkpoints in the same way as `cpu_slice_pin.rs`'s; the rate
+//! and capture digests are the first recorded.
 
 use ascp_afe::amp::Pga;
 use ascp_afe::filter::AntiAliasFilter;
@@ -130,7 +132,7 @@ fn cpu_off_tick_through_retunes_faults_and_a_restore() {
     assert_eq!(
         scripted(false),
         Digests {
-            trail: 0x23c01ad7ae355103,
+            trail: 0xa82c9782d17021c9,
             rate: 0x470fbc9aa5d4614a,
             captures: 0x74dcd36e7308083d,
             n_captures: 3,
@@ -143,7 +145,7 @@ fn cpu_on_tick_through_retunes_faults_and_a_restore() {
     assert_eq!(
         scripted(true),
         Digests {
-            trail: 0x746d6bc69295cded,
+            trail: 0xaa70424b34069a55,
             rate: 0x470fbc9aa5d4614a,
             captures: 0xd6fc06df9f8beeab,
             n_captures: 3,

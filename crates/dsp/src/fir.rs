@@ -180,40 +180,31 @@ impl FirFilter {
     }
 
     /// Serializes the delay line, write position and clip counter. The
-    /// coefficients are design-time configuration and are not saved.
+    /// coefficients, and with them the delay line's length, are
+    /// design-time configuration and are not saved.
     pub fn save_state(&self, w: &mut StateWriter) {
-        let raw: Vec<i32> = self.delay.iter().map(|q| q.raw()).collect();
-        w.put_i32_slice(&raw);
+        self.delay.iter().for_each(|q| w.put_i32(q.raw()));
         w.put_u64(self.pos as u64);
         w.put_u64(self.saturations);
     }
 
     /// Restores state saved by [`FirFilter::save_state`] into a filter of
-    /// the same length.
+    /// the same design.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] if the saved delay-line length or write
-    /// position does not match this filter, plus the underlying decode
-    /// errors.
+    /// [`SnapshotError::Corrupt`] if the saved write position is outside
+    /// the delay line, plus the underlying decode errors.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let raw = r.take_i32_vec()?;
-        if raw.len() != self.delay.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "FIR delay line of {} taps in snapshot, filter has {}",
-                    raw.len(),
-                    self.delay.len()
-                ),
-            });
+        for q in &mut self.delay {
+            *q = Q15::from_raw(r.take_i32()?);
         }
         let pos = r.take_u64()? as usize;
-        if pos >= raw.len() {
+        if pos >= self.delay.len() {
             return Err(SnapshotError::Corrupt {
-                context: format!("FIR write position {pos} out of range {}", raw.len()),
+                context: format!("FIR write position {pos} out of range {}", self.delay.len()),
             });
         }
-        self.delay = raw.into_iter().map(Q15::from_raw).collect();
         self.pos = pos;
         self.saturations = r.take_u64()?;
         Ok(())

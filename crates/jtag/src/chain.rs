@@ -388,7 +388,8 @@ impl JtagChain {
 
     /// Serializes the TAP FSM state, counters, injected fault, and every
     /// slot's shift/instruction registers plus the device's own state (via
-    /// [`JtagDevice::save_state`]).
+    /// [`JtagDevice::save_state`]). The number of slots is fixed when the
+    /// chain is built and is not written.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u8(self.state.code());
         w.put_u64(self.cycles);
@@ -402,7 +403,6 @@ impl JtagChain {
             None => w.put_bool(false),
         }
         w.put_u64(self.corrupted_bits);
-        w.put_u32(self.slots.len() as u32);
         for slot in &self.slots {
             w.put_u64(slot.ir);
             w.put_u64(slot.ir_shift);
@@ -416,9 +416,8 @@ impl JtagChain {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] if the TAP state code is invalid
-    /// or the device count does not match this chain; propagates other
-    /// [`SnapshotError`]s on malformed input.
+    /// Returns [`SnapshotError::Corrupt`] if the TAP state code is invalid;
+    /// propagates other [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         let code = r.take_u8()?;
         let state = TapState::from_code(code).ok_or_else(|| SnapshotError::Corrupt {
@@ -440,15 +439,6 @@ impl JtagChain {
             None
         };
         let corrupted_bits = r.take_u64()?;
-        let count = r.take_u32()? as usize;
-        if count != self.slots.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "JTAG chain of {count} devices in snapshot, chain has {}",
-                    self.slots.len()
-                ),
-            });
-        }
         self.state = state;
         self.cycles = cycles;
         self.shifts = shifts;

@@ -294,6 +294,9 @@ impl Encoder<'_> {
         let m = item.mnemonic.as_str();
         let ops = &item.operands;
         let ln = item.line;
+        // The PC after an instruction of `n` bytes, wrapping at 64 KiB as
+        // the core's does.
+        let after = |n: u16| pc.wrapping_add(n);
         let out: Vec<u8> = match (m, ops.as_slice()) {
             ("NOP", _) => vec![0x00],
             ("RET", _) => vec![0x22],
@@ -331,22 +334,22 @@ impl Encoder<'_> {
                 let a = self.word(t, ln)?;
                 vec![0x12, (a >> 8) as u8, a as u8]
             }
-            ("AJMP", [Expr(t)]) => self.a11(0x01, t, pc + 2, ln)?,
-            ("ACALL", [Expr(t)]) => self.a11(0x11, t, pc + 2, ln)?,
-            ("SJMP", [Expr(t)]) => vec![0x80, self.rel(t, pc + 2, ln)?],
-            ("JC", [Expr(t)]) => vec![0x40, self.rel(t, pc + 2, ln)?],
-            ("JNC", [Expr(t)]) => vec![0x50, self.rel(t, pc + 2, ln)?],
-            ("JZ", [Expr(t)]) => vec![0x60, self.rel(t, pc + 2, ln)?],
-            ("JNZ", [Expr(t)]) => vec![0x70, self.rel(t, pc + 2, ln)?],
+            ("AJMP", [Expr(t)]) => self.a11(0x01, t, after(2), ln)?,
+            ("ACALL", [Expr(t)]) => self.a11(0x11, t, after(2), ln)?,
+            ("SJMP", [Expr(t)]) => vec![0x80, self.rel(t, after(2), ln)?],
+            ("JC", [Expr(t)]) => vec![0x40, self.rel(t, after(2), ln)?],
+            ("JNC", [Expr(t)]) => vec![0x50, self.rel(t, after(2), ln)?],
+            ("JZ", [Expr(t)]) => vec![0x60, self.rel(t, after(2), ln)?],
+            ("JNZ", [Expr(t)]) => vec![0x70, self.rel(t, after(2), ln)?],
             ("JMP", [AtAPlusDptr]) => vec![0x73],
             ("JB", [Expr(b), Expr(t)]) => {
-                vec![0x20, self.bit(b, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0x20, self.bit(b, ln)?, self.rel(t, after(3), ln)?]
             }
             ("JNB", [Expr(b), Expr(t)]) => {
-                vec![0x30, self.bit(b, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0x30, self.bit(b, ln)?, self.rel(t, after(3), ln)?]
             }
             ("JBC", [Expr(b), Expr(t)]) => {
-                vec![0x10, self.bit(b, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0x10, self.bit(b, ln)?, self.rel(t, after(3), ln)?]
             }
             ("ADD", [A, rhs]) => self.alu(0x24, rhs, ln)?,
             ("ADDC", [A, rhs]) => self.alu(0x34, rhs, ln)?,
@@ -409,20 +412,20 @@ impl Encoder<'_> {
             ("XCH", [A, Expr(d)]) => vec![0xc5, self.byte(d, ln)?],
             ("XCHD", [A, AtReg(r)]) => vec![0xd6 | r],
             ("CJNE", [A, Immediate(i), Expr(t)]) => {
-                vec![0xb4, self.byte(i, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0xb4, self.byte(i, ln)?, self.rel(t, after(3), ln)?]
             }
             ("CJNE", [A, Expr(d), Expr(t)]) => {
-                vec![0xb5, self.byte(d, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0xb5, self.byte(d, ln)?, self.rel(t, after(3), ln)?]
             }
             ("CJNE", [AtReg(r), Immediate(i), Expr(t)]) => {
-                vec![0xb6 | r, self.byte(i, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0xb6 | r, self.byte(i, ln)?, self.rel(t, after(3), ln)?]
             }
             ("CJNE", [Reg(r), Immediate(i), Expr(t)]) => {
-                vec![0xb8 | r, self.byte(i, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0xb8 | r, self.byte(i, ln)?, self.rel(t, after(3), ln)?]
             }
-            ("DJNZ", [Reg(r), Expr(t)]) => vec![0xd8 | r, self.rel(t, pc + 2, ln)?],
+            ("DJNZ", [Reg(r), Expr(t)]) => vec![0xd8 | r, self.rel(t, after(2), ln)?],
             ("DJNZ", [Expr(d), Expr(t)]) => {
-                vec![0xd5, self.byte(d, ln)?, self.rel(t, pc + 3, ln)?]
+                vec![0xd5, self.byte(d, ln)?, self.rel(t, after(3), ln)?]
             }
             _ => {
                 return err(
@@ -461,17 +464,30 @@ impl Encoder<'_> {
     }
 }
 
+/// The end of an item of `size` bytes placed at `at`, or an error when it
+/// runs past code memory's last address, 0xFFFF.
+fn item_end(at: u32, size: usize, line: usize) -> Result<u32, AsmError> {
+    let end = at + size as u32;
+    if end > 0x1_0000 {
+        return err(line, format!("code at {at:#06x} runs past 0xFFFF"));
+    }
+    Ok(end)
+}
+
 /// Assembles 8051 source into a ROM image (origin 0).
 ///
 /// # Errors
 ///
 /// Returns an [`AsmError`] carrying the 1-based line number for syntax
 /// errors, undefined symbols, range violations (branch too far, byte
-/// overflow) and unsupported operand combinations.
+/// overflow, code or a label past 0xFFFF) and unsupported operand
+/// combinations.
 pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
     let mut symbols: HashMap<String, u16> = HashMap::new();
     let mut items: Vec<(u16, Item)> = Vec::new();
-    let mut pc: u16 = 0;
+    // Wider than an address, so that code running past 0xFFFF is seen
+    // instead of wrapping to 0x0000.
+    let mut pc: u32 = 0;
 
     // Pass 1: labels, EQU, and each instruction's size, from encoding it
     // with its operands unresolved.
@@ -488,7 +504,10 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             if label.is_empty() || !is_ident(label) {
                 return err(line_no, format!("bad label `{label}`"));
             }
-            if symbols.insert(label.to_ascii_uppercase(), pc).is_some() {
+            let Ok(at) = u16::try_from(pc) else {
+                return err(line_no, format!("label `{label}` past 0xFFFF"));
+            };
+            if symbols.insert(label.to_ascii_uppercase(), at).is_some() {
                 return err(line_no, format!("duplicate label `{label}`"));
             }
             text = text[colon + 1..].trim();
@@ -516,14 +535,15 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
         }
         match mnemonic.as_str() {
             "ORG" => {
-                pc = eval(rest, &symbols, false, line_no)?;
+                pc = eval(rest, &symbols, false, line_no)?.into();
                 continue;
             }
             "DB" | "DW" => {
                 let raw = split_operands(rest);
                 let size = raw.len() * if mnemonic == "DB" { 1 } else { 2 };
+                let end = item_end(pc, size, line_no)?;
                 items.push((
-                    pc,
+                    pc as u16,
                     Item {
                         line: line_no,
                         mnemonic,
@@ -531,7 +551,7 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
                         raw,
                     },
                 ));
-                pc = pc.wrapping_add(size as u16);
+                pc = end;
                 continue;
             }
             _ => {}
@@ -546,9 +566,12 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             operands,
             raw: Vec::new(),
         };
-        let size = Encoder { symbols: None }.encode(&item, pc)?.len() as u16;
-        items.push((pc, item));
-        pc = pc.wrapping_add(size);
+        // An instruction starting at 0x10000 is refused below by its size;
+        // its unresolved encoding only needs some address.
+        let size = Encoder { symbols: None }.encode(&item, pc as u16)?.len();
+        let end = item_end(pc, size, line_no)?;
+        items.push((pc as u16, item));
+        pc = end;
     }
 
     // Pass 2: encode.
@@ -576,7 +599,7 @@ pub fn assemble(source: &str) -> Result<Vec<u8>, AsmError> {
             }
             _ => enc.encode(item, *addr)?,
         };
-        let end = *addr as usize + bytes.len();
+        let end = item_end((*addr).into(), bytes.len(), item.line)? as usize;
         if image.len() < end {
             image.resize(end, 0);
         }
@@ -675,6 +698,26 @@ mod tests {
         // Bit 5 of IRAM byte 0x2f = bit address (0x2f-0x20)*8+5 = 0x7d.
         let img = assemble("setb 0x2f.5\n").unwrap();
         assert_eq!(img, vec![0xd2, 0x7d]);
+    }
+
+    /// Code memory ends at 0xFFFF. An instruction that fits below it
+    /// assembles, with the PC after it wrapping to 0x0000 as the core's
+    /// does; one that runs past it, or starts past it, is an error rather
+    /// than an image over 64 KiB or bytes wrapped to 0x0000.
+    #[test]
+    fn code_past_0xffff_is_an_error() {
+        let image = assemble("org 0xfffe\nsjmp 0\n").expect("ends at 0xFFFF");
+        assert_eq!(image.len(), 0x1_0000);
+        assert_eq!(&image[0xfffe..], &[0x80, 0x00]);
+        for (src, line) in [
+            ("org 0xfffe\nljmp 0\n", 2),
+            ("org 0xffff\nnop\nnop\n", 3),
+            ("org 0xffff\ndb 1, 2\n", 2),
+            ("org 0xffff\nnop\nend:\n", 3),
+        ] {
+            let e = assemble(src).expect_err(src);
+            assert_eq!(e.line, line, "{src}: {e}");
+        }
     }
 
     #[test]

@@ -9,12 +9,15 @@ use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 impl Cpu {
     /// Serializes the complete core state: PC, IRAM, SFRs, code memory
     /// (runtime-mutable through the program-download path), counters, UART
-    /// queues and timing, the interrupt in-service stack, pins, and
-    /// injected-fault state.
+    /// queues and countdowns, the interrupt in-service stack, pins, and
+    /// injected-fault state. The UART byte time and the IRAM and SFR sizes
+    /// are constants of the core and are not written.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_u16(self.pc);
-        w.put_u8_slice(&self.iram);
-        w.put_u8_slice(&self.sfrs);
+        self.iram
+            .iter()
+            .chain(&self.sfrs)
+            .for_each(|&b| w.put_u8(b));
         w.put_u8_slice(&self.code);
         w.put_u64(self.cycles);
         w.put_u64(self.instructions);
@@ -22,7 +25,6 @@ impl Cpu {
         w.put_opt_u32(self.uart_tx_countdown);
         w.put_u8_slice(self.uart_tx.iter().copied().collect::<Vec<u8>>().as_slice());
         w.put_u8_slice(self.uart_rx.iter().copied().collect::<Vec<u8>>().as_slice());
-        w.put_u32(UART_CYCLES_PER_BYTE);
         w.put_opt_u32(self.uart_rx_countdown);
         w.put_u32(self.in_service.len() as u32);
         for &(src, high) in &self.in_service {
@@ -48,26 +50,17 @@ impl Cpu {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] if the IRAM/SFR images have the
-    /// wrong size, the code image exceeds 64 KiB, the UART transmit queue
-    /// exceeds [`UART_TX_CAPACITY`], the UART byte time is not the core's
-    /// 96 machine cycles, an interrupt-source code is unknown, or the fault
-    /// rate is outside `[0, 1]`; propagates other [`SnapshotError`]s on
-    /// malformed input. The UART countdowns are taken as they are, since
-    /// the core steps correctly from any; [`Cpu::check_uart_countdowns`]
-    /// refuses the ones no run leaves.
+    /// Returns [`SnapshotError::Corrupt`] if the code image exceeds 64 KiB,
+    /// the UART transmit queue exceeds [`UART_TX_CAPACITY`], an
+    /// interrupt-source code is unknown, or the fault rate is outside
+    /// `[0, 1]`; propagates other [`SnapshotError`]s on malformed input.
+    /// The UART countdowns are taken as they are, since the core steps
+    /// correctly from any; [`Cpu::check_uart_countdowns`] refuses the ones
+    /// no run leaves.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let pc = r.take_u16()?;
-        let iram = r.take_u8_vec()?;
-        let sfrs = r.take_u8_vec()?;
-        if iram.len() != 256 || sfrs.len() != 128 {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "CPU memory images {}B IRAM / {}B SFR (expected 256/128)",
-                    iram.len(),
-                    sfrs.len()
-                ),
-            });
+        self.pc = r.take_u16()?;
+        for b in self.iram.iter_mut().chain(&mut self.sfrs) {
+            *b = r.take_u8()?;
         }
         let code = r.take_u8_vec()?;
         if code.len() > 0x1_0000 {
@@ -75,9 +68,6 @@ impl Cpu {
                 context: format!("CPU code image of {} bytes exceeds 64 KiB", code.len()),
             });
         }
-        self.pc = pc;
-        self.iram.copy_from_slice(&iram);
-        self.sfrs.copy_from_slice(&sfrs);
         self.code = code;
         self.cycles = r.take_u64()?;
         self.instructions = r.take_u64()?;
@@ -94,14 +84,6 @@ impl Cpu {
         }
         self.uart_tx = uart_tx.into();
         self.uart_rx = r.take_u8_vec()?.into();
-        let per_byte = r.take_u32()?;
-        if per_byte != UART_CYCLES_PER_BYTE {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "UART byte time of {per_byte} machine cycles (the core sends one every {UART_CYCLES_PER_BYTE})"
-                ),
-            });
-        }
         self.uart_rx_countdown = r.take_opt_u32()?;
         let n = r.take_u32()? as usize;
         let mut in_service = Vec::with_capacity(n.min(16));

@@ -354,9 +354,10 @@ fn uart_queue_keeps_the_newest_bytes_up_to_its_capacity() {
     let mut r = StateReader::new(&image);
     let mut w = StateWriter::new();
     w.put_u16(r.take_u16().unwrap());
-    for _ in 0..3 {
-        w.put_u8_slice(&r.take_u8_vec().unwrap()); // IRAM, SFRs, code
+    for _ in 0..256 + 128 {
+        w.put_u8(r.take_u8().unwrap()); // IRAM, SFRs
     }
+    w.put_u8_slice(&r.take_u8_vec().unwrap()); // code
     for _ in 0..3 {
         w.put_u64(r.take_u64().unwrap()); // cycles, instructions, bytes sent
     }

@@ -80,9 +80,15 @@ impl SramController {
         }
     }
 
-    /// Serializes the SRAM contents and capture-pointer state.
+    /// Serializes the SRAM words up to the last non-zero one (the rest
+    /// reads zero) and the capture-pointer state.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u16_slice(&self.memory);
+        let used = self
+            .memory
+            .iter()
+            .rposition(|&x| x != 0)
+            .map_or(0, |i| i + 1);
+        w.put_u16_slice(&self.memory[..used]);
         w.put_u32(self.write_ptr as u32);
         w.put_bool(self.capturing);
         w.put_u16(self.read_addr);
@@ -93,20 +99,21 @@ impl SramController {
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] on a capacity mismatch or an
-    /// out-of-range write pointer.
+    /// Returns [`SnapshotError::Corrupt`] on more words than the SRAM
+    /// holds or an out-of-range write pointer.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let memory = r.take_u16_vec()?;
-        if memory.len() != self.memory.len() {
+        let used = r.take_u16_vec()?;
+        if used.len() > self.memory.len() {
             return Err(SnapshotError::Corrupt {
                 context: format!(
                     "SRAM snapshot of {} samples, controller has {}",
-                    memory.len(),
+                    used.len(),
                     self.memory.len()
                 ),
             });
         }
-        self.memory = memory;
+        self.memory[..used.len()].copy_from_slice(&used);
+        self.memory[used.len()..].fill(0);
         let write_ptr = r.take_u32()? as usize;
         if write_ptr >= self.memory.len() {
             return Err(SnapshotError::Corrupt {

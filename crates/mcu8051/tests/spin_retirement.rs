@@ -38,10 +38,10 @@ fn with_tx_countdown(cpu: &Cpu, rem: Option<u32>) -> Cpu {
     let mut r = StateReader::new(&bytes);
     let mut w = StateWriter::new();
     w.put_u16(r.take_u16().expect("pc"));
-    for _ in 0..3 {
-        // IRAM, SFRs, code memory
-        w.put_u8_slice(&r.take_u8_vec().expect("memory image"));
+    for _ in 0..256 + 128 {
+        w.put_u8(r.take_u8().expect("IRAM, SFRs"));
     }
+    w.put_u8_slice(&r.take_u8_vec().expect("code memory"));
     for _ in 0..3 {
         // cycles, instructions, bytes transmitted
         w.put_u64(r.take_u64().expect("counter"));

@@ -307,10 +307,11 @@ impl RingGyro {
         self.sense_mode.reset();
     }
 
-    /// Serializes the mechanical state: both mode resonators, the applied
-    /// stimulus (temperature, rate), the Brownian-noise generators, and the
-    /// temperature-derived quadrature coupling. The per-`dt` noise sigmas
-    /// are caches and are not saved.
+    /// Serializes the mechanical state: the applied stimulus (temperature,
+    /// rate), both modes' motion and the Brownian-noise generators. The
+    /// modes' tuning and the quadrature coupling are derived from the
+    /// temperature, and the per-`dt` noise sigmas are caches; none is
+    /// saved.
     pub fn save_state(&self, w: &mut StateWriter) {
         w.put_f64(self.temperature.0);
         w.put_f64(self.rate.0);
@@ -318,24 +319,34 @@ impl RingGyro {
         self.sense_mode.save_state(w);
         self.drive_noise.save_state(w);
         self.sense_noise.save_state(w);
-        w.put_f64(self.k_quad);
     }
 
-    /// Restores state saved by [`RingGyro::save_state`] and marks the
-    /// cached per-step noise sigmas stale (rebuilt on the next step).
+    /// Restores state saved by [`RingGyro::save_state`] onto a gyro built
+    /// from the same parameters, then derives the modes' tuning and the
+    /// quadrature coupling from the restored temperature (the per-step
+    /// noise sigmas go stale and are rebuilt on the next step).
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input.
+    /// Returns [`SnapshotError::Corrupt`] for a temperature that is not
+    /// finite, below absolute zero, or past the point where the drive
+    /// resonance reaches zero; propagates other [`SnapshotError`]s on
+    /// malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        self.temperature = Celsius(r.take_f64()?);
+        let t = r.take_f64()?;
+        let f_scale = 1.0 + self.params.tc_f0 * (t - 25.0);
+        if !(t.is_finite() && t >= -273.15 && f_scale > 0.0) {
+            return Err(SnapshotError::Corrupt {
+                context: format!("gyro temperature {t:?} °C has no physical tuning"),
+            });
+        }
+        self.temperature = Celsius(t);
         self.rate = DegPerSec(r.take_f64()?);
         self.drive_mode.load_state(r)?;
         self.sense_mode.load_state(r)?;
         self.drive_noise.load_state(r)?;
         self.sense_noise.load_state(r)?;
-        self.k_quad = r.take_f64()?;
-        self.sigma_dt = 0.0;
+        self.apply_temperature();
         Ok(())
     }
 }

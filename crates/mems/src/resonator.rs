@@ -203,37 +203,23 @@ impl Resonator {
         2.0 * self.q / self.omega
     }
 
-    /// Serializes tuning and motion state. The cached `exp(A·dt)`
-    /// propagator is *not* saved — it is a pure function of `(ω, Q, dt)`
-    /// and is rebuilt on the first step after restore.
+    /// Serializes the motion state. The tuning `(ω, Q)` is not saved: its
+    /// owner derives it (the gyro from its temperature) and retunes after
+    /// a load; the cached `exp(A·dt)` propagator is a pure function of
+    /// `(ω, Q, dt)` and is rebuilt on the first step after a retune.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_f64(self.omega);
-        w.put_f64(self.q);
         w.put_f64(self.state.x);
         w.put_f64(self.state.v);
     }
 
-    /// Restores state saved by [`Resonator::save_state`] and invalidates
-    /// the cached propagator.
+    /// Restores state saved by [`Resonator::save_state`].
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Corrupt`] if the saved tuning is not
-    /// physical (non-positive or non-finite ω or Q); propagates other
-    /// [`SnapshotError`]s on malformed input.
+    /// Propagates [`SnapshotError`] on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let omega = r.take_f64()?;
-        let q = r.take_f64()?;
-        if !(omega > 0.0 && omega.is_finite() && q > 0.0 && q.is_finite()) {
-            return Err(SnapshotError::Corrupt {
-                context: format!("resonator tuning omega={omega} q={q} not physical"),
-            });
-        }
-        self.omega = omega;
-        self.q = q;
         self.state.x = r.take_f64()?;
         self.state.v = r.take_f64()?;
-        self.prop = None;
         Ok(())
     }
 }

@@ -344,18 +344,14 @@ impl FaultPlan {
 
     /// Serializes the runtime cursor of every scheduled fault (active
     /// flags, burst generators, next toggle times). The specs themselves
-    /// are configuration and are *not* saved; a restore target must be
-    /// built from the same plan.
+    /// are configuration and are *not* saved, nor is what they fix: the
+    /// number of cursors and which of them carry a burst generator. A
+    /// restore target must be built from the same plan.
     pub fn save_state(&self, w: &mut StateWriter) {
-        w.put_u32(self.states.len() as u32);
         for st in &self.states {
             w.put_bool(st.active);
-            match &st.rng {
-                Some(rng) => {
-                    w.put_bool(true);
-                    rng.save_state(w);
-                }
-                None => w.put_bool(false),
+            if let Some(rng) = &st.rng {
+                rng.save_state(w);
             }
             w.put_f64(st.next_toggle_s);
             w.put_bool(st.burst_on);
@@ -366,27 +362,10 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] if the saved cursor count or RNG
-    /// presence disagrees with this plan's specs (the checkpoint belongs
-    /// to a different configuration), plus the underlying decode errors.
+    /// Propagates [`SnapshotError`] on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let n = r.take_u32()? as usize;
-        if n != self.states.len() {
-            return Err(SnapshotError::Corrupt {
-                context: format!(
-                    "fault plan has {} specs but snapshot carries {n} cursors",
-                    self.states.len()
-                ),
-            });
-        }
         for st in &mut self.states {
             st.active = r.take_bool()?;
-            let has_rng = r.take_bool()?;
-            if has_rng != st.rng.is_some() {
-                return Err(SnapshotError::Corrupt {
-                    context: "fault cursor RNG presence mismatch".to_owned(),
-                });
-            }
             if let Some(rng) = st.rng.as_mut() {
                 rng.load_state(r)?;
             }

@@ -351,30 +351,23 @@ impl WhiteNoise {
         }
     }
 
-    /// Serializes sigma and the logical stream position: the PRNG state
-    /// and the cached Box–Muller half-sample (the block itself is not
-    /// saved).
+    /// Serializes the logical stream position: the PRNG state and the
+    /// cached Box–Muller half-sample. Sigma is a constant of the source
+    /// and the block a cache; neither is saved.
     pub fn save_state(&self, w: &mut StateWriter) {
         let (state, cached) = self.position();
-        w.put_f64(self.sigma);
         Rng64 { state }.save_state(w);
         w.put_opt_f64(cached);
     }
 
-    /// Restores the full source state (bit-exact continuation).
+    /// Restores the stream position (bit-exact continuation) onto a source
+    /// built with the same sigma.
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input; a negative or
-    /// non-finite sigma, or a non-finite cached half, is
-    /// [`SnapshotError::Corrupt`].
+    /// Propagates [`SnapshotError`] on malformed input; a non-finite
+    /// cached half is [`SnapshotError::Corrupt`].
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
-        let sigma = r.take_f64()?;
-        if !sigma.is_finite() || sigma < 0.0 {
-            return Err(SnapshotError::Corrupt {
-                context: format!("white noise sigma {sigma}"),
-            });
-        }
         let mut rng = Rng64 { state: 0 };
         rng.load_state(r)?;
         let cached = r.take_opt_f64()?;
@@ -383,7 +376,6 @@ impl WhiteNoise {
                 context: format!("white noise cached half {cached:?}"),
             });
         }
-        self.sigma = sigma;
         self.set_position(rng.state, cached);
         Ok(())
     }
@@ -435,39 +427,31 @@ impl PinkNoise {
         self.rows.iter().sum::<f64>() * self.scale
     }
 
-    /// Serializes the inner white source, row ladder, counter and scale.
+    /// Serializes the inner white source, row ladder and counter (the
+    /// scale and the number of rows are constants of the source).
     pub fn save_state(&self, w: &mut StateWriter) {
         self.white.save_state(w);
-        w.put_f64_slice(&self.rows);
+        self.rows.iter().for_each(|&v| w.put_f64(v));
         w.put_u64(self.counter);
-        w.put_f64(self.scale);
     }
 
-    /// Restores the full source state.
+    /// Restores the full source state onto a source with as many rows.
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input; the saved row
-    /// ladder must be non-empty and finite, and the scale finite and
-    /// non-negative.
+    /// Propagates [`SnapshotError`] on malformed input; the saved rows
+    /// must be finite.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.white.load_state(r)?;
-        let rows = r.take_f64_vec()?;
-        if rows.is_empty() || rows.iter().any(|v| !v.is_finite()) {
-            return Err(SnapshotError::Corrupt {
-                context: "pink noise row ladder empty or not finite".to_owned(),
-            });
+        for row in &mut self.rows {
+            *row = r.take_f64()?;
+            if !row.is_finite() {
+                return Err(SnapshotError::Corrupt {
+                    context: format!("pink noise row {row}"),
+                });
+            }
         }
-        let counter = r.take_u64()?;
-        let scale = r.take_f64()?;
-        if !scale.is_finite() || scale < 0.0 {
-            return Err(SnapshotError::Corrupt {
-                context: format!("pink noise scale {scale}"),
-            });
-        }
-        self.rows = rows;
-        self.counter = counter;
-        self.scale = scale;
+        self.counter = r.take_u64()?;
         Ok(())
     }
 }
@@ -772,36 +756,28 @@ impl RandomWalk {
         self.state
     }
 
-    /// Serializes the inner white source, walk state and limit.
+    /// Serializes the inner white source and the walk state (the limit is
+    /// a constant of the source).
     pub fn save_state(&self, w: &mut StateWriter) {
         self.white.save_state(w);
         w.put_f64(self.state);
-        w.put_f64(self.limit);
     }
 
     /// Restores the full source state.
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input; a limit that is
-    /// not positive, or a state outside `±limit`, is
-    /// [`SnapshotError::Corrupt`].
+    /// Propagates [`SnapshotError`] on malformed input; a state outside
+    /// `±limit` is [`SnapshotError::Corrupt`].
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         self.white.load_state(r)?;
         let state = r.take_f64()?;
-        let limit = r.take_f64()?;
-        if limit.is_nan() || limit <= 0.0 {
+        if !state.is_finite() || state.abs() > self.limit {
             return Err(SnapshotError::Corrupt {
-                context: format!("random walk limit {limit}"),
-            });
-        }
-        if !state.is_finite() || state.abs() > limit {
-            return Err(SnapshotError::Corrupt {
-                context: format!("random walk state {state} outside ±{limit}"),
+                context: format!("random walk state {state} outside ±{}", self.limit),
             });
         }
         self.state = state;
-        self.limit = limit;
         Ok(())
     }
 }
@@ -1043,7 +1019,6 @@ mod tests {
 
         fn saved(&self) -> Vec<u8> {
             let mut w = StateWriter::new();
-            w.put_f64(self.sigma);
             self.rng.save_state(&mut w);
             w.put_opt_f64(self.cached);
             w.into_bytes()
@@ -1119,7 +1094,7 @@ mod tests {
                 assert_eq!(bytes, reference.saved(), "saved bytes at offset {offset}");
                 // The target holds a live block of its own that the load
                 // must drop.
-                let mut restored = WhiteNoise::new(2.0, 99);
+                let mut restored = WhiteNoise::new(sigma, 99);
                 restored.sample();
                 restored
                     .load_state(&mut StateReader::new(&bytes))
@@ -1208,11 +1183,10 @@ mod tests {
         let _ = PinkNoise::new(-2.0, 14, 1);
     }
 
-    /// A saved white source with the given sigma and cached half and a
-    /// healthy PRNG.
-    fn white_bytes(sigma: f64, cached: Option<f64>) -> StateWriter {
+    /// A saved white source with the given cached half and a healthy
+    /// PRNG.
+    fn white_bytes(cached: Option<f64>) -> StateWriter {
         let mut w = StateWriter::new();
-        w.put_f64(sigma);
         w.put_u64(Rng64::new(1).state);
         w.put_opt_f64(cached);
         w
@@ -1224,19 +1198,14 @@ mod tests {
 
     #[test]
     fn white_noise_decoder_rejects_bad_state() {
-        for sigma in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
-            let bytes = white_bytes(sigma, None).into_bytes();
-            let result = WhiteNoise::new(1.0, 0).load_state(&mut StateReader::new(&bytes));
-            assert!(is_corrupt(result), "sigma {sigma} loaded");
-        }
         for z in [f64::NAN, f64::INFINITY] {
-            let bytes = white_bytes(1.0, Some(z)).into_bytes();
+            let bytes = white_bytes(Some(z)).into_bytes();
             let result = WhiteNoise::new(1.0, 0).load_state(&mut StateReader::new(&bytes));
             assert!(is_corrupt(result), "cached half {z} loaded");
         }
         for (sigma, cached) in [(0.0, None), (1.0, Some(-0.7))] {
-            let bytes = white_bytes(sigma, cached).into_bytes();
-            let mut n = WhiteNoise::new(1.0, 0);
+            let bytes = white_bytes(cached).into_bytes();
+            let mut n = WhiteNoise::new(sigma, 0);
             n.load_state(&mut StateReader::new(&bytes))
                 .expect("valid state");
         }
@@ -1244,57 +1213,44 @@ mod tests {
 
     #[test]
     fn pink_noise_decoder_rejects_bad_state() {
-        let pink = |row: f64, scale: f64| {
-            let mut w = white_bytes(1.0, None);
-            w.put_f64_slice(&[0.1, row, -0.2]);
+        let pink = |row: f64| {
+            let mut w = white_bytes(None);
+            [0.1, row, -0.2].into_iter().for_each(|v| w.put_f64(v));
             w.put_u64(3);
-            w.put_f64(scale);
             w.into_bytes()
         };
-        for scale in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
-            let bytes = pink(0.0, scale);
-            let result = PinkNoise::new(1.0, 14, 0).load_state(&mut StateReader::new(&bytes));
-            assert!(is_corrupt(result), "scale {scale} loaded");
-        }
         for row in [f64::NAN, f64::NEG_INFINITY] {
-            let bytes = pink(row, 0.25);
-            let result = PinkNoise::new(1.0, 14, 0).load_state(&mut StateReader::new(&bytes));
+            let bytes = pink(row);
+            let result = PinkNoise::new(1.0, 3, 0).load_state(&mut StateReader::new(&bytes));
             assert!(is_corrupt(result), "row {row} loaded");
         }
-        let mut p = PinkNoise::new(1.0, 14, 0);
-        p.load_state(&mut StateReader::new(&pink(0.0, 0.25)))
+        let mut p = PinkNoise::new(1.0, 3, 0);
+        p.load_state(&mut StateReader::new(&pink(0.0)))
             .expect("valid state");
     }
 
     #[test]
-    fn random_walk_decoder_rejects_bad_limit_or_state() {
-        let walk = |state: f64, limit: f64| {
-            let mut w = white_bytes(0.1, None);
+    fn random_walk_decoder_rejects_state_past_limit() {
+        let walk = |state: f64| {
+            let mut w = white_bytes(None);
             w.put_f64(state);
-            w.put_f64(limit);
             w.into_bytes()
         };
-        let bad = [
-            (0.0, -1.0),
-            (0.0, 0.0),
-            (0.0, f64::NAN),
-            (0.0, f64::NEG_INFINITY),
-            (1.5, 1.0),
-            (-1.5, 1.0),
-            (f64::NAN, 1.0),
-            (f64::INFINITY, f64::INFINITY),
-        ];
-        for (state, limit) in bad {
-            let bytes = walk(state, limit);
-            let result = RandomWalk::new(0.1, 1.0, 0).load_state(&mut StateReader::new(&bytes));
+        for (state, limit) in [(1.5, 1.0), (-1.5, 1.0), (f64::NAN, 1.0)] {
+            let bytes = walk(state);
+            let result = RandomWalk::new(0.1, limit, 0).load_state(&mut StateReader::new(&bytes));
             assert!(is_corrupt(result), "state {state} limit {limit} loaded");
         }
-        // `new` accepts an infinite limit, so the decoder does too.
+        // `new` accepts an infinite limit; only a finite state loads there.
         for (state, limit) in [(0.5, 1.0), (-1.0, 1.0), (3.0, f64::INFINITY)] {
-            let mut w = RandomWalk::new(0.1, 1.0, 0);
-            w.load_state(&mut StateReader::new(&walk(state, limit)))
+            let mut w = RandomWalk::new(0.1, limit, 0);
+            w.load_state(&mut StateReader::new(&walk(state)))
                 .expect("valid walk");
         }
+        let bytes = walk(f64::INFINITY);
+        let result =
+            RandomWalk::new(0.1, f64::INFINITY, 0).load_state(&mut StateReader::new(&bytes));
+        assert!(is_corrupt(result), "an infinite state loaded");
     }
 
     #[test]
@@ -1307,7 +1263,7 @@ mod tests {
         }
         let mut bytes = StateWriter::new();
         w.save_state(&mut bytes);
-        let mut restored = RandomWalk::new(0.1, 5.0, 0);
+        let mut restored = RandomWalk::new(10.0, 1.0, 0);
         restored
             .load_state(&mut StateReader::new(bytes.bytes()))
             .expect("a walked state loads");

@@ -74,7 +74,9 @@ proptest! {
         }
         let mut w = StateWriter::new();
         a.save_state(&mut w);
-        let mut b = WhiteNoise::new(1.5, seed ^ 0x55);
+        // The target shares the saved source's sigma (a constant, not
+        // saved) but not its seed or its position.
+        let mut b = WhiteNoise::new(sigma, seed ^ 0x55);
         b.sample();
         prop_assert!(b.load_state(&mut StateReader::new(w.bytes())).is_ok());
         for want in &stream[k..] {
