@@ -194,6 +194,7 @@ impl SarAdc {
 
     /// Converts a differential input voltage to a signed code in
     /// `−2^(bits−1) ..= 2^(bits−1)−1`.
+    #[inline]
     pub fn convert(&mut self, input: Volts) -> i32 {
         self.conversions += 1;
         let c = &self.config;
@@ -240,6 +241,7 @@ impl SarAdc {
 
     /// Converts and maps into Q15 (left-justified into the 16-bit sample
     /// format regardless of resolution, as the RTL bus does).
+    #[inline]
     pub fn convert_q15(&mut self, input: Volts) -> Q15 {
         let code = self.convert(input);
         Q15::from_raw(code << (15 - (self.config.bits - 1)))

@@ -127,6 +127,7 @@ impl Pga {
     }
 
     /// Processes one sample taken `dt` seconds after the previous one.
+    #[inline]
     pub fn process(&mut self, input: Volts, dt: f64) -> Volts {
         let x = input.0 + self.effective_offset().0 + self.white.sample() + self.pink.sample();
         let y_target = x * self.gain();
@@ -247,6 +248,7 @@ impl ChargeAmplifier {
     }
 
     /// Converts one displacement sample to a voltage.
+    #[inline]
     pub fn convert(&mut self, displacement: f64) -> Volts {
         Volts((displacement * self.gain + self.noise.sample()).clamp(-self.rail.0, self.rail.0))
     }

@@ -123,6 +123,7 @@ impl Dac {
 
     /// Writes a signed code (`−2^(bits−1) ..= 2^(bits−1)−1`, clamped) and
     /// updates the held output.
+    #[inline]
     pub fn write(&mut self, code: i32) -> Volts {
         self.updates += 1;
         let c = &self.config;
@@ -137,12 +138,14 @@ impl Dac {
 
     /// Writes a Q15 sample, quantizing into the DAC resolution (the RTL
     /// takes the top `bits` of the 16-bit sample bus).
+    #[inline]
     pub fn write_q15(&mut self, sample: Q15) -> Volts {
         let code = sample.raw() >> (15 - (self.config.bits - 1));
         self.write(code)
     }
 
     /// Current output including noise (read at the analog rate).
+    #[inline]
     pub fn output(&mut self) -> Volts {
         Volts(self.held.0 + self.noise.sample())
     }

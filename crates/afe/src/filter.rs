@@ -67,6 +67,7 @@ impl AntiAliasFilter {
     /// Semi-implicit (symplectic Euler) update — unconditionally stable for
     /// the ω·dt < 1 regime the AFE operates in, with RK4-class accuracy for
     /// these slow corners.
+    #[inline]
     pub fn process(&mut self, u: Volts, dt: f64) -> Volts {
         if self.coeffs.f0.to_bits() != self.f0.to_bits() {
             self.coeffs = Coeffs::new(self.f0, self.q);

@@ -10,8 +10,9 @@
 //! repository root; smoke runs only read it. The `layer/tick.*` entries
 //! time each part of a CPU-off tick alone and print their sum next to
 //! `platform/dsp_tick_no_cpu` — a report, not a gate. So are the
-//! telemetry, trace+recorder and supervisor overhead lines, which time
-//! their two arms interleaved and print a median with its quartiles.
+//! CPU-slice, telemetry, trace+recorder, supervisor and supervisor-poll
+//! overhead lines, which time their two arms interleaved and print a
+//! median with its quartiles and the median paired ns per tick.
 
 use ascp_afe::adc::{AdcConfig, SarAdc};
 use ascp_afe::amp::{ChargeAmplifier, Pga};
@@ -22,6 +23,7 @@ use ascp_bench::harness::{
     write_bench_json, BenchStats,
 };
 use ascp_core::platform::{Platform, PlatformConfig, PlatformFleet};
+use ascp_core::supervisor::{MonitorSample, SupervisorState};
 use ascp_core::system::{SystemModel, SystemModelConfig};
 use ascp_dsp::fixed::Q15;
 use ascp_mcu8051::asm::assemble;
@@ -29,7 +31,7 @@ use ascp_mcu8051::cpu::{Cpu, NullBus};
 use ascp_mems::gyro::{GyroParams, RingGyro};
 use ascp_mems::resonator::Resonator;
 use ascp_sim::noise::{PinkNoise, WhiteNoise};
-use ascp_sim::telemetry::TelemetryConfig;
+use ascp_sim::telemetry::{Telemetry, TelemetryConfig};
 use ascp_sim::units::Volts;
 
 fn main() {
@@ -111,6 +113,20 @@ fn main() {
     let mut p = Platform::new(cfg);
     all.push(bench("platform/dsp_tick_with_cpu", || p.step()));
 
+    // The 8051 slice's share of a tick, against the ~10% that
+    // interrupt-driven monitor firmware should bring it down to. Both arms
+    // start from the same settled 0.3 s.
+    let settled = |cpu: bool| {
+        let cfg = PlatformConfig::builder()
+            .cpu_enabled(cpu)
+            .build()
+            .expect("valid");
+        let mut p = Platform::new(cfg);
+        p.run(0.3);
+        p
+    };
+    overhead_verdict("cpu slice", 10.0, &mut settled(true), &mut settled(false));
+
     // Telemetry overhead: the enabled (default) path vs the no-op path.
     // The acceptance bar for the observability layer is <= 5% on the
     // default sim loop. Between 1 kHz services and fault edges the tick
@@ -171,6 +187,7 @@ fn main() {
     let mut p_nosup = Platform::new(cfg);
     let sup_off = bench("platform/tick_supervisor_off", || p_nosup.step());
     overhead_verdict("fault/supervisor", 2.0, &mut p_sup, &mut p_nosup);
+    supervisor_poll_verdict();
     all.push(sup_on);
     all.push(sup_off);
 
@@ -250,24 +267,105 @@ fn main() {
     }
 }
 
-/// Prints the overhead of ticking `on` over ticking `off`, a report: the
-/// arms are timed in interleaved block pairs ([`time_paired`]), each block
-/// spanning a whole number of 1 kHz services.
+/// Prints the overhead of ticking `on` over ticking `off`, a report.
 fn overhead_verdict(label: &str, budget_pct: f64, on: &mut Platform, off: &mut Platform) {
+    let block = |p: &mut Platform, ticks: u64| {
+        for _ in 0..ticks {
+            black_box(p.step());
+        }
+    };
+    paired_verdict(label, budget_pct, |n| block(on, n), |n| block(off, n));
+}
+
+/// Prints the overhead of `on` over `off`, each called with a block's
+/// tick count, a report: the arms are timed in interleaved block pairs
+/// ([`time_paired`]), each block spanning a whole number of 1 kHz
+/// services, and the line closes with the median paired difference in
+/// ns per tick.
+fn paired_verdict(label: &str, budget_pct: f64, mut on: impl FnMut(u64), mut off: impl FnMut(u64)) {
     let (pairs, ticks) = if ascp_bench::harness::short_mode() {
         (41, 2_500)
     } else {
         (101, 25_000)
     };
-    let block = |p: &mut Platform| {
-        for _ in 0..ticks {
-            black_box(p.step());
-        }
-    };
-    let times = time_paired(pairs, || block(on), || block(off));
+    let times = time_paired(pairs, || on(ticks), || off(ticks));
+    let mut ns: Vec<f64> = times
+        .on_s
+        .iter()
+        .zip(&times.off_s)
+        .map(|(on, off)| (on - off) * 1.0e9 / ticks as f64)
+        .collect();
+    ns.sort_by(f64::total_cmp);
     println!(
-        "{}",
-        times.summary(&format!("{label} (per tick)"), budget_pct)
+        "{} {:+.1} ns per tick",
+        times.summary(&format!("{label} (per tick)"), budget_pct),
+        ns[ns.len() / 2]
+    );
+}
+
+/// Splits the `fault/supervisor` verdict into its two parts, a report:
+/// the 1 kHz `SafetySupervisor::poll` alone, called once per monitoring
+/// period between the ticks of a supervisor-off platform, against the
+/// same ticks without it. What the poll leaves of that verdict is the
+/// per-tick ADC window tracking. The poll runs on a copy of a settled
+/// platform's supervisor (state Normal, so every check evaluates) with a
+/// healthy sample from that platform: locked and settled, its envelope,
+/// setpoint and rate, a carrier at the setpoint on the primary ADC, a
+/// rate word that moves, and no errors.
+fn supervisor_poll_verdict() {
+    let cfg = PlatformConfig::builder()
+        .cpu_enabled(false)
+        .build()
+        .expect("valid");
+    let mut settled = Platform::new(cfg.clone());
+    settled
+        .wait_for_ready(2.0)
+        .expect("the default platform settles");
+    settled.run(0.05);
+    let mut sup = settled.supervisor().clone();
+    assert_eq!(sup.state(), SupervisorState::Normal, "a settled supervisor");
+    let chain = settled.chain();
+    let setpoint = chain.config().agc.setpoint;
+    let mut sample = MonitorSample {
+        t: settled.time(),
+        locked: true,
+        settled: true,
+        envelope: chain.envelope(),
+        setpoint,
+        adc_pri_pp: 2.0 * setpoint,
+        adc_sec_pp: 0.01,
+        rate_dps: settled.rate_output_dps(),
+        rate_raw: chain.rate_out().raw(),
+        ..MonitorSample::default()
+    };
+    let mut telemetry = Telemetry::new(TelemetryConfig::default());
+    let period = (cfg.dsp_rate.0 as u64 / 1000).max(1);
+    let off_cfg = PlatformConfig::builder()
+        .cpu_enabled(false)
+        .supervisor_enabled(false)
+        .build()
+        .expect("valid");
+    let (mut on, mut off) = (Platform::new(off_cfg.clone()), Platform::new(off_cfg));
+    on.run(0.3);
+    off.run(0.3);
+    paired_verdict(
+        "supervisor poll",
+        2.0,
+        |ticks| {
+            for k in 1..=ticks {
+                black_box(on.step());
+                if k % period == 0 {
+                    sample.t += 1.0e-3;
+                    sample.rate_raw ^= 1;
+                    sup.poll(&sample, &mut telemetry);
+                }
+            }
+        },
+        |ticks| {
+            for _ in 0..ticks {
+                black_box(off.step());
+            }
+        },
     );
 }
 

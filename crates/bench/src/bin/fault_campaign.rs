@@ -57,8 +57,9 @@ const CHAOS_SEED: u64 = 0xC4A0;
 /// happened, short enough for CI smoke.
 const CHAOS_STALL_CAP_S: f64 = 2.0;
 
-/// Pre-trigger flight-recorder depth: 2048 DSP ticks ≈ 2 ms of signal
-/// history ahead of every supervisor trigger.
+/// Pre-trigger flight-recorder depth: 2048 DSP ticks, 8.2 ms of signal
+/// history at the default 250 kHz DSP rate ahead of every supervisor
+/// trigger.
 const RECORDER_DEPTH: usize = 2048;
 
 /// One campaign entry: the fault to inject and its timing envelope.

@@ -155,6 +155,21 @@ fn close_span(
     }
 }
 
+/// Records an invalid spec as its scenario's result, not a campaign
+/// abort: a `config_valid 0` metric and the error as a series label.
+fn reject_spec(
+    out: &mut ScenarioOutcome,
+    trace: Option<&mut TraceRecorder>,
+    span: SpanId,
+    error: &dyn std::fmt::Display,
+) {
+    out.metrics.push(("config_valid".into(), 0.0));
+    out.series.push((format!("error: {error}"), Vec::new()));
+    if let Some(tr) = trace {
+        tr.annotate(span, "config_valid", "false");
+    }
+}
+
 /// Runs one attempt of a pool unit: one scenario, or a group of
 /// Monte-Carlo sibling lanes.
 ///
@@ -227,6 +242,18 @@ fn run_attempt(
                 // runs to completion here, and its outcome is final.
                 out.fault_classes = fault_classes(&spec.faults);
                 let mut ch = build(seed);
+                // The channel polls its plan once per raw sample.
+                if let Err(e) = spec.faults.validate(1.0 / ch.config().fs_hz) {
+                    reject_spec(
+                        out,
+                        trace.as_mut(),
+                        span,
+                        &format!("invalid fault plan: {e}"),
+                    );
+                    close_span(collector, trace, span, 0.0);
+                    runs.push(run);
+                    continue;
+                }
                 ch.set_fault_plan(spec.faults.clone());
                 run_channel(&mut ch, spec, out, trace.as_mut(), ctx).map_err(timed_out)?;
                 out.transitions.extend_from_slice(ch.transitions());
@@ -241,12 +268,7 @@ fn run_attempt(
         config.seed = seed;
         out.fault_classes = fault_classes(&config.faults);
         if let Err(e) = config.validate() {
-            // An invalid spec is a scenario result, not a campaign abort.
-            out.metrics.push(("config_valid".into(), 0.0));
-            out.series.push((format!("error: {e}"), Vec::new()));
-            if let Some(tr) = trace.as_mut() {
-                tr.annotate(span, "config_valid", "false");
-            }
+            reject_spec(out, trace.as_mut(), span, &e);
             close_span(collector, trace, span, 0.0);
             runs.push(run);
             continue;

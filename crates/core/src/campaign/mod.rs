@@ -510,6 +510,27 @@ mod tests {
         assert_eq!(report.outcomes[0].metric("config_valid"), Some(0.0));
     }
 
+    /// A burst train that cannot advance would loop forever inside one
+    /// tick once its window opened. A channel lane refuses it before it
+    /// runs, as a platform lane refuses an invalid config.
+    #[test]
+    fn channel_lane_refuses_intermittent_faults_that_cannot_advance() {
+        let mut faults = FaultPlan::new();
+        faults.intermittent(FaultKind::WireNotConnected, 1.0, 2.0, 0.0, 0.0, 3);
+        let report = runner(1).run(vec![ScenarioSpec::channel("channel", 3, map_channel)
+            .with_faults(faults)
+            .with_step(Step::Run { seconds: 0.01 })]);
+        let out = &report.outcomes[0];
+        assert_eq!(out.metric("config_valid"), Some(0.0));
+        assert!(
+            out.series
+                .iter()
+                .any(|(label, _)| label.contains("wire_not_connected")),
+            "{:?}",
+            out.series
+        );
+    }
+
     fn map_channel(seed: u64) -> SensorChannel {
         let mut cfg = crate::frontend::ChannelConfig::new("map", seed);
         cfg.adc_vref = 5.0;

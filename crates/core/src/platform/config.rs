@@ -162,6 +162,8 @@ impl PlatformConfig {
         if !(self.dsp_rate.0 > 0.0) {
             return Err(ConfigError::new("dsp_rate must be positive"));
         }
+        // The plan is polled once per DSP tick.
+        self.faults.validate(1.0 / self.dsp_rate.0)?;
         if self.analog_oversample == 0 {
             return Err(ConfigError::new("analog_oversample must be non-zero"));
         }

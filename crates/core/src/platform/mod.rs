@@ -489,7 +489,7 @@ impl Platform {
     }
 
     /// Removes and returns the flight recorder's frozen capture (re-arming
-    /// the ring), when a trigger has fired.
+    /// the ring empty), when a trigger has fired.
     pub fn take_capture(&mut self) -> Option<CaptureBundle> {
         self.recorder
             .as_mut()
@@ -787,6 +787,29 @@ mod tests {
             .build()
             .expect_err("40-bit ADC must be rejected");
         assert!(err.to_string().starts_with("invalid platform config:"));
+    }
+
+    /// A burst train whose intervals cannot move its next toggle past the
+    /// tick's time would loop forever inside one tick; the builder refuses
+    /// it before a platform exists.
+    #[test]
+    fn config_validation_rejects_intermittent_faults_that_cannot_advance() {
+        let err = PlatformConfig::builder()
+            .quiet()
+            .cpu_enabled(false)
+            .fault_intermittent(FaultKind::PllUnlock, 0.01, 0.05, 0.0, 0.0, 3)
+            .build()
+            .expect_err("a zero period never advances the burst train");
+        assert!(err.message().contains("pll_unlock"), "{err}");
+        // A burst shorter than one 4 µs tick at the default DSP rate.
+        assert!(PlatformConfig::builder()
+            .fault_intermittent(FaultKind::PllUnlock, 0.01, 0.05, 0.15, 1.0e-6, 3)
+            .build()
+            .is_err());
+        assert!(PlatformConfig::builder()
+            .fault_intermittent(FaultKind::PllUnlock, 0.6, 1.2, 0.15, 0.02, 99)
+            .build()
+            .is_ok());
     }
 
     #[test]

@@ -140,6 +140,7 @@ impl Agc {
 
     /// Processes one pickoff sample with the PLL's `(sin, cos)` references;
     /// returns the current drive amplitude command (0..max_drive).
+    #[inline]
     pub fn process(&mut self, pickoff: Q15, sin_ref: Q15, cos_ref: Q15) -> f64 {
         // Quadrature mixdown: at lock, I carries the envelope.
         self.i_acc += pickoff.mul(sin_ref).raw() as i64;
@@ -147,26 +148,34 @@ impl Agc {
         self.count += 1;
         self.samples += 1;
         if self.count == self.config.average {
-            let scale = 1.0 / (self.config.average as f64);
-            let i = Q15::from_f64(self.i_acc as f64 * scale / 32768.0 * 2.0);
-            let q = Q15::from_f64(self.q_acc as f64 * scale / 32768.0 * 2.0);
-            // Mixing halves the amplitude (sin² average = ½); the ×2 above
-            // restores the envelope scale. CORDIC gives the magnitude
-            // independent of residual phase error.
-            let polar = to_polar(i, q);
-            self.envelope = polar.magnitude.to_f64();
-            self.error = self.config.setpoint - self.envelope;
-            self.drive = self.pi.update(self.error);
-            // Settling milestone: the first window whose error is inside a
-            // 5 %-of-setpoint band. Latched until reset.
-            if self.settled_at_sample.is_none() && self.error.abs() <= 0.05 * self.config.setpoint {
-                self.settled_at_sample = Some(self.samples);
-            }
-            self.i_acc = 0;
-            self.q_acc = 0;
-            self.count = 0;
+            self.close_window();
         }
         self.drive
+    }
+
+    /// Ends one detector averaging window: the envelope, the PI drive
+    /// update and the settling milestone. Once per `average` samples, so
+    /// it stays out of [`Agc::process`]'s inlined body.
+    #[inline(never)]
+    fn close_window(&mut self) {
+        let scale = 1.0 / (self.config.average as f64);
+        let i = Q15::from_f64(self.i_acc as f64 * scale / 32768.0 * 2.0);
+        let q = Q15::from_f64(self.q_acc as f64 * scale / 32768.0 * 2.0);
+        // Mixing halves the amplitude (sin² average = ½); the ×2 above
+        // restores the envelope scale. CORDIC gives the magnitude
+        // independent of residual phase error.
+        let polar = to_polar(i, q);
+        self.envelope = polar.magnitude.to_f64();
+        self.error = self.config.setpoint - self.envelope;
+        self.drive = self.pi.update(self.error);
+        // Settling milestone: the first window whose error is inside a
+        // 5 %-of-setpoint band. Latched until reset.
+        if self.settled_at_sample.is_none() && self.error.abs() <= 0.05 * self.config.setpoint {
+            self.settled_at_sample = Some(self.samples);
+        }
+        self.i_acc = 0;
+        self.q_acc = 0;
+        self.count = 0;
     }
 
     /// Latest detected envelope (fraction of full scale).

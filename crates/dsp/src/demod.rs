@@ -52,6 +52,7 @@ impl Demodulator {
 
     /// Feeds one carrier-rate sample with the PLL `(sin, cos)` references.
     /// Returns `Some` on decimated output ticks.
+    #[inline]
     pub fn process(&mut self, x: Q15, sin_ref: Q15, cos_ref: Q15) -> Option<IqSample> {
         // Mix to baseband. The mixer halves the signal (sin²→½); shift left
         // one bit to restore scale, as the RTL would.

@@ -258,6 +258,7 @@ impl DecimatingFir {
     /// delay-line contents at its own instant. (Saturation counting
     /// follows the computed outputs, i.e. only samples that are actually
     /// emitted.)
+    #[inline]
     pub fn process(&mut self, x: Q15) -> Option<Q15> {
         self.counter += 1;
         if self.counter == self.factor {

@@ -13,6 +13,7 @@ use ascp_sim::snapshot::{SnapshotError, StateReader, StateWriter};
 const QUARTER: usize = 1024;
 
 /// Quarter-wave sine table in Q15, generated once per process.
+#[inline]
 fn sine_table() -> &'static [i32; QUARTER + 1] {
     use std::sync::OnceLock;
     static TABLE: OnceLock<[i32; QUARTER + 1]> = OnceLock::new();
@@ -99,6 +100,7 @@ impl Nco {
 
     /// Advances one sample and returns `(sin, cos)` of the *pre-advance*
     /// phase, so the first output after reset is `(0, 1)`.
+    #[inline]
     pub fn tick(&mut self) -> (Q15, Q15) {
         let out = Self::lookup(self.phase);
         self.phase = self.phase.wrapping_add(self.increment);
@@ -124,6 +126,7 @@ impl Nco {
 
     /// Sine/cosine of an arbitrary 32-bit phase word.
     #[must_use]
+    #[inline]
     pub fn lookup(phase: u32) -> (Q15, Q15) {
         (
             Q15::from_raw(sin_from_phase(phase)),
@@ -133,6 +136,7 @@ impl Nco {
 }
 
 /// Quarter-wave symmetric sine from a 32-bit phase word, Q15 raw value.
+#[inline]
 fn sin_from_phase(phase: u32) -> i32 {
     // Top 2 bits select the quadrant; next bits index the quarter table.
     let quadrant = phase >> 30;

@@ -166,6 +166,7 @@ impl Pll {
 
     /// Processes one pickoff sample; returns the `(sin, cos)` drive
     /// references for this sample.
+    #[inline]
     pub fn process(&mut self, pickoff: Q15) -> (Q15, Q15) {
         let (s, c) = self.nco.tick();
 
@@ -179,60 +180,68 @@ impl Pll {
         self.pd_count += 1;
 
         if self.pd_count == self.config.pd_average {
-            let avg = self.pd_acc as f64 / self.config.pd_average as f64 / 32768.0;
-            let avg_amp = self.amp_acc as f64 / self.config.pd_average as f64 / 32768.0;
-            self.phase_error = avg;
-            self.amplitude = avg_amp;
-            self.pd_acc = 0;
-            self.amp_acc = 0;
-            self.pd_count = 0;
-
-            // PI controller updates once per averaging window.
-            let dt = self.config.pd_average as f64 / self.config.sample_rate;
-            self.integrator += self.config.ki * avg * dt;
-            // Anti-windup: bound the integrator to a ±10% pull range.
-            let max_pull = self.config.center_freq * 0.1;
-            self.integrator = self.integrator.clamp(-max_pull, max_pull);
-            self.freq_offset = (self.config.kp * avg + self.integrator).clamp(-max_pull, max_pull);
-            self.nco.set_frequency(
-                self.config.center_freq + self.freq_offset,
-                self.config.sample_rate,
-            );
-
-            // Lock detector: small phase error on a live signal. Without
-            // the amplitude term a dead pickoff (zero signal, zero phase
-            // error) would read as locked and suppress the rail leak below.
-            if avg.abs() < self.config.lock_threshold
-                && avg_amp.abs() >= self.config.lock_min_amplitude
-            {
-                self.locked_windows = self.locked_windows.saturating_add(1);
-                self.unlocked_windows = 0;
-            } else {
-                self.locked_windows = 0;
-                self.unlocked_windows = self.unlocked_windows.saturating_add(1);
-            }
-            let locked_now = self.locked_windows >= self.config.lock_count;
-            if locked_now != self.locked {
-                self.lock_transitions += 1;
-            }
-            self.locked = locked_now;
-            // Re-acquisition aid, two stranded-NCO cases. (1) Overload on a
-            // live input winds the integrator onto its rail, outside the
-            // capture range: leak it off the rail and the beat-note pull-in
-            // recaptures. (2) A dead pickoff (high-Q resonator driven off
-            // resonance responds only within f0/Q) gives no pull-in at all:
-            // keep leaking all the way back toward the centre until the
-            // resonator answers. Never leak on a live in-range signal — a
-            // proportional leak there forces a large static phase error on
-            // off-centre tones and blocks lock entirely.
-            let railed = self.integrator.abs() > 0.8 * max_pull;
-            let dead = avg_amp.abs() < self.config.lock_min_amplitude;
-            if self.unlocked_windows > 4 * self.config.lock_count && (railed || dead) {
-                self.integrator *= 0.995;
-            }
+            self.close_window();
         }
 
         (s, c)
+    }
+
+    /// Ends one phase-detector averaging window: the PI update, the NCO
+    /// retune, the lock detector and the re-acquisition leak. Once per
+    /// `pd_average` samples, so it stays out of [`Pll::process`]'s inlined
+    /// body.
+    #[inline(never)]
+    fn close_window(&mut self) {
+        let avg = self.pd_acc as f64 / self.config.pd_average as f64 / 32768.0;
+        let avg_amp = self.amp_acc as f64 / self.config.pd_average as f64 / 32768.0;
+        self.phase_error = avg;
+        self.amplitude = avg_amp;
+        self.pd_acc = 0;
+        self.amp_acc = 0;
+        self.pd_count = 0;
+
+        // PI controller updates once per averaging window.
+        let dt = self.config.pd_average as f64 / self.config.sample_rate;
+        self.integrator += self.config.ki * avg * dt;
+        // Anti-windup: bound the integrator to a ±10% pull range.
+        let max_pull = self.config.center_freq * 0.1;
+        self.integrator = self.integrator.clamp(-max_pull, max_pull);
+        self.freq_offset = (self.config.kp * avg + self.integrator).clamp(-max_pull, max_pull);
+        self.nco.set_frequency(
+            self.config.center_freq + self.freq_offset,
+            self.config.sample_rate,
+        );
+
+        // Lock detector: small phase error on a live signal. Without the
+        // amplitude term a dead pickoff (zero signal, zero phase error)
+        // would read as locked and suppress the rail leak below.
+        if avg.abs() < self.config.lock_threshold && avg_amp.abs() >= self.config.lock_min_amplitude
+        {
+            self.locked_windows = self.locked_windows.saturating_add(1);
+            self.unlocked_windows = 0;
+        } else {
+            self.locked_windows = 0;
+            self.unlocked_windows = self.unlocked_windows.saturating_add(1);
+        }
+        let locked_now = self.locked_windows >= self.config.lock_count;
+        if locked_now != self.locked {
+            self.lock_transitions += 1;
+        }
+        self.locked = locked_now;
+        // Re-acquisition aid, two stranded-NCO cases. (1) Overload on a
+        // live input winds the integrator onto its rail, outside the
+        // capture range: leak it off the rail and the beat-note pull-in
+        // recaptures. (2) A dead pickoff (high-Q resonator driven off
+        // resonance responds only within f0/Q) gives no pull-in at all:
+        // keep leaking all the way back toward the centre until the
+        // resonator answers. Never leak on a live in-range signal — a
+        // proportional leak there forces a large static phase error on
+        // off-centre tones and blocks lock entirely.
+        let railed = self.integrator.abs() > 0.8 * max_pull;
+        let dead = avg_amp.abs() < self.config.lock_min_amplitude;
+        if self.unlocked_windows > 4 * self.config.lock_count && (railed || dead) {
+            self.integrator *= 0.995;
+        }
     }
 
     /// Last averaged phase-detector output (≈ phase error / π for small

@@ -414,6 +414,7 @@ impl Cpu {
     /// the instruction plus, when an interrupt was entered, the entry's
     /// LCALL. The timers and the UART see the same cycles, and
     /// no step takes more than [`MAX_STEP_CYCLES`].
+    #[inline]
     pub fn step(&mut self, bus: &mut dyn ExternalBus) -> u32 {
         if self.hung {
             // Latch-up: the clock runs but nothing fetches, no timers
@@ -455,6 +456,7 @@ impl Cpu {
     /// more than elapsed cycles makes it return 0 and change nothing: EA
     /// set, a running timer, a high INT pin, a deliverable RX byte, a
     /// halted core, or any other instruction at PC.
+    #[inline]
     pub fn retire_spin(&mut self, max: u64) -> u64 {
         if self.hung {
             self.cycles += max;

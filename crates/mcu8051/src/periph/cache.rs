@@ -26,6 +26,7 @@ impl CacheController {
     }
 
     /// Drains queued program-memory writes.
+    #[inline]
     pub fn take_writes(&mut self) -> Vec<(u16, u8)> {
         self.pending.drain(..).collect()
     }

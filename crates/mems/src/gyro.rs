@@ -245,6 +245,7 @@ impl RingGyro {
     ///
     /// `drive_force` and `rebalance_force` are the commanded electrode
     /// forces in DAC units (±1.0 full scale); `dt` is the solver step.
+    #[inline]
     pub fn step(&mut self, drive_force: f64, rebalance_force: f64, dt: f64) -> GyroPickoffs {
         // White force noise with the configured density, realized per step:
         // sigma = density · √(fs/2). The sigma (and the 1 % drive-mode

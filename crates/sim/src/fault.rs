@@ -323,6 +323,7 @@ impl FaultPlan {
     /// Evaluates every spec at time `t` (seconds) and appends an edge for
     /// each fault whose active state changed. `edges` is *not* cleared, so
     /// callers can reuse one buffer across ticks.
+    #[inline]
     pub fn poll(&mut self, t: f64, edges: &mut Vec<FaultEdge>) {
         for st in &mut self.states {
             let desired = st.desired_active(t);
@@ -334,6 +335,49 @@ impl FaultPlan {
                 });
             }
         }
+    }
+
+    /// Checks that every intermittent schedule can advance its burst train
+    /// on a device that polls once per `tick_s` seconds: its period and
+    /// burst must be finite and at least one tick long, its start finite
+    /// and not before the run's `t = 0`, and its end not before its start.
+    /// Anything else makes [`FaultPlan::poll`] loop without end (a zero or
+    /// vanishing interval never moves the next toggle past `t`, a train
+    /// that began at `−∞` never catches up) or leaves a cursor that
+    /// [`FaultPlan::load_state`] cannot range-check.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the fault and the offending field.
+    pub fn validate(&self, tick_s: f64) -> Result<(), String> {
+        for st in &self.states {
+            let FaultSchedule::Intermittent {
+                start_s,
+                end_s,
+                period_s,
+                burst_s,
+                ..
+            } = st.spec.schedule
+            else {
+                continue;
+            };
+            let fault = st.spec.kind.label();
+            if !(start_s.is_finite() && start_s >= 0.0 && end_s >= start_s) {
+                return Err(format!(
+                    "intermittent {fault} fault: window [{start_s}, {end_s}) s does not \
+                     start at a finite time >= 0 or ends before it starts"
+                ));
+            }
+            for (field, span) in [("period", period_s), ("burst", burst_s)] {
+                if !(span.is_finite() && span >= tick_s) {
+                    return Err(format!(
+                        "intermittent {fault} fault: {field} {span} s is not a finite span \
+                         of at least one tick ({tick_s} s)"
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// `true` if the given fault (by label) is currently active.
@@ -362,14 +406,40 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapshotError`] on malformed input.
+    /// Returns [`SnapshotError::Corrupt`] for an intermittent cursor whose
+    /// next toggle is neither unset (NaN) nor inside the span a run leaves
+    /// it in, `[start_s + period_s/2, end_s + 1.5·max(period_s, burst_s)]`
+    /// (outside it the burst train could stall or never end); propagates
+    /// other [`SnapshotError`]s on malformed input.
     pub fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), SnapshotError> {
         for st in &mut self.states {
             st.active = r.take_bool()?;
             if let Some(rng) = st.rng.as_mut() {
                 rng.load_state(r)?;
             }
-            st.next_toggle_s = r.take_f64()?;
+            let next = r.take_f64()?;
+            if let FaultSchedule::Intermittent {
+                start_s,
+                end_s,
+                period_s,
+                burst_s,
+                ..
+            } = st.spec.schedule
+            {
+                let (lo, hi) = (
+                    start_s + period_s / 2.0,
+                    end_s + 1.5 * period_s.max(burst_s),
+                );
+                if !(next.is_nan() || (lo..=hi).contains(&next)) {
+                    return Err(SnapshotError::Corrupt {
+                        context: format!(
+                            "{} fault next toggle {next} s outside [{lo}, {hi}]",
+                            st.spec.kind.label()
+                        ),
+                    });
+                }
+            }
+            st.next_toggle_s = next;
             st.burst_on = r.take_bool()?;
         }
         Ok(())
@@ -377,6 +447,7 @@ impl FaultPlan {
 }
 
 impl FaultState {
+    #[inline]
     fn desired_active(&mut self, t: f64) -> bool {
         match self.spec.schedule {
             FaultSchedule::OneShot {
@@ -502,6 +573,75 @@ mod tests {
             .iter()
             .all(|&(t, _)| (0.1..2.0).contains(&t) || !a.last().unwrap().1));
         assert!(!a.last().unwrap().1, "train ends cleared");
+    }
+
+    /// A train whose toggles could not move past `t` would loop forever
+    /// on the first poll inside its window, so validation refuses it
+    /// before any poll runs.
+    #[test]
+    fn validation_refuses_schedules_that_cannot_advance() {
+        let tick = 4.0e-6;
+        let check = |start: f64, end: f64, period: f64, burst: f64| {
+            let mut plan = FaultPlan::new();
+            plan.one_shot(FaultKind::CpuHang, 0.0, 0.0);
+            plan.intermittent(FaultKind::PllUnlock, start, end, period, burst, 3);
+            plan.validate(tick)
+        };
+        assert_eq!(check(0.1, 2.0, 0.15, 0.02), Ok(()));
+        assert_eq!(check(0.0, f64::INFINITY, tick, tick), Ok(()));
+        for (start, end, period, burst) in [
+            (0.01, 0.05, 0.0, 0.0),
+            (0.01, 0.05, 0.15, 0.0),
+            (0.01, 0.05, 1.0e-300, 0.02),
+            (0.01, 0.05, 0.15, 0.5 * tick),
+            (0.01, 0.05, f64::NAN, 0.02),
+            (0.01, 0.05, 0.15, f64::INFINITY),
+            (f64::NEG_INFINITY, 0.05, 0.15, 0.02),
+            (-1.0, 0.05, 0.15, 0.02),
+            (0.01, f64::NAN, 0.15, 0.02),
+        ] {
+            let err = check(start, end, period, burst).expect_err("cannot advance");
+            assert!(err.contains("pll_unlock"), "{err}");
+        }
+    }
+
+    /// A restored next toggle outside the span a run leaves it in either
+    /// never advances (`−∞`) or skips the train; both are `Corrupt`.
+    #[test]
+    fn load_refuses_next_toggle_outside_the_span_a_run_leaves() {
+        let plan = || {
+            let mut p = FaultPlan::new();
+            p.intermittent(FaultKind::PllUnlock, 0.1, 2.0, 0.15, 0.02, 7);
+            p
+        };
+        let mut live = plan();
+        live.poll(0.5, &mut Vec::new());
+        let mut w = StateWriter::new();
+        live.save_state(&mut w);
+        plan()
+            .load_state(&mut StateReader::new(w.bytes()))
+            .expect("a run's own cursor restores");
+        // Bounds: [0.1 + 0.15/2, 2.0 + 1.5·0.15].
+        for (next, ok) in [
+            (f64::NAN, true),
+            (0.175, true),
+            (2.225, true),
+            (0.17, false),
+            (2.3, false),
+            (f64::NEG_INFINITY, false),
+            (f64::INFINITY, false),
+        ] {
+            let mut w = StateWriter::new();
+            w.put_bool(false);
+            Rng64::new(7).save_state(&mut w);
+            w.put_f64(next);
+            w.put_bool(false);
+            let got = plan().load_state(&mut StateReader::new(w.bytes()));
+            assert_eq!(got.is_ok(), ok, "next toggle {next}: {got:?}");
+            if !ok {
+                assert!(matches!(got, Err(SnapshotError::Corrupt { .. })), "{got:?}");
+            }
+        }
     }
 
     #[test]

@@ -418,6 +418,7 @@ impl PinkNoise {
     }
 
     /// Draws the next pink sample.
+    #[inline]
     pub fn sample(&mut self) -> f64 {
         self.counter = self.counter.wrapping_add(1);
         // Update the row selected by the lowest set bit of the counter: row

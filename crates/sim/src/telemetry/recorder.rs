@@ -173,6 +173,7 @@ impl FlightRecorder {
     }
 
     /// Pushes one frame, evicting the oldest when full. No-op once frozen.
+    #[inline]
     pub fn record(&mut self, frame: SignalFrame) {
         if self.capture.is_some() || self.capacity == 0 {
             return;
@@ -221,9 +222,16 @@ impl FlightRecorder {
         self.capture.as_ref()
     }
 
-    /// Removes and returns the frozen capture, re-arming the ring.
+    /// Removes and returns the frozen capture, re-arming the ring empty:
+    /// the next capture holds only frames recorded after this call, never
+    /// ones from before the previous trigger.
     pub fn take_capture(&mut self) -> Option<CaptureBundle> {
-        self.capture.take()
+        let capture = self.capture.take();
+        if capture.is_some() {
+            self.slots.clear();
+            self.head = 0;
+        }
+        capture
     }
 }
 
@@ -277,11 +285,11 @@ mod tests {
             .map(|f| f.t)
             .collect();
         assert_eq!(times, [8.0, 9.0, 10.0]);
-        // Re-armed, the ring continues from its head across a freeze.
+        // Re-armed, the ring starts empty: nothing from before the take.
         r.record(frame(11.0));
         r.freeze("safe_state", 12.0, Vec::new(), Vec::new());
         let times: Vec<f64> = r.capture().unwrap().frames.iter().map(|f| f.t).collect();
-        assert_eq!(times, [9.0, 10.0, 11.0]);
+        assert_eq!(times, [11.0]);
         assert_eq!(r.frames_recorded(), 12);
     }
 
@@ -298,18 +306,30 @@ mod tests {
         assert_eq!(cap.frames.len(), 1);
     }
 
+    /// A second capture after a take holds only the frames recorded since
+    /// the re-arm, with no gap: a full ring at the first trigger, frames
+    /// dropped while frozen, then a short run before the second trigger.
     #[test]
     fn take_capture_rearms() {
-        let mut r = FlightRecorder::new(RecorderConfig::fault_triggers(4));
-        r.record(frame(0.0));
-        r.freeze("safe_state", 1.0, Vec::new(), Vec::new());
-        assert!(r.take_capture().is_some());
+        let mut r = FlightRecorder::new(RecorderConfig::fault_triggers(64));
+        for k in 0..100 {
+            r.record(frame(f64::from(k)));
+        }
+        r.freeze("check_fail", 100.0, Vec::new(), Vec::new());
+        for k in 100..150 {
+            r.record(frame(f64::from(k)));
+        }
+        let first = r.take_capture().expect("frozen");
         assert!(!r.is_frozen());
-        r.record(frame(2.0));
-        r.freeze("degraded", 3.0, Vec::new(), Vec::new());
-        // The ring keeps recording continuously across re-arms.
+        assert_eq!(first.frames.len(), 64);
+        assert_eq!(first.frames[0].t, 36.0);
+        for k in 150..160 {
+            r.record(frame(f64::from(k)));
+        }
+        r.freeze("degraded", 160.0, Vec::new(), Vec::new());
         let times: Vec<f64> = r.capture().unwrap().frames.iter().map(|f| f.t).collect();
-        assert_eq!(times, [0.0, 2.0]);
+        let want: Vec<f64> = (150..160).map(f64::from).collect();
+        assert_eq!(times, want);
     }
 
     #[test]

@@ -19,6 +19,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== byte pins on optimized code (release) =="
+# The test step below runs the tick pins and the equivalence oracle in
+# the debug build only, while inlining and other optimizer-only changes
+# reach nothing but release code, whose byte checks further down (the
+# smoke CSV, DATASHEET.md) see neither capture JSON nor checkpoint trails.
+cargo test --release -q -p ascp-core --test scalar_tick_pin --test cpu_slice_pin --test equivalence
+
 echo "== cargo test (with the property-test suites) =="
 cargo test -q --workspace --features proptest
 
